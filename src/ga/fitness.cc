@@ -6,12 +6,14 @@
 #include "ga/fitness.hh"
 
 #include <cstdlib>
+#include <limits>
 
 #include "cache/cache.hh"
 #include "cache/replay.hh"
 #include "core/rrip_ipv.hh"
 #include "policies/lru.hh"
 #include "util/check.hh"
+#include "util/env.hh"
 #include "util/log.hh"
 #include "util/parallel.hh"
 #include "util/stats.hh"
@@ -65,7 +67,8 @@ unsigned
 envBatchWidth()
 {
     if (const char *s = std::getenv("GIPPR_GA_BATCH")) {
-        const unsigned long v = std::strtoul(s, nullptr, 10);
+        const uint64_t v = parseEnvUnsigned(
+            "GIPPR_GA_BATCH", s, std::numeric_limits<unsigned>::max());
         return v == 0 ? 1u : static_cast<unsigned>(v);
     }
     return 32;
@@ -76,7 +79,7 @@ size_t
 envMemoCapacity()
 {
     if (const char *s = std::getenv("GIPPR_GA_MEMO"))
-        return static_cast<size_t>(std::strtoull(s, nullptr, 10));
+        return static_cast<size_t>(parseEnvUnsigned("GIPPR_GA_MEMO", s));
     return size_t{1} << 16;
 }
 

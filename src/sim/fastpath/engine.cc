@@ -8,11 +8,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 
 #include "cache/replay.hh"
 #include "core/dgippr.hh"
 #include "sim/fastpath/soa_cache.hh"
 #include "util/check.hh"
+#include "util/env.hh"
 #include "util/log.hh"
 #include "util/parallel.hh"
 
@@ -753,7 +755,9 @@ defaultReplayEngine()
         // so nested sharding is opt-in via the environment.
         unsigned shards = 1;
         if (const char *s = std::getenv("GIPPR_REPLAY_SHARDS"))
-            shards = static_cast<unsigned>(std::strtoul(s, nullptr, 10));
+            shards = static_cast<unsigned>(parseEnvUnsigned(
+                "GIPPR_REPLAY_SHARDS", s,
+                std::numeric_limits<unsigned>::max()));
         return makeReplayEngine(backend, shards);
     }();
     return *engine;

@@ -104,6 +104,20 @@ CounterBank::operator+=(const CounterBank &o)
     return *this;
 }
 
+CounterBank
+CounterBank::operator-(const CounterBank &o) const
+{
+    CounterBank d;
+    d.accesses = accesses - o.accesses;
+    d.hits = hits - o.hits;
+    d.misses = misses - o.misses;
+    d.evictions = evictions - o.evictions;
+    d.writebacks = writebacks - o.writebacks;
+    d.demandAccesses = demandAccesses - o.demandAccesses;
+    d.demandMisses = demandMisses - o.demandMisses;
+    return d;
+}
+
 CacheStats
 ReplayStats::toCacheStats() const
 {

@@ -80,6 +80,8 @@ struct CounterBank
     uint64_t demandMisses = 0;
 
     CounterBank &operator+=(const CounterBank &o);
+    /** Field-wise difference (a bank minus its warmup snapshot). */
+    CounterBank operator-(const CounterBank &o) const;
     bool operator==(const CounterBank &o) const = default;
 };
 

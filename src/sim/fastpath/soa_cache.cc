@@ -15,10 +15,6 @@
 namespace gippr::fastpath
 {
 
-namespace
-{
-
-/** Promotion rows / insertion positions for the spec's vectors. */
 std::vector<Ipv>
 effectiveIpvs(const ReplaySpec &spec, unsigned ways)
 {
@@ -36,8 +32,6 @@ effectiveIpvs(const ReplaySpec &spec, unsigned ways)
     }
     return {};
 }
-
-} // namespace
 
 std::shared_ptr<const TreeTables>
 TreeTables::forAssoc(unsigned assoc)
@@ -116,29 +110,15 @@ SoaCacheModel::supports(const ReplaySpec &spec, const CacheConfig &config)
 }
 
 SoaCacheModel::SoaCacheModel(const ReplaySpec &spec,
-                             const CacheConfig &config, DuelMode mode)
+                             const CacheConfig &config, DuelMode mode,
+                             unsigned domains)
     : sets_(config.sets()), assoc_(config.assoc),
       blockShift_(config.blockShift()), setShift_(config.setShift()),
-      wayMask_(config.assoc == 64 ? ~uint64_t{0}
-                                  : (uint64_t{1} << config.assoc) - 1),
-      mode_(mode),
-      // Non-duel specs get degenerate dueling state (never consulted).
-      leaders_(config.sets(),
-               spec.kind == FastPolicyKind::Dgippr
-                   ? static_cast<unsigned>(spec.ipvs.size())
-                   : 1,
-               spec.kind == FastPolicyKind::Dgippr
-                   ? clampLeaders(config.sets(),
-                                  static_cast<unsigned>(spec.ipvs.size()),
-                                  spec.leaders)
-                   : 1),
-      selector_(spec.kind == FastPolicyKind::Dgippr
-                    ? static_cast<unsigned>(spec.ipvs.size())
-                    : 2,
-                spec.kind == FastPolicyKind::Dgippr ? spec.counterBits
-                                                    : 1)
+      wayMask_(lowMask(config.assoc)), mode_(mode)
 {
     GIPPR_CHECK(supports(spec, config));
+    GIPPR_CHECK(domains >= 1);
+    GIPPR_CHECK(domains == 1 || mode == DuelMode::Live);
     switch (spec.kind) {
       case FastPolicyKind::Lru:
       case FastPolicyKind::Lip:
@@ -227,11 +207,20 @@ SoaCacheModel::SoaCacheModel(const ReplaySpec &spec,
         }
     }
     if (duel_) {
-        winner_ = selector_.winner();
-        leaderMisses_.assign(promo_.size(), 0);
-        owners_.resize(sets_);
-        for (uint64_t s = 0; s < sets_; ++s)
-            owners_[s] = static_cast<int8_t>(leaders_.owner(s));
+        const auto nvec = static_cast<unsigned>(promo_.size());
+        const LeaderSets leaders(
+            sets_, nvec, clampLeaders(sets_, nvec, spec.leaders));
+        owners_.resize(domains * sets_);
+        duels_.reserve(domains);
+        for (unsigned d = 0; d < domains; ++d) {
+            for (uint64_t s = 0; s < sets_; ++s)
+                owners_[d * sets_ + s] = static_cast<int8_t>(
+                    leaders.owner((s + d * kLeaderSetRotate) % sets_));
+            TournamentSelector selector(nvec, spec.counterBits);
+            const unsigned winner = selector.winner();
+            duels_.push_back({std::move(selector), winner,
+                              std::vector<uint64_t>(nvec, 0)});
+        }
     }
 }
 
@@ -250,7 +239,7 @@ SoaCacheModel::tagOf(uint64_t byte_addr) const
 int
 SoaCacheModel::leaderOwner(uint64_t set) const
 {
-    return duel_ ? leaders_.owner(set) : LeaderSets::kFollower;
+    return duel_ ? owners_[set] : LeaderSets::kFollower;
 }
 
 void
@@ -258,7 +247,7 @@ SoaCacheModel::setWinner(unsigned w)
 {
     GIPPR_DCHECK(duel_ && mode_ == DuelMode::Timeline);
     GIPPR_DCHECK(w < promo_.size());
-    winner_ = w;
+    duels_[0].winner = w;
 }
 
 ReplayStats
@@ -267,22 +256,22 @@ SoaCacheModel::stats() const
     ReplayStats s;
     s.total = counters_;
     s.total.misses = counters_.accesses - counters_.hits;
-    s.measured.accesses = counters_.accesses - warmupBase_.accesses;
-    s.measured.hits = counters_.hits - warmupBase_.hits;
+    s.measured = counters_ - warmupBase_;
     s.measured.misses = s.measured.accesses - s.measured.hits;
-    s.measured.evictions = counters_.evictions - warmupBase_.evictions;
-    s.measured.writebacks =
-        counters_.writebacks - warmupBase_.writebacks;
-    s.measured.demandAccesses =
-        counters_.demandAccesses - warmupBase_.demandAccesses;
-    s.measured.demandMisses =
-        counters_.demandMisses - warmupBase_.demandMisses;
-    if (duel_ && mode_ == DuelMode::Live) {
-        s.finalWinner = selector_.winner();
-        s.duelCounters = selector_.counterValues();
-        s.leaderMisses = leaderMisses_;
-    }
+    duelStats(0, s);
     return s;
+}
+
+void
+SoaCacheModel::duelStats(unsigned domain, ReplayStats &out) const
+{
+    if (!duel_ || mode_ != DuelMode::Live)
+        return;
+    GIPPR_CHECK(domain < duels_.size());
+    const DuelDomain &d = duels_[domain];
+    out.finalWinner = d.selector.winner();
+    out.duelCounters = d.selector.counterValues();
+    out.leaderMisses = d.leaderMisses;
 }
 
 std::vector<unsigned>
@@ -321,7 +310,7 @@ SoaCacheModel::dumpSet(uint64_t set) const
     if (family_ != Family::Recency)
         os << " tree 0x" << std::hex << tree_[set] << std::dec;
     if (duel_) {
-        os << " owner " << leaderOwner(set) << " winner " << winner_;
+        os << " owner " << leaderOwner(set) << " winner " << winner();
     }
     os << " tags [";
     for (unsigned w = 0; w < assoc_; ++w)

@@ -158,6 +158,24 @@ struct TreeTables
 };
 
 /**
+ * Promotion/insertion vectors a spec's policy family applies: Lru and
+ * Lip synthesize their fixed vectors, Plru needs none, the IPV
+ * families use the spec's own.  Shared by the packed model and the
+ * scalar shared-LLC reference.
+ */
+std::vector<Ipv> effectiveIpvs(const ReplaySpec &spec, unsigned ways);
+
+/**
+ * Rotation stride between duel domains' leader-set tables: domain d
+ * owns set s as the base LeaderSets map does set
+ * (s + d * kLeaderSetRotate) mod sets.  Any odd constant decorrelates
+ * the domains' sampled sets; domain 0's rotation is zero, so a
+ * one-domain model keeps the single-core tables exactly.  Every
+ * shared-LLC backend must use this same constant.
+ */
+constexpr uint64_t kLeaderSetRotate = 97;
+
+/**
  * Packed replica of SetAssocCache + one of the seven core policies.
  *
  * The model covers every set of the geometry but is oblivious to
@@ -168,6 +186,12 @@ struct TreeTables
  * externally via setWinner() from a pre-recorded winner timeline —
  * the mechanism that makes follower-set shards independent of each
  * other.
+ *
+ * A shared LLC is the same model with two additions, both taken per
+ * access: a duel domain (each domain has its own rotated leader
+ * table, tournament, winner and leader-miss counts) and a way mask
+ * restricting the fill.  One domain and a full mask is exactly the
+ * single-core transition.
  */
 class SoaCacheModel
 {
@@ -179,8 +203,10 @@ class SoaCacheModel
         Timeline, ///< caller injects the winner via setWinner()
     };
 
+    /** @p domains duel domains (>= 1); only Dgippr specs use more
+     *  than the first, and only in Live mode. */
     SoaCacheModel(const ReplaySpec &spec, const CacheConfig &config,
-                  DuelMode mode = DuelMode::Live);
+                  DuelMode mode = DuelMode::Live, unsigned domains = 1);
 
     /** True when the fast backend can pack this spec/geometry. */
     static bool supports(const ReplaySpec &spec,
@@ -200,6 +226,19 @@ class SoaCacheModel
     GIPPR_HOT Step access(uint64_t set, uint64_t tag, AccessType type);
 
     /**
+     * Shared-LLC access: duel domain @p domain supplies the follower
+     * winner and records leader misses, and the fill — first invalid
+     * way, else the victim — is restricted to the ways of @p mask (a
+     * non-empty subset of the geometry's ways).  The victim is the
+     * mask's way at the highest recency position, which for a full
+     * mask is the policy's own victim, so a full mask takes the
+     * unmasked path.  Lines outside a mask persist until an access
+     * whose mask covers them evicts them.
+     */
+    GIPPR_HOT Step access(uint64_t set, uint64_t tag, AccessType type,
+                          unsigned domain, uint64_t mask);
+
+    /**
      * Batched hot path: the same transition as access() — the
      * equivalence tests enforce bit-identical results — but
      * specialized for the batch kernel's loop.  The stream-determined
@@ -212,7 +251,7 @@ class SoaCacheModel
     GIPPR_HOT Step accessBatched(uint64_t set, uint64_t tag,
                                  AccessType type)
     {
-        return accessImpl<true>(set, tag, type);
+        return accessImpl<true>(set, tag, type, 0, wayMask_);
     }
 
 #if GIPPR_BATCH_KERNEL16
@@ -315,22 +354,30 @@ class SoaCacheModel
     /** Timeline mode: winner for subsequent follower accesses. */
     void setWinner(unsigned w);
 
-    /** Current follower winner (Dgippr). */
-    unsigned winner() const { return winner_; }
+    /** Current follower winner of the first duel domain (Dgippr). */
+    unsigned winner() const { return duel_ ? duels_[0].winner : 0; }
 
     /** True for Dgippr models (global duel state couples the sets,
      *  so replay order across sets is load-bearing). */
     bool isDuel() const { return duel_; }
 
-    /** Leading vector of @p set, or LeaderSets::kFollower. */
+    /** Leading vector of @p set in the first duel domain, or
+     *  LeaderSets::kFollower. */
     int leaderOwner(uint64_t set) const;
 
     /**
      * Statistics so far; for live Dgippr models the duel fields
-     * (finalWinner, duelCounters, leaderMisses) are synced from the
-     * selector.
+     * (finalWinner, duelCounters, leaderMisses) are those of the
+     * first duel domain (see duelStats()).
      */
     ReplayStats stats() const;
+
+    /**
+     * Write duel domain @p domain's state — final winner, PSEL
+     * counters, leader misses — into @p out's duel fields.  Leaves
+     * them untouched unless the model runs a live duel.
+     */
+    void duelStats(unsigned domain, ReplayStats &out) const;
 
     uint64_t sets() const { return sets_; }
     unsigned assoc() const { return assoc_; }
@@ -357,9 +404,21 @@ class SoaCacheModel
         TreeIpv, ///< Gippr / Dgippr: packed tree + IPV positions
     };
 
-    unsigned ipvIndexFor(uint64_t set) const;
+    /** One duel domain's tournament (Dgippr only). */
+    struct DuelDomain
+    {
+        TournamentSelector selector;
+        unsigned winner = 0;
+        std::vector<uint64_t> leaderMisses;
+    };
+
+    unsigned ipvIndexFor(unsigned domain, uint64_t set) const;
+    void recordDuelMiss(unsigned domain, uint64_t set);
     template <bool Batched>
-    Step accessImpl(uint64_t set, uint64_t tag, AccessType type);
+    Step accessImpl(uint64_t set, uint64_t tag, AccessType type,
+                    unsigned domain, uint64_t mask);
+    unsigned maskedVictim(uint64_t set, uint64_t base,
+                          uint64_t mask) const;
     void moveTo(uint8_t *pos, unsigned way, unsigned to);
 #if GIPPR_BATCH_KERNEL16
     void moveTo16(uint8_t *pos, unsigned way, unsigned to);
@@ -433,13 +492,11 @@ class SoaCacheModel
     std::vector<uint64_t> fusedPromo_;
 
     // Set dueling (Dgippr only).
-    LeaderSets leaders_;
-    /** Flat copy of leaders_'s owner table (duel models index this
-     *  on every access; the class accessor is an outlined call). */
+    /** Flat leader-owner tables, domain-major: owners_[d * sets + s]
+     *  is the leading vector of set s in domain d (duel models index
+     *  this on every access; LeaderSets::owner is an outlined call). */
     std::vector<int8_t> owners_;
-    TournamentSelector selector_;
-    unsigned winner_ = 0;
-    std::vector<uint64_t> leaderMisses_;
+    std::vector<DuelDomain> duels_;
 
     /**
      * Whole-trace counters; stats() derives misses (accesses - hits)
@@ -451,13 +508,26 @@ class SoaCacheModel
 };
 
 inline unsigned
-SoaCacheModel::ipvIndexFor(uint64_t set) const
+SoaCacheModel::ipvIndexFor(unsigned domain, uint64_t set) const
 {
     if (!duel_)
         return 0;
-    const int owner = owners_[set];
+    const int owner = owners_[domain * sets_ + set];
     return owner != LeaderSets::kFollower ? static_cast<unsigned>(owner)
-                                          : winner_;
+                                          : duels_[domain].winner;
+}
+
+inline void
+SoaCacheModel::recordDuelMiss(unsigned domain, uint64_t set)
+{
+    const int owner = owners_[domain * sets_ + set];
+    if (owner != LeaderSets::kFollower) {
+        GIPPR_DCHECK(mode_ == DuelMode::Live);
+        DuelDomain &d = duels_[domain];
+        ++d.leaderMisses[static_cast<unsigned>(owner)];
+        d.selector.recordMiss(static_cast<unsigned>(owner));
+        d.winner = d.selector.winner();
+    }
 }
 
 inline void
@@ -623,11 +693,34 @@ SoaCacheModel::treePositionOf(uint64_t word, unsigned way) const
     return static_cast<unsigned>(x) ^ parityXor_[way];
 }
 
+inline unsigned
+SoaCacheModel::maskedVictim(uint64_t set, uint64_t base,
+                            uint64_t mask) const
+{
+    // Positions are a permutation, so the maximum is unique.
+    unsigned best = 0;
+    unsigned best_pos = 0;
+    for (uint64_t m = mask; m != 0; m &= m - 1) {
+        const auto w = static_cast<unsigned>(countTrailingZeros(m));
+        const unsigned p = family_ == Family::Recency
+                               ? pos_[base + w]
+                               : treePositionOf(tree_[set], w);
+        if (p >= best_pos) {
+            best = w;
+            best_pos = p;
+        }
+    }
+    return best;
+}
+
 template <bool Batched>
 inline SoaCacheModel::Step
-SoaCacheModel::accessImpl(uint64_t set, uint64_t tag, AccessType type)
+SoaCacheModel::accessImpl(uint64_t set, uint64_t tag, AccessType type,
+                          unsigned domain, uint64_t mask)
 {
     GIPPR_DCHECK(set < sets_);
+    GIPPR_DCHECK(mask != 0 && (mask & ~wayMask_) == 0);
+    GIPPR_DCHECK(!duel_ || domain < duels_.size());
     const bool demand = type != AccessType::Writeback;
     const uint64_t base = set * assoc_;
     const uint64_t valid = valid_[set];
@@ -660,7 +753,7 @@ SoaCacheModel::accessImpl(uint64_t set, uint64_t tag, AccessType type)
                              deposit_[way * assoc_];
                 break;
               case Family::TreeIpv: {
-                const unsigned v = ipvIndexFor(set);
+                const unsigned v = ipvIndexFor(domain, set);
                 const unsigned i = treePositionOf(tree_[set], way);
                 tree_[set] =
                     (tree_[set] & ~clearMask_[way]) |
@@ -674,27 +767,24 @@ SoaCacheModel::accessImpl(uint64_t set, uint64_t tag, AccessType type)
 
     // Miss.
     counters_.demandMisses += demand;
-    if (duel_ && demand) {
-        const int owner = owners_[set];
-        if (owner != LeaderSets::kFollower) {
-            GIPPR_DCHECK(mode_ == DuelMode::Live);
-            ++leaderMisses_[static_cast<unsigned>(owner)];
-            selector_.recordMiss(static_cast<unsigned>(owner));
-            winner_ = selector_.winner();
-        }
-    }
+    if (duel_ && demand)
+        recordDuelMiss(domain, set);
 
-    // Fill: first invalid way in way order, else the policy victim.
-    const uint64_t free = ~valid & wayMask_;
+    // Fill: first invalid way of the mask in way order, else the
+    // policy victim within the mask.
+    const uint64_t free = ~valid & mask;
     unsigned way;
     if (free != 0) {
         way = static_cast<unsigned>(countTrailingZeros(free));
     } else {
-        way = family_ == Family::Recency
-                  ? recencyVictim(&pos_[base])
-                  : (victimLut_ != nullptr
-                         ? victimLut_[tree_[set]]
-                         : packedFindPlru(tree_[set], assoc_));
+        if (mask != wayMask_)
+            way = maskedVictim(set, base, mask);
+        else if (family_ == Family::Recency)
+            way = recencyVictim(&pos_[base]);
+        else
+            way = victimLut_ != nullptr
+                      ? victimLut_[tree_[set]]
+                      : packedFindPlru(tree_[set], assoc_);
         ++counters_.evictions;
         step.evicted = true;
         step.evictedTag = tags_[base + way];
@@ -737,7 +827,7 @@ SoaCacheModel::accessImpl(uint64_t set, uint64_t tag, AccessType type)
                      deposit_[way * assoc_];
         break;
       case Family::TreeIpv: {
-        const unsigned v = ipvIndexFor(set);
+        const unsigned v = ipvIndexFor(domain, set);
         tree_[set] = (tree_[set] & ~clearMask_[way]) |
                      insertDeposit_[v * assoc_ + way];
         break;
@@ -817,15 +907,8 @@ SoaCacheModel::accessResolved16(uint64_t set, uint64_t tag,
     // already returns the outcome.
 
     // Never taken for non-duel models (duel_ is fixed per model).
-    if (duel_ && demand && !hit) {
-        const int owner = owners_[set];
-        if (owner != LeaderSets::kFollower) {
-            GIPPR_DCHECK(mode_ == DuelMode::Live);
-            ++leaderMisses_[static_cast<unsigned>(owner)];
-            selector_.recordMiss(static_cast<unsigned>(owner));
-            winner_ = selector_.winner();
-        }
-    }
+    if (duel_ && demand && !hit)
+        recordDuelMiss(0, set);
 
     // Fill stores run unconditionally: on a hit they rewrite the
     // values already present (tags_[base + way] == tag, the valid bit
@@ -860,7 +943,7 @@ SoaCacheModel::accessResolved16(uint64_t set, uint64_t tag,
         break;
       }
       case Family::TreeIpv: {
-        const unsigned v = ipvIndexFor(set);
+        const unsigned v = ipvIndexFor(0, set);
         const uint64_t t = tree_[set];
         const uint64_t cm = clearMask_[way];
         const uint64_t promo_dep =
@@ -913,7 +996,14 @@ SoaCacheModel::accessBatched32(SoaCacheModel &a, SoaCacheModel &b,
 inline SoaCacheModel::Step
 SoaCacheModel::access(uint64_t set, uint64_t tag, AccessType type)
 {
-    return accessImpl<false>(set, tag, type);
+    return accessImpl<false>(set, tag, type, 0, wayMask_);
+}
+
+inline SoaCacheModel::Step
+SoaCacheModel::access(uint64_t set, uint64_t tag, AccessType type,
+                      unsigned domain, uint64_t mask)
+{
+    return accessImpl<false>(set, tag, type, domain, mask);
 }
 
 inline SoaCacheModel::Step

@@ -7,7 +7,9 @@
 
 #include "cache/replay.hh"
 #include "sim/fastpath/engine.hh"
+#include "sim/fastpath/soa_cache.hh"
 #include "sim/multicore/reference_model.hh"
+#include "util/bitops.hh"
 #include "util/check.hh"
 #include "util/log.hh"
 
@@ -29,17 +31,38 @@ measuredInstructionsOf(uint64_t instructions, size_t length,
     return static_cast<uint64_t>(span / length);
 }
 
+/** Fold one access's outcome into a core's counter bank. */
+void
+addStep(fastpath::CounterBank &bank, const fastpath::SoaCacheModel::Step &st,
+        bool demand)
+{
+    ++bank.accesses;
+    bank.demandAccesses += demand;
+    if (st.hit) {
+        ++bank.hits;
+        return;
+    }
+    ++bank.misses;
+    bank.demandMisses += demand;
+    bank.evictions += st.evicted;
+    bank.writebacks += st.evictedDirty;
+}
+
 /**
  * The shared replay loop, templated over the two model backends
- * (identical interface, disjoint implementations).
+ * (identical shared-access interface, disjoint implementations).  The
+ * loop owns everything per core — counter bank, warmup snapshot, duel
+ * domain, way mask — so the models keep only the cache itself.
  */
 template <class Model>
 void
 runLoop(Model &model, const std::vector<CoreStream> &streams,
         const RunParams &params, const std::vector<size_t> &warmups,
-        UtilityMonitor *monitor, RunResult &result)
+        std::vector<uint64_t> &masks, UtilityMonitor *monitor,
+        RunResult &result)
 {
     const unsigned cores = static_cast<unsigned>(streams.size());
+    const bool per_core = params.duelScope == DuelScope::PerCore;
     std::vector<uint64_t> lengths(cores);
     std::vector<uint64_t> weights(cores);
     for (unsigned c = 0; c < cores; ++c) {
@@ -47,6 +70,8 @@ runLoop(Model &model, const std::vector<CoreStream> &streams,
         weights[c] = streams[c].weight;
     }
 
+    std::vector<fastpath::CounterBank> banks(cores);
+    std::vector<fastpath::CounterBank> warm(cores);
     Interleaver il(params.schedule, lengths, weights);
     std::vector<size_t> cursor(cores, 0);
     uint64_t tick = 0;
@@ -55,24 +80,24 @@ runLoop(Model &model, const std::vector<CoreStream> &streams,
         const auto core = static_cast<unsigned>(c);
         const size_t i = cursor[core]++;
         if (i == warmups[core])
-            model.markWarmup(core);
+            warm[core] = banks[core];
         const MemRecord &r = (*streams[core].trace)[i];
         const AccessType type = recordType(r);
-        model.access(core, r.addr, type);
+        const bool demand = type != AccessType::Writeback;
+        const uint64_t set = model.setIndex(r.addr);
+        const uint64_t tag = model.tagOf(r.addr);
+        addStep(banks[core],
+                model.access(set, tag, type, per_core ? core : 0,
+                             masks[core]),
+                demand);
 
         if (monitor != nullptr) {
-            if (type != AccessType::Writeback) {
-                const uint64_t set = model.setIndex(r.addr);
-                if (monitor->sampled(set))
-                    monitor->observe(core, set, model.tagOf(r.addr));
-            }
+            if (demand && monitor->sampled(set))
+                monitor->observe(core, set, tag);
             if (++tick % params.partition.repartitionEvery == 0) {
                 const std::vector<unsigned> counts =
                     monitor->allocate();
-                const std::vector<uint64_t> masks =
-                    masksFromCounts(counts, model.assoc());
-                for (unsigned k = 0; k < cores; ++k)
-                    model.setWayMask(k, masks[k]);
+                masks = masksFromCounts(counts, model.assoc());
                 monitor->decay();
                 result.wayCounts = counts;
                 ++result.repartitions;
@@ -83,50 +108,47 @@ runLoop(Model &model, const std::vector<CoreStream> &streams,
     // (warmup == length), matching the single-core engines.
     for (unsigned k = 0; k < cores; ++k)
         if (warmups[k] == lengths[k])
-            model.markWarmup(k);
+            warm[k] = banks[k];
 
-    for (unsigned k = 0; k < cores; ++k)
-        result.cores[k].stats = model.coreStats(k);
+    for (unsigned k = 0; k < cores; ++k) {
+        fastpath::ReplayStats &s = result.cores[k].stats;
+        s.total = banks[k];
+        s.measured = banks[k] - warm[k];
+        model.duelStats(per_core ? k : 0, s);
+    }
 }
 
 template <class Model>
 void
-runBackend(const std::vector<CoreStream> &streams,
+runBackend(Model &model, const std::vector<CoreStream> &streams,
            const RunParams &params, const std::vector<size_t> &warmups,
            RunResult &result)
 {
     const unsigned cores = static_cast<unsigned>(streams.size());
-    Model model(params.policy, params.llc, cores, params.duelScope);
-
+    std::vector<uint64_t> masks(cores, lowMask(model.assoc()));
     UtilityMonitor monitor(model.sets(), model.assoc(), cores,
                            params.partition.sampleEvery);
     UtilityMonitor *active = nullptr;
     switch (params.partition.mode) {
       case PartitionMode::None:
         break;
-      case PartitionMode::Static: {
-        const std::vector<uint64_t> masks =
-            masksFromCounts(params.partition.staticWays, model.assoc());
-        for (unsigned c = 0; c < cores; ++c)
-            model.setWayMask(c, masks[c]);
+      case PartitionMode::Static:
+        masks = masksFromCounts(params.partition.staticWays,
+                                model.assoc());
         result.wayCounts = params.partition.staticWays;
         break;
-      }
       case PartitionMode::Utility: {
         // Start from an even split; the monitor refines it.
         const std::vector<unsigned> counts =
             evenSplit(cores, model.assoc());
-        const std::vector<uint64_t> masks =
-            masksFromCounts(counts, model.assoc());
-        for (unsigned c = 0; c < cores; ++c)
-            model.setWayMask(c, masks[c]);
+        masks = masksFromCounts(counts, model.assoc());
         result.wayCounts = counts;
         active = &monitor;
         break;
       }
     }
 
-    runLoop(model, streams, params, warmups, active, result);
+    runLoop(model, streams, params, warmups, masks, active, result);
 }
 
 } // namespace
@@ -138,13 +160,29 @@ parseBackend(const std::string &text)
         return Backend::Fast;
     if (text == "scalar")
         return Backend::Scalar;
-    fatal("unknown multicore backend (want fast|scalar): " + text);
+    fatal("unknown backend (want fast|scalar): " + text);
 }
 
 const char *
 backendName(Backend backend)
 {
     return backend == Backend::Scalar ? "scalar" : "fast";
+}
+
+DuelScope
+parseDuelScope(const std::string &text)
+{
+    if (text == "global")
+        return DuelScope::Global;
+    if (text == "per-core" || text == "percore")
+        return DuelScope::PerCore;
+    fatal("unknown duel scope (want global|per-core): " + text);
+}
+
+const char *
+duelScopeName(DuelScope scope)
+{
+    return scope == DuelScope::PerCore ? "per-core" : "global";
 }
 
 RunResult
@@ -154,7 +192,8 @@ runSharedLlc(const std::vector<CoreStream> &streams,
     GIPPR_CHECK(!streams.empty());
     GIPPR_CHECK(params.warmupFraction >= 0.0 &&
                 params.warmupFraction <= 1.0);
-    GIPPR_CHECK(SharedLlcModel::supports(params.policy, params.llc));
+    GIPPR_CHECK(
+        fastpath::SoaCacheModel::supports(params.policy, params.llc));
     for (const CoreStream &s : streams)
         GIPPR_CHECK(s.trace != nullptr);
 
@@ -177,10 +216,18 @@ runSharedLlc(const std::vector<CoreStream> &streams,
             warmups[c]);
     }
 
-    if (params.backend == Backend::Fast)
-        runBackend<SharedLlcModel>(streams, params, warmups, result);
-    else
-        runBackend<ScalarSharedLlc>(streams, params, warmups, result);
+    // Per-core scope gives every core its own duel domain.
+    const unsigned domains =
+        params.duelScope == DuelScope::PerCore ? cores : 1;
+    if (params.backend == Backend::Fast) {
+        fastpath::SoaCacheModel model(
+            params.policy, params.llc,
+            fastpath::SoaCacheModel::DuelMode::Live, domains);
+        runBackend(model, streams, params, warmups, result);
+    } else {
+        ScalarSharedLlc model(params.policy, params.llc, domains);
+        runBackend(model, streams, params, warmups, result);
+    }
 
     for (const CoreResult &cr : result.cores) {
         result.measured += cr.stats.measured;

@@ -4,12 +4,13 @@
  *
  * runSharedLlc() is the multicore counterpart of fastpath's
  * ReplayEngine::replay: it merges N per-core LLC streams through one
- * deterministic Interleaver into one shared cache model (packed
- * SharedLlcModel or the scalar ScalarSharedLlc oracle, selected by
- * RunParams::backend), manages per-core warmup snapshots, drives the
- * optional utility repartitioner, replays each core's solo baseline
- * through the existing single-core engines, and derives the fairness
- * report.
+ * deterministic Interleaver into one shared cache model (the packed
+ * fastpath::SoaCacheModel or the scalar ScalarSharedLlc oracle,
+ * selected by RunParams::backend), keeps per-core counter banks and
+ * warmup snapshots, maps each core to its duel domain and way mask,
+ * drives the optional utility repartitioner, replays each core's solo
+ * baseline through the existing single-core engines, and derives the
+ * fairness report.
  *
  * Determinism contract: for fixed streams and RunParams the result
  * is bit-identical across runs and across backends; with one core,
@@ -31,16 +32,15 @@
 #include "sim/multicore/mix.hh"
 #include "sim/multicore/partition.hh"
 #include "sim/multicore/schedule.hh"
-#include "sim/multicore/shared_model.hh"
 
 namespace gippr::multicore
 {
 
-/** Which shared-LLC implementation replays the mix. */
+/** Which cache-model implementation replays the stream. */
 enum class Backend
 {
-    Fast,   ///< packed SharedLlcModel
-    Scalar, ///< ScalarSharedLlc reference
+    Fast,   ///< packed fastpath::SoaCacheModel
+    Scalar, ///< scalar reference models
 };
 
 /** Parse "fast" or "scalar"; fatal otherwise. */
@@ -48,6 +48,19 @@ Backend parseBackend(const std::string &text);
 
 /** Stable display name. */
 const char *backendName(Backend backend);
+
+/** Where DGIPPR duel bookkeeping lives in a shared cache. */
+enum class DuelScope
+{
+    Global,  ///< one tournament over all cores (single-core semantics)
+    PerCore, ///< per-core leader tables, selectors and winners
+};
+
+/** Parse "global" or "per-core"; fatal otherwise. */
+DuelScope parseDuelScope(const std::string &text);
+
+/** Stable display name. */
+const char *duelScopeName(DuelScope scope);
 
 /** Everything that shapes one shared-LLC run. */
 struct RunParams

@@ -12,13 +12,12 @@ namespace gippr::multicore
 
 ScalarSharedLlc::ScalarSharedLlc(const fastpath::ReplaySpec &spec,
                                  const CacheConfig &config,
-                                 unsigned cores, DuelScope scope)
+                                 unsigned domains)
     : config_(config), sets_(config.sets()), assoc_(config.assoc),
-      scope_(scope),
       fullMask_(config.assoc == 64 ? ~uint64_t{0}
                                    : (uint64_t{1} << config.assoc) - 1)
 {
-    GIPPR_CHECK(cores >= 1);
+    GIPPR_CHECK(domains >= 1);
 
     switch (spec.kind) {
       case fastpath::FastPolicyKind::Lru:
@@ -37,7 +36,7 @@ ScalarSharedLlc::ScalarSharedLlc(const fastpath::ReplaySpec &spec,
         duel_ = true;
         break;
     }
-    ipvs_ = effectiveReplayIpvs(spec, assoc_);
+    ipvs_ = fastpath::effectiveIpvs(spec, assoc_);
 
     lines_.assign(sets_ * assoc_, {});
     if (family_ == Family::Recency) {
@@ -51,8 +50,6 @@ ScalarSharedLlc::ScalarSharedLlc(const fastpath::ReplaySpec &spec,
         const unsigned leaders =
             clampLeaders(sets_, nvec, spec.leaders);
         LeaderSets base(sets_, nvec, leaders);
-        const unsigned domains =
-            scope_ == DuelScope::PerCore ? cores : 1;
         owners_.resize(domains);
         winner_.resize(domains);
         leaderMisses_.assign(domains,
@@ -62,15 +59,12 @@ ScalarSharedLlc::ScalarSharedLlc(const fastpath::ReplaySpec &spec,
             owners_[d].resize(sets_);
             for (uint64_t s = 0; s < sets_; ++s)
                 owners_[d][s] =
-                    base.owner((s + d * kLeaderSetRotate) % sets_);
+                    base.owner((s + d * fastpath::kLeaderSetRotate) %
+                               sets_);
             selectors_.emplace_back(nvec, spec.counterBits);
             winner_[d] = selectors_[d].winner();
         }
     }
-
-    masks_.assign(cores, fullMask_);
-    counters_.assign(cores, {});
-    warmupBase_.assign(cores, {});
 }
 
 uint64_t
@@ -86,14 +80,13 @@ ScalarSharedLlc::tagOf(uint64_t byte_addr) const
 }
 
 unsigned
-ScalarSharedLlc::ipvIndexFor(unsigned core, uint64_t set) const
+ScalarSharedLlc::ipvIndexFor(unsigned domain, uint64_t set) const
 {
     if (!duel_)
         return 0;
-    const unsigned d = duelIndexOf(core);
-    const int owner = owners_[d][set];
+    const int owner = owners_[domain][set];
     return owner != LeaderSets::kFollower ? static_cast<unsigned>(owner)
-                                          : winner_[d];
+                                          : winner_[domain];
 }
 
 int
@@ -109,14 +102,14 @@ ScalarSharedLlc::findWay(uint64_t set, uint64_t tag) const
 }
 
 unsigned
-ScalarSharedLlc::victimWay(unsigned core, uint64_t set) const
+ScalarSharedLlc::victimWay(uint64_t set, uint64_t mask) const
 {
-    const uint64_t mask = masks_[core];
-    if (!partitioned_) {
+    if (mask == fullMask_) {
         return family_ == Family::Recency ? stacks_[set].lruWay()
                                           : trees_[set].findPlru();
     }
-    // Highest recency position within the mask (see SharedLlcModel).
+    // Highest recency position within the mask: the way-partitioning
+    // victim rule, which a full mask reduces to the policy victim.
     unsigned best = 0;
     unsigned best_pos = 0;
     bool found = false;
@@ -136,24 +129,21 @@ ScalarSharedLlc::victimWay(unsigned core, uint64_t set) const
     return best;
 }
 
-void
-ScalarSharedLlc::access(unsigned core, uint64_t byte_addr,
-                        AccessType type)
+ScalarSharedLlc::Step
+ScalarSharedLlc::access(uint64_t set, uint64_t tag, AccessType type,
+                        unsigned domain, uint64_t mask)
 {
-    GIPPR_DCHECK(core < counters_.size());
-    const uint64_t set = setIndex(byte_addr);
-    const uint64_t tag = tagOf(byte_addr);
+    GIPPR_DCHECK(!duel_ || domain < owners_.size());
+    GIPPR_DCHECK(mask != 0 && (mask & ~fullMask_) == 0);
     const bool demand = type != AccessType::Writeback;
     const uint64_t base = set * assoc_;
-    fastpath::CounterBank &bank = counters_[core];
 
-    ++bank.accesses;
-    bank.demandAccesses += demand;
-
+    Step step;
     const int hit_way = findWay(set, tag);
     if (hit_way >= 0) {
         const unsigned way = static_cast<unsigned>(hit_way);
-        ++bank.hits;
+        step.hit = true;
+        step.way = way;
         if (type != AccessType::Load)
             lines_[base + way].dirty = true;
         if (demand) {
@@ -168,7 +158,7 @@ ScalarSharedLlc::access(unsigned core, uint64_t byte_addr,
                 trees_[set].promoteMru(way);
                 break;
               case Family::TreeIpv: {
-                const unsigned v = ipvIndexFor(core, set);
+                const unsigned v = ipvIndexFor(domain, set);
                 PlruTree &tr = trees_[set];
                 tr.setPosition(
                     way, ipvs_[v].promotion(tr.position(way)));
@@ -176,23 +166,20 @@ ScalarSharedLlc::access(unsigned core, uint64_t byte_addr,
               }
             }
         }
-        return;
+        return step;
     }
 
     // Miss: duel update before victim selection.
-    bank.demandMisses += demand;
     if (duel_ && demand) {
-        const unsigned d = duelIndexOf(core);
-        const int owner = owners_[d][set];
+        const int owner = owners_[domain][set];
         if (owner != LeaderSets::kFollower) {
-            ++leaderMisses_[d][static_cast<unsigned>(owner)];
-            selectors_[d].recordMiss(static_cast<unsigned>(owner));
-            winner_[d] = selectors_[d].winner();
+            ++leaderMisses_[domain][static_cast<unsigned>(owner)];
+            selectors_[domain].recordMiss(static_cast<unsigned>(owner));
+            winner_[domain] = selectors_[domain].winner();
         }
     }
 
-    // Fill: first invalid way within the core's mask, else victim.
-    const uint64_t mask = masks_[core];
+    // Fill: first invalid way within the mask, else victim.
     int fill = -1;
     for (unsigned w = 0; w < assoc_; ++w) {
         if (((mask >> w) & 1) != 0 && !lines_[base + w].valid) {
@@ -204,10 +191,12 @@ ScalarSharedLlc::access(unsigned core, uint64_t byte_addr,
     if (fill >= 0) {
         way = static_cast<unsigned>(fill);
     } else {
-        way = victimWay(core, set);
-        ++bank.evictions;
-        bank.writebacks += lines_[base + way].dirty;
+        way = victimWay(set, mask);
+        step.evicted = true;
+        step.evictedTag = lines_[base + way].tag;
+        step.evictedDirty = lines_[base + way].dirty;
     }
+    step.way = way;
 
     Line &l = lines_[base + way];
     l.tag = tag;
@@ -225,52 +214,24 @@ ScalarSharedLlc::access(unsigned core, uint64_t byte_addr,
         trees_[set].promoteMru(way);
         break;
       case Family::TreeIpv: {
-        const unsigned v = ipvIndexFor(core, set);
+        const unsigned v = ipvIndexFor(domain, set);
         trees_[set].setPosition(way, ipvs_[v].insertion());
         break;
       }
     }
+    return step;
 }
 
 void
-ScalarSharedLlc::markWarmup(unsigned core)
+ScalarSharedLlc::duelStats(unsigned domain,
+                           fastpath::ReplayStats &out) const
 {
-    warmupBase_[core] = counters_[core];
-}
-
-void
-ScalarSharedLlc::setWayMask(unsigned core, uint64_t mask)
-{
-    GIPPR_CHECK(core < masks_.size());
-    GIPPR_CHECK(mask != 0 && (mask & ~fullMask_) == 0);
-    masks_[core] = mask;
-    partitioned_ = false;
-    for (uint64_t m : masks_)
-        partitioned_ |= m != fullMask_;
-}
-
-fastpath::ReplayStats
-ScalarSharedLlc::coreStats(unsigned core) const
-{
-    const fastpath::CounterBank &c = counters_[core];
-    const fastpath::CounterBank &w = warmupBase_[core];
-    fastpath::ReplayStats s;
-    s.total = c;
-    s.total.misses = c.accesses - c.hits;
-    s.measured.accesses = c.accesses - w.accesses;
-    s.measured.hits = c.hits - w.hits;
-    s.measured.misses = s.measured.accesses - s.measured.hits;
-    s.measured.evictions = c.evictions - w.evictions;
-    s.measured.writebacks = c.writebacks - w.writebacks;
-    s.measured.demandAccesses = c.demandAccesses - w.demandAccesses;
-    s.measured.demandMisses = c.demandMisses - w.demandMisses;
-    if (duel_) {
-        const unsigned d = duelIndexOf(core);
-        s.finalWinner = selectors_[d].winner();
-        s.duelCounters = selectors_[d].counterValues();
-        s.leaderMisses = leaderMisses_[d];
-    }
-    return s;
+    if (!duel_)
+        return;
+    GIPPR_CHECK(domain < selectors_.size());
+    out.finalWinner = selectors_[domain].winner();
+    out.duelCounters = selectors_[domain].counterValues();
+    out.leaderMisses = leaderMisses_[domain];
 }
 
 } // namespace gippr::multicore

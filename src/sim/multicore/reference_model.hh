@@ -2,17 +2,19 @@
  * @file
  * Scalar reference model for the shared-LLC differential oracle.
  *
- * ScalarSharedLlc implements the same N-core shared cache semantics
- * as SharedLlcModel but over the production scalar data structures —
- * PlruTree / RecencyStack per set, LeaderSets + TournamentSelector
- * for dueling — with none of the packed-state tricks.  The two are
- * developed against the same written semantics but share no state
- * layout, which is what makes the lock-step scalar-vs-fast oracle in
- * tests/test_multicore_sim.cc meaningful for interleaved streams
- * (the same discipline PR 3 established for single-core replay).
+ * ScalarSharedLlc implements the same shared-cache transition as
+ * fastpath::SoaCacheModel's domain/mask access — per-access duel
+ * domain, per-access way mask — but over the production scalar data
+ * structures: PlruTree / RecencyStack per set, LeaderSets +
+ * TournamentSelector for dueling, none of the packed-state tricks.
+ * The two are developed against the same written semantics but share
+ * no state layout, which is what makes the lock-step scalar-vs-fast
+ * oracle in tests/test_multicore_sim.cc meaningful for interleaved
+ * streams (the same discipline the single-core scalar replay keeps).
  *
- * It deliberately exposes the exact interface of SharedLlcModel so
- * the engine's replay loop can be templated over either backend.
+ * It exposes the packed model's shared-LLC interface — access()
+ * returning the same Step, duelStats() — so the engine's replay loop,
+ * which owns the per-core counters, is templated over either backend.
  */
 
 #ifndef GIPPR_SIM_MULTICORE_REFERENCE_MODEL_HH_
@@ -26,29 +28,27 @@
 #include "policies/recency_stack.hh"
 #include "policies/set_dueling.hh"
 #include "sim/fastpath/replay_spec.hh"
-#include "sim/multicore/shared_model.hh"
+#include "sim/fastpath/soa_cache.hh"
 
 namespace gippr::multicore
 {
 
-/** Scalar N-core shared LLC (oracle for SharedLlcModel). */
+/** Scalar shared LLC (oracle for the packed model's shared access). */
 class ScalarSharedLlc
 {
   public:
+    using Step = fastpath::SoaCacheModel::Step;
+
+    /** @p domains duel domains (>= 1), rotated as the packed model's. */
     ScalarSharedLlc(const fastpath::ReplaySpec &spec,
-                    const CacheConfig &config, unsigned cores,
-                    DuelScope scope);
+                    const CacheConfig &config, unsigned domains);
 
-    void access(unsigned core, uint64_t byte_addr, AccessType type);
-    void markWarmup(unsigned core);
-    void setWayMask(unsigned core, uint64_t mask);
-    uint64_t wayMask(unsigned core) const { return masks_[core]; }
-    fastpath::ReplayStats coreStats(unsigned core) const;
+    /** One access in duel domain @p domain, filling within @p mask. */
+    Step access(uint64_t set, uint64_t tag, AccessType type,
+                unsigned domain, uint64_t mask);
 
-    unsigned cores() const
-    {
-        return static_cast<unsigned>(counters_.size());
-    }
+    /** Domain @p domain's duel state into @p out (Dgippr only). */
+    void duelStats(unsigned domain, fastpath::ReplayStats &out) const;
 
     uint64_t sets() const { return sets_; }
     unsigned assoc() const { return assoc_; }
@@ -71,14 +71,9 @@ class ScalarSharedLlc
         bool dirty = false;
     };
 
-    unsigned duelIndexOf(unsigned core) const
-    {
-        return scope_ == DuelScope::PerCore ? core : 0;
-    }
-
-    unsigned ipvIndexFor(unsigned core, uint64_t set) const;
+    unsigned ipvIndexFor(unsigned domain, uint64_t set) const;
     int findWay(uint64_t set, uint64_t tag) const;
-    unsigned victimWay(unsigned core, uint64_t set) const;
+    unsigned victimWay(uint64_t set, uint64_t mask) const;
 
     CacheConfig config_;
     uint64_t sets_;
@@ -86,7 +81,6 @@ class ScalarSharedLlc
 
     Family family_;
     bool duel_ = false;
-    DuelScope scope_;
     std::vector<Ipv> ipvs_;
 
     std::vector<Line> lines_;          // sets * assoc
@@ -98,12 +92,7 @@ class ScalarSharedLlc
     std::vector<unsigned> winner_;
     std::vector<std::vector<uint64_t>> leaderMisses_;
 
-    std::vector<uint64_t> masks_;
     uint64_t fullMask_;
-    bool partitioned_ = false;
-
-    std::vector<fastpath::CounterBank> counters_;
-    std::vector<fastpath::CounterBank> warmupBase_;
 };
 
 } // namespace gippr::multicore

@@ -52,20 +52,6 @@ appendRecs(std::vector<Rec> &out, const MemRecord &r, uint32_t core,
     out.push_back(rec);
 }
 
-fastpath::CounterBank
-bankDiff(const fastpath::CounterBank &a, const fastpath::CounterBank &b)
-{
-    fastpath::CounterBank d;
-    d.accesses = a.accesses - b.accesses;
-    d.hits = a.hits - b.hits;
-    d.misses = a.misses - b.misses;
-    d.evictions = a.evictions - b.evictions;
-    d.writebacks = a.writebacks - b.writebacks;
-    d.demandAccesses = a.demandAccesses - b.demandAccesses;
-    d.demandMisses = a.demandMisses - b.demandMisses;
-    return d;
-}
-
 /** Everything one epoch chunk mutates, as raw views so the fast
  *  chunk loop stays allocation-free. */
 struct ChunkSinks
@@ -368,7 +354,7 @@ runStream(const std::vector<PolicyDef> &library, const SelectConfig &cfg,
     result.coreTotal = core_bank;
     result.coreMeasured.resize(cores);
     for (unsigned c = 0; c < cores; ++c) {
-        result.coreMeasured[c] = bankDiff(core_bank[c], core_warm[c]);
+        result.coreMeasured[c] = core_bank[c] - core_warm[c];
         result.measured += result.coreMeasured[c];
         result.total += core_bank[c];
     }

@@ -26,22 +26,6 @@ banditKindName(BanditKind kind)
     return kind == BanditKind::DUcb ? "ducb" : "egreedy";
 }
 
-Backend
-parseBackend(const std::string &text)
-{
-    if (text == "fast")
-        return Backend::Fast;
-    if (text == "scalar")
-        return Backend::Scalar;
-    fatal("unknown select backend: " + text + " (want fast | scalar)");
-}
-
-const char *
-backendName(Backend backend)
-{
-    return backend == Backend::Fast ? "fast" : "scalar";
-}
-
 double
 SelectResult::measuredDemandMissRate() const
 {

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "sim/fastpath/replay_spec.hh"
+#include "sim/multicore/engine.hh"
 #include "sim/policy_zoo.hh"
 
 namespace gippr::select
@@ -49,18 +50,12 @@ BanditKind parseBanditKind(const std::string &text);
 /** Stable display name. */
 const char *banditKindName(BanditKind kind);
 
-/** Which per-arm cache model implementation serves the run. */
-enum class Backend
-{
-    Fast,   ///< packed SoaCacheModel per arm
-    Scalar, ///< SetAssocCache + policy objects per arm
-};
-
-/** Parse "fast" or "scalar"; fatal otherwise. */
-Backend parseBackend(const std::string &text);
-
-/** Stable display name. */
-const char *backendName(Backend backend);
+/** Which per-arm cache model implementation serves the run: Fast is
+ *  a packed SoaCacheModel per arm, Scalar a SetAssocCache + policy
+ *  object per arm. */
+using Backend = multicore::Backend;
+using multicore::backendName;
+using multicore::parseBackend;
 
 /** Phase-drift detector knobs (see drift.hh). */
 struct DriftConfig

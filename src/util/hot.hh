@@ -3,8 +3,8 @@
  * GIPPR_HOT: the hot-kernel annotation.
  *
  * Marks the functions whose per-access cost IS the system's
- * throughput — the fastpath SoA kernels and the multicore
- * shared-model access path.  The macro does two jobs:
+ * throughput — the fastpath SoA kernels, including the shared-LLC
+ * access path.  The macro does two jobs:
  *
  *  1. Compiler: expands to __attribute__((hot)) where supported, so
  *     the optimizer biases layout and inlining toward these paths.

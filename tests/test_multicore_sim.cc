@@ -15,10 +15,11 @@
  *     boundary.  This is what makes the multicore mode a strict
  *     generalization of the single-core experiments.
  *  3. The scalar-vs-fast differential oracle on real 2- and 4-core
- *     mixes: the packed SharedLlcModel and the scalar ScalarSharedLlc
- *     replay the identical interleaved stream and must agree on every
- *     core's full statistics (counters, duel state) across policies,
- *     schedules, duel scopes and partitioning modes.
+ *     mixes: the packed fastpath::SoaCacheModel and the scalar
+ *     ScalarSharedLlc replay the identical interleaved stream and must
+ *     agree on every core's full statistics (counters, duel state)
+ *     across policies, geometries, schedules, duel scopes and
+ *     partitioning modes.
  *  4. End-to-end properties: run-to-run determinism, utility
  *     repartitioning activity, and full way masks degenerating to the
  *     unpartitioned transition.
@@ -36,12 +37,12 @@
 #include "cache/hierarchy.hh"
 #include "core/vectors.hh"
 #include "sim/fastpath/engine.hh"
+#include "sim/fastpath/soa_cache.hh"
 #include "sim/multicore/engine.hh"
 #include "sim/multicore/fairness.hh"
 #include "sim/multicore/mix.hh"
 #include "sim/multicore/partition.hh"
 #include "sim/multicore/schedule.hh"
-#include "sim/multicore/shared_model.hh"
 #include "sim/trace_cache.hh"
 #include "util/rng.hh"
 #include "workloads/suite.hh"
@@ -65,8 +66,21 @@ smallLlc()
     return cfg;
 }
 
+/** smallLlc's 64 sets at 8 ways: runs the packed model's generic
+ *  (non-SSE) scans, victims and masked victims. */
+CacheConfig
+smallLlc8()
+{
+    CacheConfig cfg = smallLlc();
+    cfg.sizeBytes = 32 * 1024; // 64 sets at 8 ways
+    cfg.assoc = 8;
+    return cfg;
+}
+
+using NamedSpecs = std::vector<std::pair<std::string, fastpath::ReplaySpec>>;
+
 /** The seven replayable core policies at 16 ways. */
-std::vector<std::pair<std::string, fastpath::ReplaySpec>>
+NamedSpecs
 allSpecs()
 {
     return {{"LRU", fastpath::lruSpec()},
@@ -76,6 +90,39 @@ allSpecs()
             {"GIPPR", fastpath::gipprSpec(local_vectors::gippr())},
             {"DGIPPR2", fastpath::dgipprSpec(local_vectors::dgippr2())},
             {"DGIPPR4", fastpath::dgipprSpec(local_vectors::dgippr4())}};
+}
+
+/** Recency, tree and duel families at 8 ways. */
+NamedSpecs
+specs8()
+{
+    return {{"LRU", fastpath::lruSpec()},
+            {"PLRU", fastpath::plruSpec()},
+            {"DGIPPR2", fastpath::dgipprSpec(
+                            {Ipv::lru(8), Ipv::lruInsertion(8)})}};
+}
+
+/** One policy on one geometry the shared model is gated on. */
+struct GateCase
+{
+    CacheConfig llc;
+    std::string name;
+    fastpath::ReplaySpec spec;
+};
+
+/** The 16-way policies, then the 8-way ones. */
+std::vector<GateCase>
+gateCases()
+{
+    std::vector<GateCase> cases;
+    for (const auto &[llc, specs] :
+         {std::pair{smallLlc(), allSpecs()},
+          std::pair{smallLlc8(), specs8()}})
+        for (const auto &[name, spec] : specs)
+            cases.push_back(
+                {llc, name + "/" + std::to_string(llc.assoc) + "w",
+                 spec});
+    return cases;
 }
 
 /** Shared suite + trace memo so every test reuses filtered traces. */
@@ -103,10 +150,11 @@ streamsFor(const std::string &mix_text, unsigned cores)
 }
 
 RunParams
-baseParams(const fastpath::ReplaySpec &spec)
+baseParams(const fastpath::ReplaySpec &spec,
+           const CacheConfig &llc = smallLlc())
 {
     RunParams params;
-    params.llc = smallLlc();
+    params.llc = llc;
     params.policy = spec;
     return params;
 }
@@ -311,13 +359,13 @@ TEST(MulticoreIdentity, SharedModelMatchesReplayEngine)
     const size_t warmup = static_cast<size_t>(
         static_cast<double>(streams[0].trace->size()) * (1.0 / 3.0));
 
-    for (const auto &[name, spec] : allSpecs()) {
+    for (const auto &[llc, name, spec] : gateCases()) {
         const fastpath::FastReplayEngine fast(1);
         const fastpath::ScalarReplayEngine scalar;
         const fastpath::ReplayStats fast_ref =
-            fast.replay(spec, smallLlc(), *streams[0].trace, warmup);
+            fast.replay(spec, llc, *streams[0].trace, warmup);
         const fastpath::ReplayStats scalar_ref =
-            scalar.replay(spec, smallLlc(), *streams[0].trace, warmup);
+            scalar.replay(spec, llc, *streams[0].trace, warmup);
 
         for (Backend backend : {Backend::Fast, Backend::Scalar}) {
             const fastpath::ReplayStats &ref =
@@ -326,7 +374,7 @@ TEST(MulticoreIdentity, SharedModelMatchesReplayEngine)
                  {DuelScope::Global, DuelScope::PerCore}) {
                 for (Schedule sched :
                      {Schedule::RoundRobin, Schedule::Weighted}) {
-                    RunParams params = baseParams(spec);
+                    RunParams params = baseParams(spec, llc);
                     params.backend = backend;
                     params.duelScope = scope;
                     params.schedule = sched;
@@ -347,7 +395,7 @@ TEST(MulticoreIdentity, SharedModelMatchesReplayEngine)
             }
             // The CLI's --reference-single path must sit exactly on
             // the ReplayEngine result too.
-            RunParams params = baseParams(spec);
+            RunParams params = baseParams(spec, llc);
             params.backend = backend;
             const RunResult ref_res =
                 runSingleCoreReference(streams[0], params);
@@ -397,30 +445,39 @@ TEST(MulticoreOracle, ScalarVsFastOnMultiCoreMixes)
         {"balanced", 2}, {"kv-serving", 4}};
     for (const auto &[mix, cores] : mixes) {
         const std::vector<CoreStream> streams = streamsFor(mix, cores);
-        for (const auto &[name, spec] : allSpecs()) {
+        for (const auto &[llc, name, spec] : gateCases()) {
             const std::string label = mix + "/" + name;
             // Free-for-all, strict round-robin, one global duel.
-            expectBackendsAgree(streams, baseParams(spec),
+            expectBackendsAgree(streams, baseParams(spec, llc),
                                 label + "/rr-global-none");
 
-            // Weighted arrivals, per-core duels, static partition.
-            RunParams contended = baseParams(spec);
-            contended.schedule = Schedule::Weighted;
-            contended.duelScope = DuelScope::PerCore;
-            contended.partition.mode = PartitionMode::Static;
-            contended.partition.staticWays =
-                evenSplit(cores, contended.llc.assoc);
-            expectBackendsAgree(streams, contended,
-                                label + "/weighted-percore-static");
+            // Static partition under both duel scopes; weighted
+            // arrivals with the per-core duels.
+            for (DuelScope scope :
+                 {DuelScope::Global, DuelScope::PerCore}) {
+                RunParams contended = baseParams(spec, llc);
+                contended.duelScope = scope;
+                if (scope == DuelScope::PerCore)
+                    contended.schedule = Schedule::Weighted;
+                contended.partition.mode = PartitionMode::Static;
+                contended.partition.staticWays =
+                    evenSplit(cores, llc.assoc);
+                expectBackendsAgree(
+                    streams, contended,
+                    label + "/" + duelScopeName(scope) + "-static");
+            }
+
+            // Utility repartitioning exercises the monitor + mask
+            // flips on both backends at the same ticks.
+            if (spec.kind == fastpath::FastPolicyKind::Dgippr &&
+                spec.ipvs.size() == 2) {
+                RunParams utility = baseParams(spec, llc);
+                utility.duelScope = DuelScope::PerCore;
+                utility.partition.mode = PartitionMode::Utility;
+                utility.partition.repartitionEvery = 8192;
+                expectBackendsAgree(streams, utility, label + "/utility");
+            }
         }
-        // Utility repartitioning exercises the monitor + mask flips
-        // on both backends at the same ticks.
-        RunParams utility =
-            baseParams(fastpath::dgipprSpec(local_vectors::dgippr2()));
-        utility.duelScope = DuelScope::PerCore;
-        utility.partition.mode = PartitionMode::Utility;
-        utility.partition.repartitionEvery = 8192;
-        expectBackendsAgree(streams, utility, mix + "/utility");
     }
 }
 
@@ -469,24 +526,28 @@ TEST(MulticoreEndToEnd, FullMasksMatchUnpartitionedTransition)
     const fastpath::ReplaySpec spec =
         fastpath::gipprSpec(local_vectors::gippr());
     const CacheConfig llc = smallLlc();
-    SharedLlcModel plain(spec, llc, 2, DuelScope::Global);
-    SharedLlcModel masked(spec, llc, 2, DuelScope::Global);
+    fastpath::SoaCacheModel plain(spec, llc);
+    fastpath::SoaCacheModel masked(spec, llc);
     const uint64_t full = (1ull << llc.assoc) - 1;
-    masked.setWayMask(0, full);
-    masked.setWayMask(1, full);
 
     Rng rng(0xfeed);
     for (int i = 0; i < 200'000; ++i) {
-        const auto core = static_cast<unsigned>(rng.nextBounded(2));
         const uint64_t addr = rng.nextBounded(1 << 20) * 64ull;
         const AccessType type = rng.nextBool(0.2) ? AccessType::Store
                                                   : AccessType::Load;
-        plain.access(core, addr, type);
-        masked.access(core, addr, type);
+        const uint64_t set = plain.setIndex(addr);
+        const uint64_t tag = plain.tagOf(addr);
+        const fastpath::SoaCacheModel::Step a =
+            plain.access(set, tag, type);
+        const fastpath::SoaCacheModel::Step b =
+            masked.access(set, tag, type, 0, full);
+        ASSERT_EQ(a.hit, b.hit) << "access " << i;
+        ASSERT_EQ(a.way, b.way) << "access " << i;
+        ASSERT_EQ(a.evicted, b.evicted) << "access " << i;
+        ASSERT_EQ(a.evictedDirty, b.evictedDirty) << "access " << i;
+        ASSERT_EQ(a.evictedTag, b.evictedTag) << "access " << i;
     }
-    for (unsigned core = 0; core < 2; ++core)
-        EXPECT_EQ(plain.coreStats(core), masked.coreStats(core))
-            << "core " << core;
+    EXPECT_EQ(plain.stats(), masked.stats());
 }
 
 } // namespace
