@@ -171,6 +171,9 @@ Session::recordScale(const Scale &scale)
     setConfig("scale", toJson(scale));
     setConfig("threads",
               telemetry::JsonValue(static_cast<uint64_t>(scale.threads)));
+    setConfig("replay_kernel",
+              telemetry::JsonValue(std::string(fastpath::replayKernelName(
+                  fastpath::activeReplayKernel()))));
 }
 
 void
@@ -186,28 +189,6 @@ void
 Session::setConfig(const std::string &key, telemetry::JsonValue value)
 {
     report_.setConfig(key, std::move(value));
-}
-
-void
-applyKernelFlag(int argc, char **argv, Session &session)
-{
-    std::string requested;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--kernel" && i + 1 < argc)
-            requested = argv[i + 1];
-        else if (arg.rfind("--kernel=", 0) == 0)
-            requested = arg.substr(9);
-    }
-    if (!requested.empty()) {
-        fastpath::setReplayKernel(fastpath::parseReplayKernel(requested));
-        session.setConfig("replay_kernel_requested",
-                          telemetry::JsonValue(requested));
-    }
-    session.setConfig(
-        "replay_kernel",
-        telemetry::JsonValue(std::string(fastpath::replayKernelName(
-            fastpath::activeReplayKernel()))));
 }
 
 void

@@ -103,7 +103,9 @@ class Session
      */
     ExperimentConfig experimentConfig(const Scale &scale);
 
-    /** Record the scale knobs without building an ExperimentConfig. */
+    /** Record the scale knobs and the batched replay kernel this
+     *  host dispatches ("replay_kernel") without building an
+     *  ExperimentConfig. */
     void recordScale(const Scale &scale);
 
     /** Record the policy list under config key "policies". */
@@ -134,16 +136,6 @@ class Session
     LlcTraceCache traceCache_;
     bool configRecorded_ = false;
 };
-
-/**
- * Parse `--kernel <scalar|batch16|batch32>` (or `--kernel=...`) and
- * pin the batched replay dispatch width for the whole bench run;
- * records the requested name ("replay_kernel_requested") and the
- * clamped width that will actually dispatch ("replay_kernel") in the
- * session config so every artifact is attributable to a specific
- * code path.  Without the flag only the active width is recorded.
- */
-void applyKernelFlag(int argc, char **argv, Session &session);
 
 /** JSON view of a cache geometry (name/size/assoc/block). */
 telemetry::JsonValue toJson(const CacheConfig &cfg);

@@ -59,8 +59,6 @@ main(int argc, char **argv)
     banner("micro_ga_throughput: per-genome vs batched GA evaluation",
            "fast replay engine (infrastructure, not a paper figure)");
 
-    applyKernelFlag(argc, argv, session);
-
     SyntheticSuite suite(suiteParams(scale));
     SystemParams sys = systemParams();
     session.recordScale(scale);

@@ -1,19 +1,16 @@
 /**
  * @file
- * Microarchitectural profile of the batched replay kernels: for every
- * dispatch width (scalar / batch16 / batch32) and policy family, an
- * 8-genome replayMany() over the suite's LLC traces is bracketed with
- * hardware counters (perf_event_open: instructions, cycles, L1d/LLC
- * read misses) and wall clock, and the per-model-access attribution
- * lands in a "profile" RunReport.  On hosts without a PMU (most
- * containers and VMs) the counter columns read zero, the config block
- * says so (`perf_counters_available: false`), and the wall-clock
- * columns still stand — the artifact never silently mixes the two.
- *
- * `--kernel <scalar|batch16|batch32>` restricts the sweep to one
- * width (the flag shared with the other micro benches); widths the
- * host cannot dispatch are reported as skipped rather than silently
- * re-measured on a narrower kernel.
+ * Microarchitectural profile of the replay paths: for each policy
+ * family, 8 genomes replay the suite's LLC traces once per-genome
+ * (replay()) and once batched (replayMany(), on the kernel this host
+ * dispatches), each pass bracketed with hardware counters
+ * (perf_event_open: instructions, cycles, L1d/LLC read misses) and
+ * wall clock, and the per-model-access attribution lands in a
+ * "profile" RunReport whose config names the dispatched kernel
+ * (`replay_kernel`).  On hosts without a PMU (most containers and
+ * VMs) the counter columns read zero, the config block says so
+ * (`perf_counters_available: false`), and the wall-clock columns
+ * still stand — the artifact never silently mixes the two.
  */
 
 #include <chrono>
@@ -51,17 +48,25 @@ struct Measurement
     uint64_t llcMisses = 0;
 };
 
+/** One pass of @p spec's genomes over every trace, batched through
+ *  replayMany() or one replay() per genome. */
 Measurement
 onePass(PerfCounterSet &pcs, const fastpath::ReplayEngine &engine,
-        const fastpath::ReplaySpec &spec, const CacheConfig &llc,
-        const std::vector<NamedTrace> &traces)
+        bool batched, const fastpath::ReplaySpec &spec,
+        const CacheConfig &llc, const std::vector<NamedTrace> &traces)
 {
     const std::vector<fastpath::ReplaySpec> specs(kProfileBatch, spec);
     Measurement m;
     pcs.start();
     const auto start = std::chrono::steady_clock::now();
-    for (const NamedTrace &t : traces)
-        engine.replayMany(specs, llc, *t.trace, t.warmup);
+    for (const NamedTrace &t : traces) {
+        if (batched) {
+            engine.replayMany(specs, llc, *t.trace, t.warmup);
+        } else {
+            for (const fastpath::ReplaySpec &one : specs)
+                engine.replay(one, llc, *t.trace, t.warmup);
+        }
+    }
     const std::chrono::duration<double> dt =
         std::chrono::steady_clock::now() - start;
     pcs.stop();
@@ -81,19 +86,9 @@ main(int argc, char **argv)
     Session session(argc, argv, "micro_kernel_profile", "profile");
     Scale scale = resolveScale();
     banner("micro_kernel_profile: perf-counter attribution per replay "
-           "kernel",
-           "batched replay kernels (infrastructure, not a paper "
+           "path",
+           "per-genome vs batched replay (infrastructure, not a paper "
            "figure)");
-
-    // --kernel restricts the sweep; default profiles every width.
-    std::string only;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--kernel" && i + 1 < argc)
-            only = argv[i + 1];
-        else if (arg.rfind("--kernel=", 0) == 0)
-            only = arg.substr(9);
-    }
 
     SyntheticSuite suite(suiteParams(scale));
     SystemParams sys = systemParams();
@@ -112,10 +107,11 @@ main(int argc, char **argv)
     }
     // Every batched genome replays every record.
     const uint64_t model_accesses = total_accesses * kProfileBatch;
-    std::printf("profiling %llu model-accesses per (kernel, policy) "
-                "cell (%zu traces x %zu genomes)\n\n",
+    std::printf("profiling %llu model-accesses per (path, policy) "
+                "cell (%zu traces x %zu genomes, batched kernel %s)\n\n",
                 static_cast<unsigned long long>(model_accesses),
-                traces.size(), kProfileBatch);
+                traces.size(), kProfileBatch,
+                fastpath::replayKernelName(fastpath::activeReplayKernel()));
     session.setConfig("trace_accesses",
                       telemetry::JsonValue(total_accesses));
     session.setConfig("batch_genomes",
@@ -135,37 +131,22 @@ main(int argc, char **argv)
         fastpath::plruSpec(),
         fastpath::gipprSpec(local_vectors::gippr()),
     };
-    const fastpath::ReplayKernel widths[] = {
-        fastpath::ReplayKernel::Scalar,
-        fastpath::ReplayKernel::Batch16,
-        fastpath::ReplayKernel::Batch32,
-    };
-
     const int reps = scale.quick ? 2 : 3;
-    Table table({"kernel", "policy", "Macc_s", "inst_per_acc",
+    Table table({"path", "policy", "Macc_s", "inst_per_acc",
                  "cyc_per_acc", "l1d_mpka", "llc_mpka"});
-    for (fastpath::ReplayKernel k : widths) {
-        const std::string kname = fastpath::replayKernelName(k);
-        if (!only.empty() && only != kname)
-            continue;
-        if (fastpath::setReplayKernel(k) != k) {
-            std::printf("kernel %s: unsupported on this host, "
-                        "skipped\n",
-                        kname.c_str());
-            continue;
-        }
+    for (const bool batched : {false, true}) {
         for (const fastpath::ReplaySpec &spec : specs) {
             // Best-of-N wall clock, with the counters of that rep.
             Measurement best;
             for (int r = 0; r < reps; ++r) {
-                const Measurement m =
-                    onePass(pcs, fast, spec, sys.hier.llc, traces);
+                const Measurement m = onePass(pcs, fast, batched, spec,
+                                              sys.hier.llc, traces);
                 if (r == 0 || m.seconds < best.seconds)
                     best = m;
             }
             const double acc = static_cast<double>(model_accesses);
             table.newRow()
-                .add(kname)
+                .add(batched ? "replayMany" : "replay")
                 .add(spec.name())
                 .add(acc / 1e6 / best.seconds, 2)
                 .add(static_cast<double>(best.instructions) / acc, 2)
@@ -178,14 +159,9 @@ main(int argc, char **argv)
                      1);
         }
     }
-    // Leave the process on the widest kernel again (artifact config
-    // records what each row actually dispatched via the kernel
-    // column).
-    fastpath::setReplayKernel(fastpath::widestSupportedReplayKernel());
-
     emitTable(table, "kernel_profile");
     session.addTable("kernel_profile", "per_access_attribution", table);
-    note("inst/cyc per model-access attribute kernel-width gains to "
+    note("inst/cyc per model-access attribute batching gains to "
          "retired work vs stalls; L1d/LLC misses-per-kiloaccess "
          "separate locality effects (bucketed set slices) from "
          "memory-bandwidth ones (chunk buffer re-streams)");

@@ -58,8 +58,6 @@ main(int argc, char **argv)
     banner("micro_replay_throughput: scalar vs fast replay backends",
            "fast replay engine (infrastructure, not a paper figure)");
 
-    applyKernelFlag(argc, argv, session);
-
     SyntheticSuite suite(suiteParams(scale));
     SystemParams sys = systemParams();
     session.recordScale(scale);

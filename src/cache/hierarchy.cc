@@ -39,6 +39,12 @@ Hierarchy::access(uint64_t byte_addr, bool is_write, uint64_t pc)
         is_write ? AccessType::Store : AccessType::Load;
 
     GIPPR_CHECK(type != AccessType::Writeback);
+    // Under inclusion a line absent from the LLC must also be absent
+    // above it, so an LLC demand miss can never follow an upper hit.
+    // Checked before the access: the L1/L2 fills below precede the
+    // LLC fill, so mid-access the upper copies are briefly ahead.
+    GIPPR_DCHECK(!inclusive_ || llc_->probe(byte_addr) ||
+                 (!l1_->probe(byte_addr) && !l2_->probe(byte_addr)));
     AccessResult r1 = l1_->access(byte_addr, type, pc);
     if (r1.hit)
         return HitLevel::L1;
@@ -65,10 +71,6 @@ Hierarchy::access(uint64_t byte_addr, bool is_write, uint64_t pc)
     if (r2.hit)
         return HitLevel::L2;
 
-    // Under inclusion a line absent from the LLC must also be absent
-    // above it, so an LLC demand miss can never follow an upper hit.
-    GIPPR_DCHECK(!inclusive_ || llc_->probe(byte_addr) ||
-                 (!l1_->probe(byte_addr) && !l2_->probe(byte_addr)));
     AccessResult r3 = llc_->access(byte_addr, type, pc);
     // LLC dirty victims go to memory.  Under inclusion, an LLC
     // eviction also back-invalidates the line from the levels above

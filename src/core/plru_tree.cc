@@ -5,17 +5,39 @@
 
 #include "core/plru_tree.hh"
 
+#include <string>
+
 #include "util/bitops.hh"
 #include "util/check.hh"
+#include "util/log.hh"
 
 namespace gippr
 {
 
-PlruTree::PlruTree(unsigned ways)
-    : ways_(ways), levels_(floorLog2(ways)), bits_(ways - 1, 0)
+namespace
 {
-    GIPPR_CHECK(ways >= 2 && ways <= 256);
-    GIPPR_CHECK(isPow2(ways));
+
+/**
+ * @p ways if a tree can have that many leaves.  A user-supplied
+ * geometry, not an invariant, so it is rejected in every build type
+ * before any tree state is sized from it.
+ */
+unsigned
+checkedWays(unsigned ways)
+{
+    if (ways < 2 || ways > 256 || !isPow2(ways))
+        fatal("PseudoLRU tree needs a power-of-two associativity in "
+              "[2, 256], got " +
+              std::to_string(ways));
+    return ways;
+}
+
+} // namespace
+
+PlruTree::PlruTree(unsigned ways)
+    : ways_(checkedWays(ways)), levels_(floorLog2(ways_)),
+      bits_(ways_ - 1, 0)
+{
 }
 
 unsigned

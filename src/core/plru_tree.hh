@@ -38,7 +38,8 @@ namespace gippr
 class PlruTree
 {
   public:
-    /** @param ways associativity; power of two in [2, 256] */
+    /** @param ways associativity; power of two in [2, 256], else
+     *  fatal() */
     explicit PlruTree(unsigned ways);
 
     unsigned ways() const { return ways_; }

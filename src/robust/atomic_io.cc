@@ -13,12 +13,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <thread>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include "robust/fault_inject.hh"
+#include "util/env.hh"
 #include "util/log.hh"
 #include "util/rng.hh"
 
@@ -221,10 +223,10 @@ RetryPolicy
 defaultRetryPolicy()
 {
     RetryPolicy policy;
-    const char *env = std::getenv("GIPPR_IO_RETRY_BASE_MS");
-    if (env && *env)
-        policy.baseDelayMs =
-            static_cast<unsigned>(std::strtoul(env, nullptr, 10));
+    if (const char *env = std::getenv("GIPPR_IO_RETRY_BASE_MS"))
+        policy.baseDelayMs = static_cast<unsigned>(
+            parseEnvUnsigned("GIPPR_IO_RETRY_BASE_MS", env,
+                             std::numeric_limits<unsigned>::max()));
     return policy;
 }
 

@@ -84,8 +84,8 @@ bool retryWithBackoff(const RetryPolicy &policy,
 /**
  * The repo-wide default retry policy: 3 attempts with a base delay
  * from GIPPR_IO_RETRY_BASE_MS (default 10 ms; the env knob paces CI
- * fault-injection sweeps).  The env is re-read per call so tests can
- * vary it.
+ * fault-injection sweeps; a malformed value is fatal).  The env is
+ * re-read per call so tests can vary it.
  */
 RetryPolicy defaultRetryPolicy();
 

@@ -6,7 +6,6 @@
 #include "sim/fastpath/engine.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <limits>
 
@@ -23,14 +22,6 @@ namespace gippr::fastpath
 
 namespace
 {
-
-/**
- * Requested dispatch width; -1 means "not resolved yet" and the
- * first activeReplayKernel() call reads GIPPR_REPLAY_KERNEL.  Kept
- * as a relaxed atomic so benches and tests can flip kernels between
- * (never during) replays without a data race against worker shards.
- */
-std::atomic<int> g_kernel_request{-1};
 
 CounterBank
 toBank(const CacheStats &s)
@@ -90,9 +81,9 @@ constexpr size_t kBatchChunk = 128 * 1024;
 constexpr size_t kBatchPrefetch = 8;
 /**
  * Lookahead for the paired kernel.  A paired iteration retires about
- * twice the work of a 16-way one and prefetches both models' rows
- * (~10 lines per step), so half the distance covers the same latency
- * with half the prefetch spray.
+ * twice the work of a single-model one and prefetches both models'
+ * rows (~10 lines per step), so half the distance covers the same
+ * latency with half the prefetch spray.
  */
 constexpr size_t kPairPrefetch = 4;
 /**
@@ -127,41 +118,7 @@ localityBuckets(uint64_t sets, unsigned assoc, unsigned lanes)
         std::clamp<uint64_t>(buckets, 1, std::min<uint64_t>(sets, 256)));
 }
 
-#if GIPPR_BATCH_KERNEL16
-/**
- * Chunk loop over the branch-free 16-way kernel.  Compiled with the
- * bmi2 target so accessBatched16 (and its pext) inlines; only called
- * when __builtin_cpu_supports("bmi2") at run time.
- */
-__attribute__((target("bmi2"))) void
-runChunk16(SoaCacheModel &m, const DecodedAccess *a, size_t n,
-           size_t steady)
-{
-    // Outcome counters accumulate in registers; accessBatched16
-    // leaves them to this loop (four memory RMWs saved per access).
-    uint64_t hits = 0, dmiss = 0, evic = 0, wb = 0;
-    for (size_t k = 0; k < steady; ++k) {
-        m.prefetchSet(a[k + kBatchPrefetch].set);
-        const SoaCacheModel::Step s =
-            m.accessBatched16(a[k].set, a[k].tag, a[k].type);
-        hits += s.hit;
-        dmiss += (a[k].type != AccessType::Writeback) & !s.hit;
-        evic += s.evicted;
-        wb += s.evictedDirty;
-    }
-    for (size_t k = steady; k < n; ++k) {
-        const SoaCacheModel::Step s =
-            m.accessBatched16(a[k].set, a[k].tag, a[k].type);
-        hits += s.hit;
-        dmiss += (a[k].type != AccessType::Writeback) & !s.hit;
-        evic += s.evicted;
-        wb += s.evictedDirty;
-    }
-    m.addOutcomeCounters(hits, dmiss, evic, wb);
-}
-#endif
-
-#if GIPPR_BATCH_KERNEL32
+#if GIPPR_BATCH_KERNELS
 /**
  * Chunk loop over the paired AVX2 kernel: one 256-bit signature scan
  * resolves each decoded access against two genomes' models at once,
@@ -261,6 +218,11 @@ runChunk32Quad(SoaCacheModel &ma, SoaCacheModel &mb, SoaCacheModel &mc,
  * each chunk is decoded a single time and then replayed genome-major,
  * with the next few set rows prefetched ahead of the access cursor.
  *
+ * On 16-way geometries with the Batch32 kernel active, each group
+ * replays in genome quads, then pairs, through the paired AVX2 scan;
+ * the odd leftover model, and every model otherwise, runs the generic
+ * accessBatched() loop.
+ *
  * Non-duel models replay each chunk bucket-ordered: a stable counting
  * sort groups the decoded accesses by contiguous set range, so one
  * (genome, range) pass works in an L1-resident slice of the model.
@@ -293,10 +255,9 @@ replayBatch(std::vector<SoaCacheModel> &models, const TraceSource &trace,
     std::vector<SoaCacheModel *> groups[2];
     for (SoaCacheModel &m : models)
         groups[m.isDuel() ? 1 : 0].push_back(&m);
-    [[maybe_unused]] const ReplayKernel kernel = activeReplayKernel();
-    [[maybe_unused]] const bool wide = geo.assoc() == 16;
-    const bool pairing = kernel == ReplayKernel::Batch32 && wide &&
-                         groups[0].size() >= 2;
+    const bool batch32 =
+        geo.assoc() == 16 && activeReplayKernel() == ReplayKernel::Batch32;
+    const bool pairing = batch32 && groups[0].size() >= 2;
     const bool quads = pairing && groups[0].size() >= 4;
     const size_t buckets = localityBuckets(sets, geo.assoc(),
                                            quads ? 4 : pairing ? 2 : 1);
@@ -351,8 +312,8 @@ replayBatch(std::vector<SoaCacheModel> &models, const TraceSource &trace,
             const DecodedAccess *a = g == 1 ? buf.data() : ord;
             std::vector<SoaCacheModel *> &grp = groups[g];
             size_t m = 0;
-#if GIPPR_BATCH_KERNEL32
-            if (kernel == ReplayKernel::Batch32 && wide) {
+#if GIPPR_BATCH_KERNELS
+            if (batch32) {
                 for (; m + 3 < grp.size(); m += 4) {
                     runChunk32Quad(*grp[m], *grp[m + 1], *grp[m + 2],
                                    *grp[m + 3], a, n);
@@ -363,16 +324,6 @@ replayBatch(std::vector<SoaCacheModel> &models, const TraceSource &trace,
                     runChunk32(*grp[m], *grp[m + 1], a, n);
                     grp[m]->addStreamCounters(n, demand);
                     grp[m + 1]->addStreamCounters(n, demand);
-                }
-            }
-#endif
-#if GIPPR_BATCH_KERNEL16
-            if (kernel != ReplayKernel::Scalar && wide) {
-                // Batch16, plus the odd leftover model of a Batch32
-                // pass.
-                for (; m < grp.size(); ++m) {
-                    runChunk16(*grp[m], a, n, steady);
-                    grp[m]->addStreamCounters(n, demand);
                 }
             }
 #endif
@@ -400,68 +351,21 @@ replayBatch(std::vector<SoaCacheModel> &models, const TraceSource &trace,
 const char *
 replayKernelName(ReplayKernel kernel)
 {
-    switch (kernel) {
-    case ReplayKernel::Scalar:
-        return "scalar";
-    case ReplayKernel::Batch16:
-        return "batch16";
-    case ReplayKernel::Batch32:
-        return "batch32";
-    }
-    return "scalar";
-}
-
-ReplayKernel
-parseReplayKernel(const std::string &name)
-{
-    if (name == "scalar")
-        return ReplayKernel::Scalar;
-    if (name == "batch16")
-        return ReplayKernel::Batch16;
-    if (name == "batch32")
-        return ReplayKernel::Batch32;
-    fatal("unknown replay kernel '" + name +
-          "' (expected scalar, batch16 or batch32)");
-}
-
-ReplayKernel
-widestSupportedReplayKernel()
-{
-#if GIPPR_BATCH_KERNEL32
-    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("bmi2"))
-        return ReplayKernel::Batch32;
-#endif
-#if GIPPR_BATCH_KERNEL16
-    if (__builtin_cpu_supports("bmi2"))
-        return ReplayKernel::Batch16;
-#endif
-    return ReplayKernel::Scalar;
+    return kernel == ReplayKernel::Batch32 ? "batch32" : "scalar";
 }
 
 ReplayKernel
 activeReplayKernel()
 {
-    int req = g_kernel_request.load(std::memory_order_relaxed);
-    if (req < 0) {
-        ReplayKernel k = widestSupportedReplayKernel();
-        if (const char *e = std::getenv("GIPPR_REPLAY_KERNEL"))
-            k = parseReplayKernel(e);
-        req = static_cast<int>(k);
-        g_kernel_request.store(req, std::memory_order_relaxed);
-    }
-    const ReplayKernel want = static_cast<ReplayKernel>(req);
-    const ReplayKernel widest = widestSupportedReplayKernel();
-    return static_cast<uint8_t>(want) <= static_cast<uint8_t>(widest)
-               ? want
-               : widest;
-}
-
-ReplayKernel
-setReplayKernel(ReplayKernel kernel)
-{
-    g_kernel_request.store(static_cast<int>(kernel),
-                           std::memory_order_relaxed);
-    return activeReplayKernel();
+#if GIPPR_BATCH_KERNELS
+    static const ReplayKernel kernel =
+        __builtin_cpu_supports("avx2") && __builtin_cpu_supports("bmi2")
+            ? ReplayKernel::Batch32
+            : ReplayKernel::Scalar;
+    return kernel;
+#else
+    return ReplayKernel::Scalar;
+#endif
 }
 
 std::vector<ReplayStats>
@@ -540,122 +444,47 @@ FastReplayEngine::replay(const ReplaySpec &spec,
 
     const uint64_t sets = config.sets();
     const size_t shards = std::min<uint64_t>(shards_, sets);
-    const bool duel = spec.kind == FastPolicyKind::Dgippr;
 
-    if (shards == 1 || !duel) {
-        if (shards == 1) {
-            // One model replays the whole trace in order (for Dgippr
-            // this keeps leader updates and follower reads naturally
-            // interleaved, exactly like the scalar engine).
-            SoaCacheModel model(spec, config);
-            for (size_t i = 0; i < trace.size(); ++i) {
-                if (i == warmup)
-                    model.markWarmup();
-                const MemRecord &r = trace[i];
-                model.accessAddr(r.addr, recordType(r));
-            }
-            if (warmup == trace.size())
+    if (shards == 1 || spec.kind == FastPolicyKind::Dgippr) {
+        // One model replays the whole trace in order.  Dgippr always
+        // does: its shared tournament couples leader updates to
+        // follower reads across sets, exactly like the scalar engine.
+        SoaCacheModel model(spec, config);
+        for (size_t i = 0; i < trace.size(); ++i) {
+            if (i == warmup)
                 model.markWarmup();
-            return model.stats();
+            const MemRecord &r = trace[i];
+            model.accessAddr(r.addr, recordType(r));
         }
-
-        // Independent sets: each shard filter-scans the trace for its
-        // contiguous slice of the set space.
-        std::vector<ReplayStats> shard_stats(shards);
-        parallelFor(shards, static_cast<unsigned>(shards),
-                    [&](size_t shard) {
-                        SoaCacheModel model(spec, config);
-                        // Snapshot before the shard's first measured
-                        // record (warmup == 0 needs none: the initial
-                        // snapshot is already all-zero).
-                        bool snapped = warmup == 0;
-                        for (size_t i = 0; i < trace.size(); ++i) {
-                            const MemRecord &r = trace[i];
-                            const uint64_t set = model.setIndex(r.addr);
-                            if (shardOf(set, shards, sets) != shard)
-                                continue;
-                            if (!snapped && i >= warmup) {
-                                model.markWarmup();
-                                snapped = true;
-                            }
-                            model.access(set, model.tagOf(r.addr),
-                                         recordType(r));
-                        }
-                        if (!snapped)
-                            model.markWarmup();
-                        shard_stats[shard] = model.stats();
-                    });
-        ReplayStats out;
-        for (const ReplayStats &s : shard_stats) {
-            out.measured += s.measured;
-            out.total += s.total;
-        }
-        return out;
+        if (warmup == trace.size())
+            model.markWarmup();
+        return model.stats();
     }
 
-    // DGIPPR, multi-shard: leader sets never depend on the duel
-    // winner, so pass A replays them alone (sequentially, in trace
-    // order) while recording when the winner changes; pass B replays
-    // follower shards in parallel, each cursor-walking the recorded
-    // timeline so any access at trace index j sees the winner after
-    // all leader updates at indices < j — the same value the
-    // single-pass engine would have used.
-    struct WinnerEvent
-    {
-        size_t index;
-        unsigned winner;
-    };
-    SoaCacheModel leader_model(spec, config);
-    std::vector<WinnerEvent> timeline;
-    bool leader_snapped = warmup == 0;
-    for (size_t i = 0; i < trace.size(); ++i) {
-        const MemRecord &r = trace[i];
-        const uint64_t set = leader_model.setIndex(r.addr);
-        if (leader_model.leaderOwner(set) == LeaderSets::kFollower)
-            continue;
-        if (!leader_snapped && i >= warmup) {
-            leader_model.markWarmup();
-            leader_snapped = true;
-        }
-        const unsigned before = leader_model.winner();
-        leader_model.access(set, leader_model.tagOf(r.addr),
-                            recordType(r));
-        if (leader_model.winner() != before)
-            timeline.push_back({i, leader_model.winner()});
-    }
-    if (!leader_snapped)
-        leader_model.markWarmup();
-    ReplayStats out = leader_model.stats();
-
+    // Independent sets: each shard filter-scans the trace for its
+    // contiguous slice of the set space.
     std::vector<ReplayStats> shard_stats(shards);
-    parallelFor(
-        shards, static_cast<unsigned>(shards), [&](size_t shard) {
-            SoaCacheModel model(spec, config,
-                                SoaCacheModel::DuelMode::Timeline);
-            size_t cursor = 0;
-            bool snapped = warmup == 0;
-            for (size_t i = 0; i < trace.size(); ++i) {
-                const MemRecord &r = trace[i];
-                const uint64_t set = model.setIndex(r.addr);
-                if (model.leaderOwner(set) != LeaderSets::kFollower)
-                    continue;
-                if (shardOf(set, shards, sets) != shard)
-                    continue;
-                while (cursor < timeline.size() &&
-                       timeline[cursor].index < i) {
-                    model.setWinner(timeline[cursor].winner);
-                    ++cursor;
-                }
-                if (!snapped && i >= warmup) {
-                    model.markWarmup();
-                    snapped = true;
-                }
-                model.access(set, model.tagOf(r.addr), recordType(r));
-            }
-            if (!snapped)
+    parallelFor(shards, static_cast<unsigned>(shards), [&](size_t shard) {
+        SoaCacheModel model(spec, config);
+        // Snapshot before the shard's first measured record (warmup
+        // == 0 needs none: the initial snapshot is already all-zero).
+        bool snapped = warmup == 0;
+        for (size_t i = 0; i < trace.size(); ++i) {
+            const MemRecord &r = trace[i];
+            const uint64_t set = model.setIndex(r.addr);
+            if (shardOf(set, shards, sets) != shard)
+                continue;
+            if (!snapped && i >= warmup) {
                 model.markWarmup();
-            shard_stats[shard] = model.stats();
-        });
+                snapped = true;
+            }
+            model.access(set, model.tagOf(r.addr), recordType(r));
+        }
+        if (!snapped)
+            model.markWarmup();
+        shard_stats[shard] = model.stats();
+    });
+    ReplayStats out;
     for (const ReplayStats &s : shard_stats) {
         out.measured += s.measured;
         out.total += s.total;
@@ -674,9 +503,10 @@ FastReplayEngine::replayMany(std::span<const ReplaySpec> specs,
     const size_t shards = std::min<uint64_t>(shards_, sets);
 
     // Batch everything the packed model covers.  Unsupported specs
-    // fall back to the scalar reference and multi-shard Dgippr keeps
-    // replay()'s two-pass timeline scheme, both per spec, so any mix
-    // of specs yields the same results as per-spec replay().
+    // fall back to the scalar reference and multi-shard Dgippr specs
+    // (whose sets cannot be split) take replay()'s single pass, both
+    // per spec, so any mix of specs yields the same results as
+    // per-spec replay().
     std::vector<size_t> batch;
     batch.reserve(specs.size());
     for (size_t s = 0; s < specs.size(); ++s) {

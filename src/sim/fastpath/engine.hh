@@ -12,15 +12,10 @@
  *    set space is split into contiguous ranges and each shard
  *    filter-scans the trace for its own sets on a worker of the
  *    shared pool.  Per-set access streams are independent for every
- *    policy except DGIPPR's global duel state, which is handled with
- *    a two-pass scheme: pass A sequentially replays only the leader
- *    sets (whose behaviour never depends on the duel winner) and
- *    records a timeline of winner changes; pass B replays follower
- *    shards in parallel, each walking the timeline with a monotone
- *    cursor so every follower access sees exactly the winner the
- *    scalar engine would have used.  Counter merges are plain sums
- *    over disjoint set ranges, so results are bit-identical for any
- *    shard count.
+ *    policy except DGIPPR, whose shared tournament couples the sets:
+ *    a DGIPPR spec replays in one trace-order pass at any shard
+ *    count.  Counter merges are plain sums over disjoint set ranges,
+ *    so results are bit-identical for any shard count.
  *
  * Backend selection: consumers default to defaultReplayEngine(),
  * which honours GIPPR_REPLAY_BACKEND (fast | scalar, default fast)
@@ -44,42 +39,26 @@ namespace gippr::fastpath
 
 /**
  * Batched chunk kernels FastReplayEngine::replayMany can dispatch for
- * a (genome-group, set-range) pass.  Widths nest: Batch32 pairs two
- * genomes per AVX2 signature scan and finishes each through the
- * 16-way branch-free tail, Batch16 is the BMI2 single-genome kernel,
- * Scalar is the portable per-way loop.  All three are bit-identical.
+ * a (genome-group, set-range) pass.  Batch32 pairs two 16-way genomes
+ * per AVX2 signature scan and finishes each through a branch-free
+ * tail; Scalar is the portable per-way loop.  Both are bit-identical.
  */
 enum class ReplayKernel : uint8_t
 {
-    Scalar = 0,
-    Batch16 = 1,
-    Batch32 = 2,
+    Scalar,
+    Batch32,
 };
 
-/** Kernel name as spelled by GIPPR_REPLAY_KERNEL ("scalar", ...). */
+/** Kernel name as recorded in RunReports ("scalar" or "batch32"). */
 const char *replayKernelName(ReplayKernel kernel);
 
-/** Parse "scalar" | "batch16" | "batch32"; throws on other input. */
-ReplayKernel parseReplayKernel(const std::string &name);
-
-/** Widest kernel this build + CPU can actually run. */
-ReplayKernel widestSupportedReplayKernel();
-
 /**
- * Kernel the batched replay path dispatches right now: the requested
- * width (GIPPR_REPLAY_KERNEL at first use, or the latest
- * setReplayKernel() call) clamped to widestSupportedReplayKernel().
- * Narrower requests are honoured exactly — that is what makes every
- * width independently testable on one host.
+ * Kernel the batched replay path dispatches on 16-way geometries:
+ * Batch32 when this build compiles it in and the CPU has AVX2 and
+ * BMI2, else Scalar.  Decided once per process from the CPU alone;
+ * other geometries always run the Scalar loop.
  */
 ReplayKernel activeReplayKernel();
-
-/**
- * Request a dispatch width for subsequent batched replays (benches
- * and tests switch kernels in-process); returns the clamped width
- * that will actually run.
- */
-ReplayKernel setReplayKernel(ReplayKernel kernel);
 
 /** Replays traces under value-described policies. */
 class ReplayEngine
@@ -143,9 +122,9 @@ class FastReplayEngine : public ReplayEngine
      * paid once per generation instead of once per genome.  Composes
      * with set-space sharding (a shard × genome grid over disjoint
      * set ranges).  Unsupported specs fall back to scalar and
-     * multi-shard Dgippr keeps replay()'s two-pass timeline scheme,
-     * each per spec; results are bit-identical to per-spec replay()
-     * for any batch composition and shard count.
+     * multi-shard Dgippr specs replay() one at a time, since their
+     * sets cannot be split; results are bit-identical to per-spec
+     * replay() for any batch composition and shard count.
      */
     std::vector<ReplayStats>
     replayMany(std::span<const ReplaySpec> specs,

@@ -110,15 +110,13 @@ SoaCacheModel::supports(const ReplaySpec &spec, const CacheConfig &config)
 }
 
 SoaCacheModel::SoaCacheModel(const ReplaySpec &spec,
-                             const CacheConfig &config, DuelMode mode,
-                             unsigned domains)
+                             const CacheConfig &config, unsigned domains)
     : sets_(config.sets()), assoc_(config.assoc),
       blockShift_(config.blockShift()), setShift_(config.setShift()),
-      wayMask_(lowMask(config.assoc)), mode_(mode)
+      wayMask_(lowMask(config.assoc))
 {
     GIPPR_CHECK(supports(spec, config));
     GIPPR_CHECK(domains >= 1);
-    GIPPR_CHECK(domains == 1 || mode == DuelMode::Live);
     switch (spec.kind) {
       case FastPolicyKind::Lru:
       case FastPolicyKind::Lip:
@@ -236,20 +234,6 @@ SoaCacheModel::tagOf(uint64_t byte_addr) const
     return byte_addr >> (blockShift_ + setShift_);
 }
 
-int
-SoaCacheModel::leaderOwner(uint64_t set) const
-{
-    return duel_ ? owners_[set] : LeaderSets::kFollower;
-}
-
-void
-SoaCacheModel::setWinner(unsigned w)
-{
-    GIPPR_DCHECK(duel_ && mode_ == DuelMode::Timeline);
-    GIPPR_DCHECK(w < promo_.size());
-    duels_[0].winner = w;
-}
-
 ReplayStats
 SoaCacheModel::stats() const
 {
@@ -265,7 +249,7 @@ SoaCacheModel::stats() const
 void
 SoaCacheModel::duelStats(unsigned domain, ReplayStats &out) const
 {
-    if (!duel_ || mode_ != DuelMode::Live)
+    if (!duel_)
         return;
     GIPPR_CHECK(domain < duels_.size());
     const DuelDomain &d = duels_[domain];
@@ -310,7 +294,7 @@ SoaCacheModel::dumpSet(uint64_t set) const
     if (family_ != Family::Recency)
         os << " tree 0x" << std::hex << tree_[set] << std::dec;
     if (duel_) {
-        os << " owner " << leaderOwner(set) << " winner " << winner();
+        os << " owner " << int{owners_[set]} << " winner " << winner();
     }
     os << " tags [";
     for (unsigned w = 0; w < assoc_; ++w)

@@ -33,25 +33,23 @@
 #endif
 
 /**
- * The branch-free 16-way batch kernel uses BMI2 pext through a
- * per-function target attribute, so the library builds with baseline
+ * The 32-wide batch kernel uses AVX2 and BMI2 pext through
+ * per-function target attributes, so the library builds with baseline
  * flags and the replay engine selects the kernel at run time
- * (__builtin_cpu_supports).  Only compiled where the attribute and
- * the intrinsics exist.  The 32-wide kernel extends the same scheme
- * to AVX2: one VPCMPEQB resolves the signature scans of TWO genomes'
- * 16-byte rows (a 32-lane compare), so a genome pair shares each
- * decoded record and the loop carries two independent dependency
- * chains — compiled under the same guard, dispatched at run time.
+ * (__builtin_cpu_supports).  One VPCMPEQB resolves the signature
+ * scans of TWO genomes' 16-byte rows (a 32-lane compare), so a genome
+ * pair shares each decoded record and the loop carries two
+ * independent dependency chains.  Only compiled where the attributes
+ * and the intrinsics exist.
  *
- * -DGIPPR_PORTABLE_KERNELS compiles both batch kernels out even on
- * x86-64, so CI can prove the portable scalar path (the permanent
- * fallback for hosts without BMI2/AVX2) stays bit-identical without
- * needing such a machine.
+ * -DGIPPR_PORTABLE_KERNELS compiles the kernel out even on x86-64, so
+ * CI can prove the portable generic path (the permanent fallback for
+ * hosts without BMI2/AVX2) stays bit-identical without needing such a
+ * machine.
  */
 #if defined(__GNUC__) && defined(__x86_64__) && defined(__SSE2__) && \
     !defined(GIPPR_PORTABLE_KERNELS)
-#define GIPPR_BATCH_KERNEL16 1
-#define GIPPR_BATCH_KERNEL32 1
+#define GIPPR_BATCH_KERNELS 1
 #include <immintrin.h>
 #endif
 
@@ -181,11 +179,9 @@ constexpr uint64_t kLeaderSetRotate = 97;
  * The model covers every set of the geometry but is oblivious to
  * which accesses it is fed; the replay engine shards a trace by
  * feeding each model only its slice of the set space.  For Dgippr
- * specs the duel winner is either maintained live (the model owns the
- * tournament selector and updates it on leader misses) or driven
- * externally via setWinner() from a pre-recorded winner timeline —
- * the mechanism that makes follower-set shards independent of each
- * other.
+ * specs the model owns the tournament selector and updates it on
+ * leader misses, so the sets are coupled and a Dgippr model must see
+ * the whole trace in order.
  *
  * A shared LLC is the same model with two additions, both taken per
  * access: a duel domain (each domain has its own rotated leader
@@ -196,17 +192,10 @@ constexpr uint64_t kLeaderSetRotate = 97;
 class SoaCacheModel
 {
   public:
-    /** How Dgippr follower sets learn the duel winner. */
-    enum class DuelMode
-    {
-        Live,     ///< model updates the selector on leader misses
-        Timeline, ///< caller injects the winner via setWinner()
-    };
-
     /** @p domains duel domains (>= 1); only Dgippr specs use more
-     *  than the first, and only in Live mode. */
+     *  than the first. */
     SoaCacheModel(const ReplaySpec &spec, const CacheConfig &config,
-                  DuelMode mode = DuelMode::Live, unsigned domains = 1);
+                  unsigned domains = 1);
 
     /** True when the fast backend can pack this spec/geometry. */
     static bool supports(const ReplaySpec &spec,
@@ -254,40 +243,19 @@ class SoaCacheModel
         return accessImpl<true>(set, tag, type, 0, wayMask_);
     }
 
-#if GIPPR_BATCH_KERNEL16
+#if GIPPR_BATCH_KERNELS
     /**
-     * Branch-free variant of accessBatched() for 16-way geometries on
-     * BMI2 hardware (engine-internal; dispatched per chunk).  The
-     * hit/miss outcome is genome-private and effectively random, so
-     * the generic path eats a mispredict on most accesses; here the
-     * outcome is turned into data flow instead: the victim is
-     * computed unconditionally, the fill stores always run (on a hit
-     * they rewrite the values already present), and the replacement
-     * update selects between promotion, insertion, and identity
-     * deposits.  Tree-IPV promotions read the fused path-bit LUT
-     * (fusedPromo_) via pext in place of the reference position
-     * gather.  Bit-identical to access() by the same argument as the
-     * generic batched path; tests/test_batched_equiv.cc enforces it.
-     */
-    GIPPR_HOT
-    __attribute__((target("bmi2"), always_inline)) inline Step
-    accessBatched16(uint64_t set, uint64_t tag, AccessType type);
-#endif
-
-#if GIPPR_BATCH_KERNEL32
-    /**
-     * 32-lane paired variant of accessBatched16() for AVX2 + BMI2
-     * hardware (engine-internal; dispatched per chunk): one 256-bit
-     * VPCMPEQB compares @p a's and @p b's signature rows for @p set
-     * against the broadcast tag byte — two 16-byte lanes, 32 byte
-     * lanes total — and each genome then finishes through the same
-     * branch-free tail as the 16-way kernel (accessResolved16).  The
-     * two models are independent, so the tails form two overlapping
-     * dependency chains and the decoded record is read once for the
-     * pair, halving the chunk-buffer re-stream traffic that bounds
-     * wide batched replay.  Bit-identical per model to access();
-     * tests/test_batched_equiv.cc enforces it for every kernel
-     * width.
+     * 32-lane paired variant of accessBatched() for 16-way geometries
+     * on AVX2 + BMI2 hardware (engine-internal; dispatched per chunk):
+     * one 256-bit VPCMPEQB compares @p a's and @p b's signature rows
+     * for @p set against the broadcast tag byte — two 16-byte lanes,
+     * 32 byte lanes total — and each genome then finishes through the
+     * branch-free tail (accessResolved16).  The two models are
+     * independent, so the tails form two overlapping dependency chains
+     * and the decoded record is read once for the pair, halving the
+     * chunk-buffer re-stream traffic that bounds wide batched replay.
+     * Bit-identical per model to access();
+     * tests/test_batched_equiv.cc enforces it.
      */
     GIPPR_HOT
     __attribute__((target("avx2,bmi2"), always_inline)) static inline
@@ -306,7 +274,7 @@ class SoaCacheModel
     }
 
     /** Credit outcome counters accumulated in the chunk loop's
-     *  registers; pairs with accessBatched16(), which leaves them to
+     *  registers; pairs with accessBatched32(), which leaves them to
      *  the caller. */
     GIPPR_HOT void addOutcomeCounters(uint64_t hits,
                             uint64_t demand_misses,
@@ -351,9 +319,6 @@ class SoaCacheModel
             __builtin_prefetch(&tree_[set]);
     }
 
-    /** Timeline mode: winner for subsequent follower accesses. */
-    void setWinner(unsigned w);
-
     /** Current follower winner of the first duel domain (Dgippr). */
     unsigned winner() const { return duel_ ? duels_[0].winner : 0; }
 
@@ -361,12 +326,8 @@ class SoaCacheModel
      *  so replay order across sets is load-bearing). */
     bool isDuel() const { return duel_; }
 
-    /** Leading vector of @p set in the first duel domain, or
-     *  LeaderSets::kFollower. */
-    int leaderOwner(uint64_t set) const;
-
     /**
-     * Statistics so far; for live Dgippr models the duel fields
+     * Statistics so far; for Dgippr models the duel fields
      * (finalWinner, duelCounters, leaderMisses) are those of the
      * first duel domain (see duelStats()).
      */
@@ -375,7 +336,7 @@ class SoaCacheModel
     /**
      * Write duel domain @p domain's state — final winner, PSEL
      * counters, leader misses — into @p out's duel fields.  Leaves
-     * them untouched unless the model runs a live duel.
+     * them untouched unless the model is a Dgippr model.
      */
     void duelStats(unsigned domain, ReplayStats &out) const;
 
@@ -420,10 +381,10 @@ class SoaCacheModel
     unsigned maskedVictim(uint64_t set, uint64_t base,
                           uint64_t mask) const;
     void moveTo(uint8_t *pos, unsigned way, unsigned to);
-#if GIPPR_BATCH_KERNEL16
+#if GIPPR_BATCH_KERNELS
     void moveTo16(uint8_t *pos, unsigned way, unsigned to);
-    /** Branch-free tail shared by the 16- and 32-wide kernels:
-     *  everything after the signature scan, taking the raw 16-bit
+    /** Branch-free per-genome tail of the 32-wide kernel: everything
+     *  after the signature scan, taking the raw 16-bit
      *  signature-match mask (not yet masked with valid). */
     GIPPR_HOT
     __attribute__((target("bmi2"), always_inline)) inline Step
@@ -444,7 +405,6 @@ class SoaCacheModel
     // Policy.
     Family family_;
     bool duel_ = false;
-    DuelMode mode_;
     /** promo_[v][i] = new position on a hit at position i; one row
      *  per candidate vector. */
     std::vector<std::vector<uint8_t>> promo_;
@@ -522,7 +482,6 @@ SoaCacheModel::recordDuelMiss(unsigned domain, uint64_t set)
 {
     const int owner = owners_[domain * sets_ + set];
     if (owner != LeaderSets::kFollower) {
-        GIPPR_DCHECK(mode_ == DuelMode::Live);
         DuelDomain &d = duels_[domain];
         ++d.leaderMisses[static_cast<unsigned>(owner)];
         d.selector.recordMiss(static_cast<unsigned>(owner));
@@ -579,7 +538,7 @@ SoaCacheModel::moveTo(uint8_t *pos, unsigned way, unsigned to)
     pos[way] = static_cast<uint8_t>(to);
 }
 
-#if GIPPR_BATCH_KERNEL16
+#if GIPPR_BATCH_KERNELS
 inline void
 SoaCacheModel::moveTo16(uint8_t *pos, unsigned way, unsigned to)
 {
@@ -836,25 +795,17 @@ SoaCacheModel::accessImpl(uint64_t set, uint64_t tag, AccessType type,
     return step;
 }
 
-#if GIPPR_BATCH_KERNEL16
-__attribute__((target("bmi2"))) inline SoaCacheModel::Step
-SoaCacheModel::accessBatched16(uint64_t set, uint64_t tag,
-                               AccessType type)
-{
-    // Signature scan; the branch-free remainder lives in the tail
-    // shared with the 32-wide paired kernel.
-    const __m128i row = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(&sig_[set * 16]));
-    const unsigned sig_match =
-        static_cast<unsigned>(_mm_movemask_epi8(_mm_cmpeq_epi8(
-            row, _mm_set1_epi8(static_cast<char>(tag)))));
-    return accessResolved16(set, tag, type, sig_match);
-}
-
+#if GIPPR_BATCH_KERNELS
 __attribute__((target("bmi2"))) inline SoaCacheModel::Step
 SoaCacheModel::accessResolved16(uint64_t set, uint64_t tag,
                                 AccessType type, unsigned sig_match)
 {
+    // The hit/miss outcome is genome-private and effectively random,
+    // so the generic path eats a mispredict on most accesses; here it
+    // is turned into data flow instead: the victim is computed
+    // unconditionally, the fill stores always run, and the
+    // replacement update selects between promotion, insertion and
+    // identity deposits.
     GIPPR_DCHECK(set < sets_ && assoc_ == 16);
     const bool demand = type != AccessType::Writeback;
     const bool is_store = type != AccessType::Load;
@@ -964,9 +915,7 @@ SoaCacheModel::accessResolved16(uint64_t set, uint64_t tag,
     step.evictedTag = evict ? evicted_tag : 0;
     return step;
 }
-#endif
 
-#if GIPPR_BATCH_KERNEL32
 __attribute__((target("avx2,bmi2"))) inline void
 SoaCacheModel::accessBatched32(SoaCacheModel &a, SoaCacheModel &b,
                                uint64_t set, uint64_t tag,

@@ -220,9 +220,7 @@ runSharedLlc(const std::vector<CoreStream> &streams,
     const unsigned domains =
         params.duelScope == DuelScope::PerCore ? cores : 1;
     if (params.backend == Backend::Fast) {
-        fastpath::SoaCacheModel model(
-            params.policy, params.llc,
-            fastpath::SoaCacheModel::DuelMode::Live, domains);
+        fastpath::SoaCacheModel model(params.policy, params.llc, domains);
         runBackend(model, streams, params, warmups, result);
     } else {
         ScalarSharedLlc model(params.policy, params.llc, domains);

@@ -14,6 +14,7 @@
 
 #include "robust/atomic_io.hh"
 #include "robust/fault_inject.hh"
+#include "util/env.hh"
 #include "util/log.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -139,12 +140,13 @@ fileSize(std::FILE *f, const std::string &path)
     return static_cast<uint64_t>(end);
 }
 
-/** mmap streaming enabled?  GIPPR_TRACE_MMAP=0 forces buffered. */
+/** mmap streaming enabled?  GIPPR_TRACE_MMAP=0 forces buffered;
+ *  any value other than 0 or 1 is fatal. */
 bool
 mmapEnabled()
 {
     const char *env = std::getenv("GIPPR_TRACE_MMAP");
-    return !env || std::strcmp(env, "0") != 0;
+    return !env || parseEnvUnsigned("GIPPR_TRACE_MMAP", env, 1) != 0;
 }
 
 } // namespace

@@ -61,10 +61,11 @@ decodeGptrRecord(const unsigned char *p)
  * out of the mapping, so replaying N genomes streams the bytes from
  * the page cache instead of a duplicated std::vector.
  *
- * On platforms without mmap, or when GIPPR_TRACE_MMAP=0, the
- * constructor transparently falls back to the buffered loader; the
- * observable behaviour (including every rejection path) is
- * identical.  Throws std::runtime_error on any validation failure.
+ * On platforms without mmap, or when GIPPR_TRACE_MMAP=0 (the knob
+ * takes 0 or 1; anything else is fatal), the constructor
+ * transparently falls back to the buffered loader; the observable
+ * behaviour (including every rejection path) is identical.  Throws
+ * std::runtime_error on any validation failure.
  */
 class MappedTrace
 {

@@ -38,7 +38,7 @@ FastpathOracle::FastpathOracle(const fastpath::ReplaySpec &spec,
                                const CacheConfig &config)
     : spec_(spec), config_(config),
       scalar_(config, fastpath::makeScalarPolicy(spec, config)),
-      model_(spec, config, SoaCacheModel::DuelMode::Live)
+      model_(spec, config)
 {
     GIPPR_CHECK(SoaCacheModel::supports(spec, config));
 }

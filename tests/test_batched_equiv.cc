@@ -214,34 +214,30 @@ TEST(BatchedEquiv, ReplayManyMatchesPerSpecReplay)
                   scalar.replay(specs[s], cfg, trace, warmup));
 }
 
-/** Restores the process-wide dispatch width a test pinned. */
-struct KernelGuard
+TEST(BatchedEquiv, DispatchedKernelIsBitIdenticalAtEveryShardCount)
 {
-    fastpath::ReplayKernel saved = fastpath::activeReplayKernel();
-    ~KernelGuard() { fastpath::setReplayKernel(saved); }
-};
-
-TEST(BatchedEquiv, EveryKernelWidthIsBitIdenticalAtEveryShardCount)
-{
-    const KernelGuard guard;
     const CacheConfig cfg = smallLlc();
     const Trace trace = mixedStream(traceAccesses(), 0x32e0, cfg);
     const size_t warmup = trace.size() / 3;
 
-    // Enough tree-IPV genomes that the 32-wide dispatch exercises the
-    // quad pass, the pair pass AND the batch16 leftover (4+2+1), plus
-    // every other family (recency, PLRU, duel) in the same batch.
+    // Seven non-duel models, so a batch32 host runs the quad pass, the
+    // pair pass AND the generic loop for the leftover (4+2+1) at every
+    // shard count, and three duel models, so the single-shard duel
+    // group runs a pair plus a generic leftover too.  Every family
+    // (recency, PLRU, tree IPV, duel) rides the same batch.
     Rng rng(0x320);
     std::vector<fastpath::ReplaySpec> specs = {
         fastpath::lruSpec(),
         fastpath::lipSpec(),
         fastpath::plruSpec(),
         fastpath::dgipprSpec(local_vectors::dgippr2()),
+        fastpath::dgipprSpec(local_vectors::dgippr4()),
+        fastpath::dgipprSpec({randomIpv(16, rng), randomIpv(16, rng)}),
     };
-    for (int i = 0; i < 4; ++i)
+    for (int i = 0; i < 2; ++i) {
         specs.push_back(fastpath::gipprSpec(randomIpv(16, rng)));
-    for (int i = 0; i < 3; ++i)
         specs.push_back(fastpath::giplrSpec(randomIpv(16, rng)));
+    }
 
     // Reference: the scalar object-based engine, one spec at a time.
     const fastpath::ScalarReplayEngine scalar;
@@ -249,75 +245,17 @@ TEST(BatchedEquiv, EveryKernelWidthIsBitIdenticalAtEveryShardCount)
     for (const fastpath::ReplaySpec &spec : specs)
         want.push_back(scalar.replay(spec, cfg, trace, warmup));
 
-    for (fastpath::ReplayKernel k :
-         {fastpath::ReplayKernel::Scalar, fastpath::ReplayKernel::Batch16,
-          fastpath::ReplayKernel::Batch32}) {
-        if (fastpath::setReplayKernel(k) != k)
-            continue; // wider than this host; the clamp test covers it
-        for (unsigned shards : {1u, 2u, 4u, 16u}) {
-            const fastpath::FastReplayEngine fast(shards);
-            const std::vector<fastpath::ReplayStats> got =
-                fast.replayMany(specs, cfg, trace, warmup);
-            ASSERT_EQ(got.size(), want.size());
-            for (size_t s = 0; s < want.size(); ++s)
-                EXPECT_EQ(got[s], want[s])
-                    << specs[s].name() << " under "
-                    << fastpath::replayKernelName(k) << " at " << shards
-                    << " shards";
-        }
-    }
-}
-
-TEST(BatchedEquiv, KernelRequestsClampToTheHostAndRoundTrip)
-{
-    const KernelGuard guard;
-    const fastpath::ReplayKernel widest =
-        fastpath::widestSupportedReplayKernel();
-
-    // Narrower requests are honoured exactly; wider ones clamp.
-    EXPECT_EQ(fastpath::setReplayKernel(fastpath::ReplayKernel::Scalar),
-              fastpath::ReplayKernel::Scalar);
-    EXPECT_EQ(fastpath::activeReplayKernel(),
-              fastpath::ReplayKernel::Scalar);
-    EXPECT_EQ(fastpath::setReplayKernel(fastpath::ReplayKernel::Batch32),
-              widest <= fastpath::ReplayKernel::Batch32
-                  ? widest
-                  : fastpath::ReplayKernel::Batch32);
-    EXPECT_LE(static_cast<int>(fastpath::activeReplayKernel()),
-              static_cast<int>(widest));
-
-    // Names round-trip through the GIPPR_REPLAY_KERNEL spelling.
-    for (fastpath::ReplayKernel k :
-         {fastpath::ReplayKernel::Scalar, fastpath::ReplayKernel::Batch16,
-          fastpath::ReplayKernel::Batch32})
-        EXPECT_EQ(fastpath::parseReplayKernel(
-                      fastpath::replayKernelName(k)),
-                  k);
-    EXPECT_THROW(fastpath::parseReplayKernel("batch64"),
-                 std::runtime_error);
-    EXPECT_THROW(fastpath::parseReplayKernel(""), std::runtime_error);
-}
-
-TEST(BatchedEquiv, EnvironmentOverrideSelectsTheDispatchWidth)
-{
-    // Each gtest case is its own ctest process, so the first
-    // activeReplayKernel() call in this test observes the lazy
-    // GIPPR_REPLAY_KERNEL read.  The fastpath-equiv CI job reruns the
-    // suite with the variable forced to each width; without it the
-    // default must be the widest kernel the host supports.
-    const char *env = std::getenv("GIPPR_REPLAY_KERNEL");
-    const fastpath::ReplayKernel active = fastpath::activeReplayKernel();
-    if (env) {
-        const fastpath::ReplayKernel want =
-            fastpath::parseReplayKernel(env);
-        const fastpath::ReplayKernel widest =
-            fastpath::widestSupportedReplayKernel();
-        EXPECT_EQ(active, static_cast<int>(want) <=
-                                  static_cast<int>(widest)
-                              ? want
-                              : widest);
-    } else {
-        EXPECT_EQ(active, fastpath::widestSupportedReplayKernel());
+    const char *kernel =
+        fastpath::replayKernelName(fastpath::activeReplayKernel());
+    for (unsigned shards : {1u, 2u, 4u, 16u}) {
+        const fastpath::FastReplayEngine fast(shards);
+        const std::vector<fastpath::ReplayStats> got =
+            fast.replayMany(specs, cfg, trace, warmup);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t s = 0; s < want.size(); ++s)
+            EXPECT_EQ(got[s], want[s])
+                << specs[s].name() << " under " << kernel << " at "
+                << shards << " shards";
     }
 }
 

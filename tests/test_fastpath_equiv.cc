@@ -332,12 +332,12 @@ TEST(FastpathEquiv, EnginesAgreeWithFullTraceWarmupEdge)
 
 TEST(FastpathEquiv, FastFallsBackForUnsupportedGeometry)
 {
-    // 3-way LLC: trees need a power of two, so PLRU/GIPPR specs are
-    // unsupported and replay() must transparently match the scalar
-    // engine via fallback.
+    // 128-way LLC: the scalar PLRU tree takes it, but the packed
+    // model stops at 64 ways, so replay() must transparently match
+    // the scalar engine via fallback.
     CacheConfig cfg;
-    cfg.sizeBytes = 3 * 64 * 64;
-    cfg.assoc = 3;
+    cfg.sizeBytes = 128 * 64 * 16; // 16 sets
+    cfg.assoc = 128;
     cfg.blockBytes = 64;
     const fastpath::ReplaySpec spec = fastpath::plruSpec();
     EXPECT_FALSE(fastpath::FastReplayEngine::supports(spec, cfg));

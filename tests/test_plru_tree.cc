@@ -7,8 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <vector>
 
+#include "cache/config.hh"
+#include "core/dgippr.hh"
+#include "core/gippr.hh"
+#include "core/plru.hh"
 #include "core/plru_tree.hh"
 #include "util/rng.hh"
 
@@ -178,6 +183,24 @@ TEST(PlruTree, SetPositionTouchesOnlyPathBits)
         if (t.bit(b) != before[b])
             ++changed;
     EXPECT_LE(changed, 4u);
+}
+
+TEST(PlruTree, NonPowerOfTwoGeometriesAreRejectedInEveryBuild)
+{
+    // A user input error, not a checked invariant: it must throw in
+    // release builds too, before any tree state is used.
+    EXPECT_THROW(PlruTree(0), std::runtime_error);
+    EXPECT_THROW(PlruTree(3), std::runtime_error);
+    EXPECT_THROW(PlruTree(512), std::runtime_error);
+    CacheConfig cfg;
+    cfg.sizeBytes = 3 * 64 * 64; // 64 sets at 3 ways
+    cfg.assoc = 3;
+    cfg.blockBytes = 64;
+    EXPECT_THROW(PlruPolicy{cfg}, std::runtime_error);
+    EXPECT_THROW((GipprPolicy{cfg, Ipv::lru(3)}), std::runtime_error);
+    EXPECT_THROW(
+        (DgipprPolicy{cfg, {Ipv::lru(3), Ipv::lruInsertion(3)}}),
+        std::runtime_error);
 }
 
 TEST(PlruTree, TwoWayDegenerateCase)

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -266,6 +267,22 @@ TEST(Retry, DefaultPolicyReadsEnvKnobDeterministically)
     const std::vector<unsigned> dflt = scheduleFor(nullptr);
     ASSERT_EQ(dflt.size(), 2u);
     EXPECT_GE(dflt[0], 5u); // base 10: first delay in [5,10)
+}
+
+// A malformed pacing value must stop the run naming the variable and
+// the value ("abc" used to become 0 ms and "5x" 5 ms).  The noexcept
+// lambda ends the child process the way fatal() ends the binaries.
+TEST(EnvKnobDeathTest, MalformedIoRetryBaseMsIsFatal)
+{
+    for (const char *bad : {"", "abc", "5x", "-1", " 4"}) {
+        EXPECT_DEATH(
+            ([&]() noexcept {
+                ::setenv("GIPPR_IO_RETRY_BASE_MS", bad, 1);
+                defaultRetryPolicy();
+            })(),
+            "GIPPR_IO_RETRY_BASE_MS='" + std::string(bad) + "'")
+            << "value '" << bad << "'";
+    }
 }
 
 TEST(FaultInjection, ReadFaultFiresAndFileSurvives)

@@ -199,6 +199,28 @@ TEST_F(TraceIoTest, MappedHonoursBufferedFallbackKnob)
     }
 }
 
+// GIPPR_TRACE_MMAP takes 0 or 1: "false" used to leave mmap on.  The
+// noexcept lambda ends the child process the way fatal() ends the
+// binaries.
+TEST(EnvKnobDeathTest, MalformedTraceMmapIsFatal)
+{
+    const std::string path =
+        ::testing::TempDir() + "gippr_trace_test_mmap_knob.bin";
+    Trace t;
+    t.append(rec(64));
+    writeTrace(t, path);
+    for (const char *bad : {"", "false", "2", "-1", "1x"}) {
+        EXPECT_DEATH(
+            ([&]() noexcept {
+                setenv("GIPPR_TRACE_MMAP", bad, 1);
+                const MappedTrace mapped(path);
+            })(),
+            "GIPPR_TRACE_MMAP='" + std::string(bad) + "'")
+            << "value '" << bad << "'";
+    }
+    std::remove(path.c_str());
+}
+
 TEST_F(TraceIoTest, MappedReadsLegacyV1Files)
 {
     Trace t;

@@ -56,7 +56,7 @@ DETERMINISM_ALLOW = {
 # pacing, batching, backend selection, and fault injection — never a
 # seed, an ordering, or a reported result.
 GETENV_ALLOW = {
-    "src/trace/trace_io.cc",        # GIPPR_IO_RETRY_BASE_MS pacing
+    "src/trace/trace_io.cc",        # GIPPR_TRACE_MMAP loader switch
     "src/ga/fitness.cc",            # GIPPR_GA_BATCH / GIPPR_GA_MEMO
     "src/robust/fault_inject.cc",   # GIPPR_FAULT_INJECT test hook
     "src/robust/atomic_io.cc",      # GIPPR_IO_RETRY_BASE_MS pacing
