@@ -51,9 +51,8 @@ main(int argc, char **argv)
     SystemParams sys = systemParams();
     for (const char *name : {"hotcold_stream", "loop_fit"}) {
         Workload w = SyntheticSuite::materialize(suite.spec(name));
-        Trace llc = demandOnlyTrace(Hierarchy::filterToLlc(
-            *w.simpoints()[0].trace, sys.hier, lruFactory(),
-            lruFactory()));
+        Trace llc = demandOnlyTrace(
+            Hierarchy::filterToLlc(*w.simpoints()[0].trace, sys.hier));
         auto policy = std::make_unique<BypassGipprPolicy>(
             sys.hier.llc, local_vectors::gippr());
         BypassGipprPolicy *raw = policy.get();

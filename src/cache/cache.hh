@@ -7,6 +7,7 @@
 #define GIPPR_CACHE_CACHE_HH_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -161,6 +162,10 @@ class SetAssocCache
     LiveCounters live_;
     uint64_t sequence_ = 0;
 };
+
+/** Factory that builds a replacement policy for a given geometry. */
+using PolicyFactory =
+    std::function<std::unique_ptr<ReplacementPolicy>(const CacheConfig &)>;
 
 } // namespace gippr
 

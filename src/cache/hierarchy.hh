@@ -1,27 +1,23 @@
 /**
  * @file
- * Three-level cache hierarchy (L1D -> L2 -> LLC).
+ * One core's private L1D and L2, and the cascade that feeds its LLC.
  *
- * The hierarchy plays two roles, mirroring the paper's methodology:
+ * The paper filters every CPU reference through a non-inclusive,
+ * writeback, true-LRU L1D and L2; only the surviving stream reaches
+ * the LLC policy under study.  Hierarchy::access is that cascade, and
+ * it is written once here.  Its caller supplies the LLC as a callback,
+ * which gives the hierarchy its two roles:
  *
- *  1. In the performance simulator it services each CPU reference and
- *     reports which level supplied the data, so the CPU model can apply
+ *  1. In the performance simulator (simulateTrace) the callback is a
+ *     SetAssocCache, and the returned HitLevel drives the CPU model's
  *     per-level latencies.
- *  2. As a *filter*: the paper's traces contain only the references
- *     that survive the L1/L2 and reach the LLC.  filterToLlc() runs a
- *     CPU-level trace through L1+L2 and emits the resulting LLC access
- *     stream, which the GA fitness function and the offline MIN
- *     simulator consume.
- *
- * The hierarchy is non-inclusive and writeback; dirty evictions cascade
- * down as Writeback accesses.
+ *  2. As a *filter*: filterToLlc()'s callback records the stream, which
+ *     the GA fitness function, the fast replay engines and the offline
+ *     MIN simulator consume.
  */
 
 #ifndef GIPPR_CACHE_HIERARCHY_HH_
 #define GIPPR_CACHE_HIERARCHY_HH_
-
-#include <functional>
-#include <memory>
 
 #include "cache/cache.hh"
 #include "trace/trace.hh"
@@ -32,76 +28,76 @@ namespace gippr
 /** Where a demand reference was satisfied. */
 enum class HitLevel : uint8_t { L1, L2, Llc, Memory };
 
-/** Factory that builds a replacement policy for a given geometry. */
-using PolicyFactory =
-    std::function<std::unique_ptr<ReplacementPolicy>(const CacheConfig &)>;
-
-/** Configuration for the full hierarchy. */
+/** Per-level geometries of the full hierarchy. */
 struct HierarchyConfig
 {
     CacheConfig l1 = CacheConfig::paperL1d();
     CacheConfig l2 = CacheConfig::paperL2();
     CacheConfig llc = CacheConfig::paperLlc();
-    /**
-     * Enforce LLC inclusion: evicting an LLC line back-invalidates it
-     * from the L1 and L2 above.  The paper notes inclusion is why
-     * PDP's bypass mode is unusable in inclusive designs; with this
-     * flag the hierarchy maintains the invariant (and the policy's
-     * shouldBypass must stay false — a bypassed fill would violate
-     * it, so bypass requests are ignored in inclusive mode by virtue
-     * of the LLC being filled before the upper levels here).
-     */
-    bool inclusiveLlc = false;
 };
 
-/** L1D -> L2 -> LLC with pluggable per-level replacement. */
+/** The private L1D -> L2 of one core (true LRU at both levels). */
 class Hierarchy
 {
   public:
+    /** Builds the L1 and L2 of @p config; config.llc is the caller's. */
+    explicit Hierarchy(const HierarchyConfig &config);
+
     /**
-     * @param config      per-level geometries
-     * @param l1_policy   factory for the L1 policy (typically LRU)
-     * @param l2_policy   factory for the L2 policy (typically LRU)
-     * @param llc_policy  factory for the LLC policy under study
+     * Service one CPU reference.  Every access that reaches the LLC
+     * goes to @p llc as `bool llc(byte_addr, AccessType, pc)`, which
+     * returns whether the LLC hit: first the L2's dirty victims as
+     * Writeback with pc 0, then the demand itself.
+     *
+     * @return the level that supplied the data
      */
-    Hierarchy(const HierarchyConfig &config, const PolicyFactory &l1_policy,
-              const PolicyFactory &l2_policy,
-              const PolicyFactory &llc_policy);
-
-    /** Service one demand reference; returns the supplying level. */
-    HitLevel access(uint64_t byte_addr, bool is_write, uint64_t pc = 0);
-
-    SetAssocCache &l1() { return *l1_; }
-    SetAssocCache &l2() { return *l2_; }
-    SetAssocCache &llc() { return *llc_; }
-    const SetAssocCache &l1() const { return *l1_; }
-    const SetAssocCache &l2() const { return *l2_; }
-    const SetAssocCache &llc() const { return *llc_; }
-
-    /** Clear statistics at every level (post-warmup). */
-    void clearStats();
+    template <typename Llc>
+    HitLevel access(const MemRecord &rec, Llc &&llc);
 
     /**
      * Run a CPU-level trace through L1+L2 only and return the access
      * stream that reaches the LLC.  Demand misses become Load/Store
      * records; L2 dirty evictions become write records (pc == 0).
-     * Instruction gaps are accumulated so MPKI denominators match the
-     * original trace.
+     * Each record carries the instruction gaps of the references it
+     * absorbed, so MPKI denominators match the original trace; a gap
+     * that overflows MemRecord::instGap is fatal.
      */
     static Trace filterToLlc(const Trace &cpu_trace,
-                             const HierarchyConfig &config,
-                             const PolicyFactory &l1_policy,
-                             const PolicyFactory &l2_policy);
+                             const HierarchyConfig &config);
 
   private:
-    /** Remove an LLC-evicted block from the upper levels. */
-    void backInvalidate(uint64_t block_addr);
-
-    bool inclusive_ = false;
-    std::unique_ptr<SetAssocCache> l1_;
-    std::unique_ptr<SetAssocCache> l2_;
-    std::unique_ptr<SetAssocCache> llc_;
+    SetAssocCache l1_;
+    SetAssocCache l2_;
 };
+
+template <typename Llc>
+HitLevel
+Hierarchy::access(const MemRecord &rec, Llc &&llc)
+{
+    const AccessType type =
+        rec.isWrite ? AccessType::Store : AccessType::Load;
+    const AccessResult r1 = l1_.access(rec.addr, type, rec.pc);
+    if (r1.hit)
+        return HitLevel::L1;
+
+    // The L1 victim writes back into the L2, which may evict in turn.
+    if (r1.evictedBlock && r1.evictedDirty) {
+        const AccessResult wb =
+            l2_.access(*r1.evictedBlock << l1_.config().blockShift(),
+                       AccessType::Writeback, 0);
+        if (wb.evictedBlock && wb.evictedDirty)
+            llc(*wb.evictedBlock << l2_.config().blockShift(),
+                AccessType::Writeback, uint64_t{0});
+    }
+
+    const AccessResult r2 = l2_.access(rec.addr, type, rec.pc);
+    if (r2.evictedBlock && r2.evictedDirty)
+        llc(*r2.evictedBlock << l2_.config().blockShift(),
+            AccessType::Writeback, uint64_t{0});
+    if (r2.hit)
+        return HitLevel::L2;
+    return llc(rec.addr, type, rec.pc) ? HitLevel::Llc : HitLevel::Memory;
+}
 
 } // namespace gippr
 

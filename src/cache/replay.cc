@@ -5,7 +5,12 @@
 
 #include "cache/replay.hh"
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "util/check.hh"
+#include "util/log.hh"
 
 namespace gippr
 {
@@ -30,13 +35,18 @@ demandOnlyTrace(const Trace &trace)
     Trace out;
     out.reserve(trace.size());
     uint64_t pending_gap = 0;
-    for (const auto &r : trace.records()) {
-        if (recordType(r) == AccessType::Writeback) {
-            pending_gap += r.instGap;
+    for (size_t i = 0; i < trace.size(); ++i) {
+        const MemRecord &r = trace[i];
+        pending_gap += r.instGap;
+        if (recordType(r) == AccessType::Writeback)
             continue;
-        }
+        if (pending_gap > std::numeric_limits<uint32_t>::max())
+            fatal("demandOnlyTrace: instruction gap " +
+                  std::to_string(pending_gap) + " at LLC record " +
+                  std::to_string(i) +
+                  " overflows the 32-bit MemRecord::instGap");
         MemRecord d = r;
-        d.instGap = static_cast<uint32_t>(d.instGap + pending_gap);
+        d.instGap = static_cast<uint32_t>(pending_gap);
         pending_gap = 0;
         out.append(d);
     }

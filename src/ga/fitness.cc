@@ -11,7 +11,6 @@
 #include "cache/cache.hh"
 #include "cache/replay.hh"
 #include "core/rrip_ipv.hh"
-#include "policies/lru.hh"
 #include "util/check.hh"
 #include "util/env.hh"
 #include "util/log.hh"
@@ -413,17 +412,14 @@ std::vector<FitnessTrace>
 buildFitnessTraces(const std::vector<Workload> &workloads,
                    const HierarchyConfig &hier)
 {
-    auto lru_factory = [](const CacheConfig &cfg) {
-        return std::make_unique<LruPolicy>(cfg);
-    };
     std::vector<FitnessTrace> out;
     for (const Workload &w : workloads) {
         for (size_t s = 0; s < w.simpoints().size(); ++s) {
             const Simpoint &sp = w.simpoints()[s];
             FitnessTrace ft;
             ft.name = w.name() + "/" + std::to_string(s);
-            ft.llcTrace = std::make_shared<Trace>(Hierarchy::filterToLlc(
-                *sp.trace, hier, lru_factory, lru_factory));
+            ft.llcTrace = std::make_shared<Trace>(
+                Hierarchy::filterToLlc(*sp.trace, hier));
             ft.instructions = sp.trace->instructions();
             out.push_back(std::move(ft));
         }

@@ -40,7 +40,6 @@ CpuModel::step(uint32_t inst_gap, HitLevel level)
     const double issue = static_cast<double>(inst_gap) /
                          static_cast<double>(params_.width);
     cycles_ += issue;
-    totalCycles_ += issue;
 
     // Window constraint: the access cannot issue while an outstanding
     // access older than robSize instructions is still pending.
@@ -53,7 +52,6 @@ CpuModel::step(uint32_t inst_gap, HitLevel level)
             inflight_.pop_front();
         } else if (outside_window || inflight_.size() >= params_.mshrs) {
             // Stall until the blocking access returns.
-            totalCycles_ += oldest.completeCycle - cycles_;
             cycles_ = oldest.completeCycle;
             inflight_.pop_front();
         } else {
@@ -73,7 +71,6 @@ CpuModel::drain()
         double last = cycles_;
         for (const Outstanding &o : inflight_)
             last = std::max(last, o.completeCycle);
-        totalCycles_ += last - cycles_;
         cycles_ = last;
         inflight_.clear();
     }

@@ -66,14 +66,6 @@ class CpuModel
     uint64_t instructions() const { return instructions_; }
     double cycles() const { return cycles_; }
 
-    /**
-     * Monotonic cycle count since construction — unaffected by
-     * clearStats().  Schedulers (e.g. the multicore next-event loop)
-     * must use this, not cycles(), or a post-warmup core appears to
-     * be "behind" and gets a huge unfair solo burst.
-     */
-    double totalCycles() const { return totalCycles_; }
-
     double
     ipc() const
     {
@@ -94,7 +86,6 @@ class CpuModel
 
     CpuParams params_;
     double cycles_ = 0.0;
-    double totalCycles_ = 0.0;       // never reset
     uint64_t instructions_ = 0;
     uint64_t totalInstructions_ = 0; // includes pre-clearStats work
     std::deque<Outstanding> inflight_;

@@ -5,40 +5,32 @@
 
 #include "sim/system.hh"
 
-#include <memory>
-
-#include "policies/lru.hh"
 #include "util/stats.hh"
 
 namespace gippr
 {
 
-PolicyFactory
-lruFactory()
-{
-    return [](const CacheConfig &cfg) {
-        return std::make_unique<LruPolicy>(cfg);
-    };
-}
-
 SimResult
 simulateTrace(const Trace &cpu_trace, const PolicyFactory &llc_policy,
               const SystemParams &params)
 {
-    Hierarchy hier(params.hier, lruFactory(), lruFactory(), llc_policy);
+    Hierarchy hier(params.hier);
+    SetAssocCache llc(params.hier.llc, llc_policy(params.hier.llc));
     CpuModel cpu(params.cpu);
+    auto to_llc = [&llc](uint64_t addr, AccessType type, uint64_t pc) {
+        return llc.access(addr, type, pc).hit;
+    };
 
     const size_t warmup = static_cast<size_t>(
         static_cast<double>(cpu_trace.size()) * params.warmupFraction);
 
     for (size_t i = 0; i < cpu_trace.size(); ++i) {
         if (i == warmup) {
-            hier.clearStats();
+            llc.clearStats();
             cpu.clearStats();
         }
         const MemRecord &r = cpu_trace[i];
-        HitLevel level = hier.access(r.addr, r.isWrite, r.pc);
-        cpu.step(r.instGap, level);
+        cpu.step(r.instGap, hier.access(r, to_llc));
     }
     cpu.drain();
 
@@ -46,7 +38,7 @@ simulateTrace(const Trace &cpu_trace, const PolicyFactory &llc_policy,
     result.ipc = cpu.ipc();
     result.instructions = cpu.instructions();
     result.cycles = cpu.cycles();
-    result.llcStats = hier.llc().stats();
+    result.llcStats = llc.stats();
     result.llcMisses = result.llcStats.demandMisses;
     result.llcMpki = result.llcStats.mpki(result.instructions);
     return result;

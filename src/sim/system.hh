@@ -1,6 +1,6 @@
 /**
  * @file
- * Whole-system simulation: CPU trace -> hierarchy -> CPU model.
+ * Whole-system simulation: CPU trace -> L1/L2 -> LLC -> CPU model.
  */
 
 #ifndef GIPPR_SIM_SYSTEM_HH_
@@ -53,9 +53,6 @@ SimResult simulateTrace(const Trace &cpu_trace,
 SimResult simulateWorkload(const Workload &workload,
                            const PolicyFactory &llc_policy,
                            const SystemParams &params);
-
-/** A PolicyFactory building true LRU (for L1/L2 and baselines). */
-PolicyFactory lruFactory();
 
 } // namespace gippr
 

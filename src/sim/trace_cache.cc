@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "cache/replay.hh"
-#include "sim/system.hh"
 
 namespace gippr
 {
@@ -49,7 +48,6 @@ LlcTraceCache::keyOf(const WorkloadSpec &spec, const HierarchyConfig &hier)
     appendGeometry(key, hier.l1);
     appendGeometry(key, hier.l2);
     appendGeometry(key, hier.llc);
-    key += hier.inclusiveLlc ? "|incl" : "|nincl";
     return key;
 }
 
@@ -80,8 +78,7 @@ LlcTraceCache::get(const WorkloadSpec &spec, const HierarchyConfig &hier,
     for (const Simpoint &sp : workload.simpoints()) {
         telemetry::ScopedTimer filter_timer(timings, "llc_filter");
         auto demand = std::make_shared<const Trace>(demandOnlyTrace(
-            Hierarchy::filterToLlc(*sp.trace, hier, lruFactory(),
-                                   lruFactory())));
+            Hierarchy::filterToLlc(*sp.trace, hier)));
         filter_timer.stop();
         entries->push_back(
             {std::move(demand), sp.trace->instructions(), sp.weight});

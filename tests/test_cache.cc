@@ -292,5 +292,22 @@ TEST(CacheReplay, WarmupExcludedFromStats)
     EXPECT_EQ(cache.stats().demandAccesses, 4u);
 }
 
+TEST(CacheReplay, InstructionGapOverflowIsFatal)
+{
+    // A writeback's gap folds into the next demand record, whose
+    // 32-bit instGap cannot carry 2^32 - 1 + 1 instructions.
+    Trace t;
+    MemRecord writeback;
+    writeback.isWrite = true;
+    writeback.instGap = 0xFFFFFFFFu;
+    t.append(writeback);
+    MemRecord demand;
+    demand.addr = 0x40;
+    demand.pc = 0x400;
+    t.append(demand);
+    EXPECT_DEATH(([&]() noexcept { demandOnlyTrace(t); })(),
+                 "instruction gap 4294967296 at LLC record 1 overflows");
+}
+
 } // namespace
 } // namespace gippr

@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the future-work extensions: cache bypass (BypassGippr),
- * the RRIP generalization of IPVs, and the multicore shared-LLC
- * simulator.
+ * Tests for the future-work extensions: cache bypass (BypassGippr)
+ * and the RRIP generalization of IPVs.  The multicore shared-LLC
+ * extension (multicore::runSharedLlc) is tested in
+ * test_multicore_sim.cc.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +13,6 @@
 #include "cache/cache.hh"
 #include "core/bypass_gippr.hh"
 #include "core/rrip_ipv.hh"
-#include "sim/multicore/system_sim.hh"
 #include "sim/policy_zoo.hh"
 #include "util/rng.hh"
 #include "workloads/generators.hh"
@@ -208,107 +208,6 @@ TEST(RripIpv, StateBitsMatchRrpvWidth)
     CacheConfig c = CacheConfig::paperLlc();
     RripIpvPolicy p(c, RripIpvPolicy::srripVector(), 2);
     EXPECT_EQ(p.stateBitsPerSet(), 32u);
-}
-
-// ------------------------------------------------------------ multicore
-
-Trace
-loopTrace(uint64_t blocks, uint64_t base, size_t accesses,
-          uint32_t gap = 6)
-{
-    Trace t;
-    for (size_t i = 0; i < accesses; ++i) {
-        MemRecord r;
-        r.addr = (base + i % blocks) * 64;
-        r.pc = 0x400000 + base;
-        r.instGap = gap;
-        t.append(r);
-    }
-    return t;
-}
-
-MulticoreParams
-tinyMc()
-{
-    MulticoreParams p;
-    p.hier.l1 = {"L1", 4 * 1024, 8, 64};
-    p.hier.l2 = {"L2", 8 * 1024, 8, 64};
-    p.hier.llc = {"LLC", 64 * 1024, 16, 64}; // 1024 blocks shared
-    return p;
-}
-
-TEST(Multicore, TwoFittingCoresBothRunFast)
-{
-    MulticoreParams params = tinyMc();
-    Trace a = loopTrace(300, 0, 30000);
-    Trace b = loopTrace(300, 1 << 20, 30000);
-    MulticoreResult r = simulateMulticore(
-        {&a, &b}, policyByName("LRU").make, params);
-    ASSERT_EQ(r.cores.size(), 2u);
-    // Both working sets fit the shared LLC together: near-peak IPC.
-    EXPECT_GT(r.cores[0].ipc, 1.0);
-    EXPECT_GT(r.cores[1].ipc, 1.0);
-}
-
-TEST(Multicore, SharedLlcContentionHurts)
-{
-    MulticoreParams params = tinyMc();
-    // Each core alone fits (700 < 1024); together they thrash LRU.
-    Trace a = loopTrace(700, 0, 40000);
-    Trace b = loopTrace(700, 1 << 20, 40000);
-    MulticoreResult together = simulateMulticore(
-        {&a, &b}, policyByName("LRU").make, params);
-    MulticoreResult alone =
-        simulateMulticore({&a}, policyByName("LRU").make, params);
-    EXPECT_LT(together.cores[0].ipc, alone.cores[0].ipc * 0.9);
-}
-
-TEST(Multicore, AdaptivePolicyBeatsLruUnderContention)
-{
-    MulticoreParams params = tinyMc();
-    Trace a = loopTrace(700, 0, 40000);
-    Trace b = loopTrace(700, 1 << 20, 40000);
-    MulticoreResult lru = simulateMulticore(
-        {&a, &b}, policyByName("LRU").make, params);
-    MulticoreResult dg = simulateMulticore(
-        {&a, &b}, policyByName("DGIPPR2").make, params);
-    std::vector<double> base = {lru.cores[0].ipc, lru.cores[1].ipc};
-    EXPECT_GT(dg.weightedSpeedup(base), 1.05);
-}
-
-TEST(Multicore, ShorterTraceFinishesEarly)
-{
-    MulticoreParams params = tinyMc();
-    Trace a = loopTrace(100, 0, 40000);
-    Trace b = loopTrace(100, 1 << 20, 4000);
-    MulticoreResult r = simulateMulticore(
-        {&a, &b}, policyByName("LRU").make, params);
-    EXPECT_GT(r.cores[0].instructions, r.cores[1].instructions);
-    EXPECT_GT(r.cores[1].ipc, 0.0);
-}
-
-TEST(Multicore, DeterministicAcrossRuns)
-{
-    MulticoreParams params = tinyMc();
-    Trace a = loopTrace(500, 0, 20000);
-    Trace b = loopTrace(900, 1 << 20, 20000);
-    MulticoreResult r1 = simulateMulticore(
-        {&a, &b}, policyByName("DRRIP").make, params);
-    MulticoreResult r2 = simulateMulticore(
-        {&a, &b}, policyByName("DRRIP").make, params);
-    EXPECT_DOUBLE_EQ(r1.cores[0].ipc, r2.cores[0].ipc);
-    EXPECT_DOUBLE_EQ(r1.cores[1].ipc, r2.cores[1].ipc);
-    EXPECT_EQ(r1.llcStats.demandMisses, r2.llcStats.demandMisses);
-}
-
-TEST(Multicore, ThroughputIsSumOfIpcs)
-{
-    MulticoreParams params = tinyMc();
-    Trace a = loopTrace(200, 0, 10000);
-    Trace b = loopTrace(200, 1 << 20, 10000);
-    MulticoreResult r = simulateMulticore(
-        {&a, &b}, policyByName("LRU").make, params);
-    EXPECT_DOUBLE_EQ(r.throughput(), r.cores[0].ipc + r.cores[1].ipc);
 }
 
 } // namespace

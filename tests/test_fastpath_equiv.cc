@@ -36,7 +36,6 @@
 #include "core/vectors.hh"
 #include "sim/fastpath/engine.hh"
 #include "sim/fastpath/soa_cache.hh"
-#include "sim/system.hh"
 #include "trace/trace.hh"
 #include "util/rng.hh"
 #include "verify/fastpath_oracle.hh"
@@ -253,8 +252,7 @@ TEST(FastpathEquiv, LockStepOnWorkloadStreams)
         for (const fastpath::ReplaySpec &spec : coreSpecs()) {
             verify::FastpathOracle oracle(spec, hier.llc);
             for (const Simpoint &sp : w.simpoints()) {
-                const Trace llc = Hierarchy::filterToLlc(
-                    *sp.trace, hier, lruFactory(), lruFactory());
+                const Trace llc = Hierarchy::filterToLlc(*sp.trace, hier);
                 verify::FastpathResult result =
                     oracle.run(llc, name, 499);
                 EXPECT_TRUE(result.ok())
@@ -288,8 +286,7 @@ TEST(FastpathEquiv, EnginesAgreeOnSuiteWorkloads)
     for (const std::string &name : names) {
         const Workload w = SyntheticSuite::materialize(suite.spec(name));
         for (const Simpoint &sp : w.simpoints()) {
-            const Trace llc = Hierarchy::filterToLlc(
-                *sp.trace, hier, lruFactory(), lruFactory());
+            const Trace llc = Hierarchy::filterToLlc(*sp.trace, hier);
             const size_t warmup = llc.size() / 3;
             for (const fastpath::ReplaySpec &spec : coreSpecs()) {
                 const fastpath::ReplayStats want =

@@ -92,12 +92,10 @@ TEST(Integration, MinDominatesEveryPolicyOnLlcTraces)
 {
     SyntheticSuite suite(tinySuite());
     SystemParams sys = tinySystem();
-    auto lru_f = lruFactory();
     for (const char *name : {"loop_thrash", "zipf_hot", "sd_bimodal"}) {
         Workload w = SyntheticSuite::materialize(suite.spec(name));
         const Trace &cpu = *w.simpoints()[0].trace;
-        Trace llc = demandOnlyTrace(
-            Hierarchy::filterToLlc(cpu, sys.hier, lru_f, lru_f));
+        Trace llc = demandOnlyTrace(Hierarchy::filterToLlc(cpu, sys.hier));
         uint64_t min_misses = runMinMisses(sys.hier.llc, llc);
         for (const char *p :
              {"LRU", "PLRU", "DRRIP", "PDP", "DGIPPR4"}) {

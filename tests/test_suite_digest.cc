@@ -18,7 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/hierarchy.hh"
 #include "sim/experiment.hh"
+#include "sim/policy_zoo.hh"
+#include "sim/system.hh"
 
 namespace gippr
 {
@@ -102,6 +105,16 @@ tinyHier()
     return hier;
 }
 
+uint64_t
+foldStats(uint64_t h, const CacheStats &s)
+{
+    for (uint64_t v : {s.accesses, s.hits, s.misses, s.evictions,
+                       s.writebacks, s.bypasses, s.demandAccesses,
+                       s.demandMisses})
+        h = foldU64(h, v);
+    return h;
+}
+
 } // namespace
 
 TEST(SuiteDigest, MaterializationIsDeterministic)
@@ -123,6 +136,62 @@ TEST(SuiteDigest, GoldenDigestPinned)
     // silently changed.
     constexpr uint64_t kGolden = 0x9358339984f6f65full;
     EXPECT_EQ(suiteDigest(pinnedParams()), kGolden);
+}
+
+TEST(SuiteDigest, FilteredLlcStreamPinned)
+{
+    // Golden digest of every record the L1/L2 filter emits (demands
+    // and pc-0 writebacks, in stream order) over the pinned suite.
+    // Any change to the L1/L2 cascade or its writeback order moves it.
+    const SyntheticSuite suite(pinnedParams());
+    uint64_t h = kFnvOffset;
+    for (const WorkloadSpec &spec : suite.specs()) {
+        const Workload w = SyntheticSuite::materialize(spec);
+        for (const Simpoint &sp : w.simpoints()) {
+            const Trace llc = Hierarchy::filterToLlc(*sp.trace, tinyHier());
+            h = foldU64(h, llc.size());
+            for (const MemRecord &rec : llc.records()) {
+                h = foldU64(h, rec.instGap);
+                h = foldU64(h, rec.addr);
+                h = foldU64(h, rec.pc);
+                h = foldU64(h, rec.isWrite ? 1 : 0);
+            }
+        }
+    }
+    constexpr uint64_t kGolden = 0xa72fb40d0c9433d7ull;
+    EXPECT_EQ(h, kGolden) << std::hex << h;
+}
+
+TEST(SuiteDigest, FullSystemResultsPinned)
+{
+    // Golden digest of the whole-system results (Fig. 13's inputs):
+    // simulateWorkload's combined IPC, cycles, instructions and LLC
+    // misses, plus every LLC statistic of each simpoint's
+    // simulateTrace (simulateWorkload does not combine llcStats).
+    const SyntheticSuite suite(pinnedParams());
+    SystemParams params;
+    params.hier = tinyHier();
+    uint64_t h = kFnvOffset;
+    for (const char *name : {"loop_thrash", "zipf_hot", "hotcold_scan"}) {
+        const Workload w = SyntheticSuite::materialize(suite.spec(name));
+        for (const char *policy : {"LRU", "DRRIP", "PDP", "DGIPPR4"}) {
+            const PolicyFactory make = policyByName(policy).make;
+            const SimResult r = simulateWorkload(w, make, params);
+            h = foldDouble(h, r.ipc);
+            h = foldDouble(h, r.cycles);
+            h = foldU64(h, r.instructions);
+            h = foldU64(h, r.llcMisses);
+            h = foldDouble(h, r.llcMpki);
+            for (const Simpoint &sp : w.simpoints()) {
+                const SimResult s = simulateTrace(*sp.trace, make, params);
+                h = foldDouble(h, s.ipc);
+                h = foldDouble(h, s.cycles);
+                h = foldStats(h, s.llcStats);
+            }
+        }
+    }
+    constexpr uint64_t kGolden = 0x63d26cd4638721ddull;
+    EXPECT_EQ(h, kGolden) << std::hex << h;
 }
 
 TEST(SuiteDigest, TraceCacheMemoizesEntries)
