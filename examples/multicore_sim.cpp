@@ -46,8 +46,8 @@
 #include <vector>
 
 #include "cache/config.hh"
-#include "cache/hierarchy.hh"
 #include "core/vectors.hh"
+#include "sim/fastpath/hierarchy.hh"
 #include "sim/multicore/engine.hh"
 #include "sim/select/engine.hh"
 #include "sim/select/report.hh"

@@ -41,7 +41,7 @@
 #include <vector>
 
 #include "cache/config.hh"
-#include "cache/hierarchy.hh"
+#include "sim/fastpath/hierarchy.hh"
 #include "sim/multicore/mix.hh"
 #include "sim/select/engine.hh"
 #include "sim/select/report.hh"

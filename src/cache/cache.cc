@@ -16,6 +16,7 @@ SetAssocCache::SetAssocCache(const CacheConfig &config,
     : config_(config), policy_(std::move(policy))
 {
     config_.validate();
+    decode_ = AddressDecode(config_);
     if (!policy_)
         fatal(config_.name + ": null replacement policy");
     lines_.resize(config_.sets() * config_.assoc);
@@ -24,7 +25,7 @@ SetAssocCache::SetAssocCache(const CacheConfig &config,
 SetAssocCache::Line &
 SetAssocCache::line(uint64_t set, unsigned way)
 {
-    GIPPR_CHECK(set < config_.sets());
+    GIPPR_CHECK(set <= decode_.setMask);
     GIPPR_CHECK(way < config_.assoc);
     return lines_[set * config_.assoc + way];
 }
@@ -32,7 +33,7 @@ SetAssocCache::line(uint64_t set, unsigned way)
 const SetAssocCache::Line &
 SetAssocCache::line(uint64_t set, unsigned way) const
 {
-    GIPPR_CHECK(set < config_.sets());
+    GIPPR_CHECK(set <= decode_.setMask);
     GIPPR_CHECK(way < config_.assoc);
     return lines_[set * config_.assoc + way];
 }
@@ -61,13 +62,13 @@ SetAssocCache::findInvalidWay(uint64_t set) const
 AccessResult
 SetAssocCache::access(uint64_t byte_addr, AccessType type, uint64_t pc)
 {
-    const uint64_t set = config_.setIndex(byte_addr);
-    const uint64_t tag = config_.tag(byte_addr);
+    const uint64_t set = decode_.setIndex(byte_addr);
+    const uint64_t tag = decode_.tag(byte_addr);
     const bool demand = type != AccessType::Writeback;
 
     AccessInfo info;
     info.set = set;
-    info.blockAddr = config_.blockAddr(byte_addr);
+    info.blockAddr = decode_.blockAddr(byte_addr);
     info.pc = pc;
     info.type = type;
     info.sequence = sequence_++;
@@ -119,7 +120,7 @@ SetAssocCache::access(uint64_t byte_addr, AccessType type, uint64_t pc)
         ++stats_.evictions;
         if (live_.evictions)
             live_.evictions->increment();
-        result.evictedBlock = (victim_line.tag << config_.setShift()) | set;
+        result.evictedBlock = decode_.blockOf(set, victim_line.tag);
         result.evictedDirty = victim_line.dirty;
         if (victim_line.dirty) {
             ++stats_.writebacks;
@@ -140,15 +141,15 @@ SetAssocCache::access(uint64_t byte_addr, AccessType type, uint64_t pc)
 bool
 SetAssocCache::probe(uint64_t byte_addr) const
 {
-    return findWay(config_.setIndex(byte_addr), config_.tag(byte_addr)) !=
+    return findWay(decode_.setIndex(byte_addr), decode_.tag(byte_addr)) !=
            config_.assoc;
 }
 
 void
 SetAssocCache::invalidate(uint64_t byte_addr)
 {
-    const uint64_t set = config_.setIndex(byte_addr);
-    unsigned way = findWay(set, config_.tag(byte_addr));
+    const uint64_t set = decode_.setIndex(byte_addr);
+    unsigned way = findWay(set, decode_.tag(byte_addr));
     if (way == config_.assoc)
         return;
     line(set, way).valid = false;
@@ -205,7 +206,7 @@ SetAssocCache::blockAt(uint64_t set, unsigned way) const
     const Line &l = line(set, way);
     if (!l.valid)
         return std::nullopt;
-    return (l.tag << config_.setShift()) | set;
+    return decode_.blockOf(set, l.tag);
 }
 
 } // namespace gippr

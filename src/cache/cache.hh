@@ -47,6 +47,23 @@ struct CacheStats
     uint64_t demandAccesses = 0;
     uint64_t demandMisses = 0;
 
+    /** Field-wise sum (statistics of several runs combined). */
+    CacheStats &
+    operator+=(const CacheStats &o)
+    {
+        accesses += o.accesses;
+        hits += o.hits;
+        misses += o.misses;
+        evictions += o.evictions;
+        writebacks += o.writebacks;
+        bypasses += o.bypasses;
+        demandAccesses += o.demandAccesses;
+        demandMisses += o.demandMisses;
+        return *this;
+    }
+
+    bool operator==(const CacheStats &o) const = default;
+
     double
     missRate() const
     {
@@ -156,6 +173,8 @@ class SetAssocCache
     };
 
     CacheConfig config_;
+    /** config_'s address split, derived once (the access path's). */
+    AddressDecode decode_;
     std::unique_ptr<ReplacementPolicy> policy_;
     std::vector<Line> lines_; // sets * assoc, row-major by set
     CacheStats stats_;

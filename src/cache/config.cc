@@ -29,24 +29,6 @@ CacheConfig::setShift() const
     return floorLog2(sets());
 }
 
-uint64_t
-CacheConfig::blockAddr(uint64_t byte_addr) const
-{
-    return byte_addr >> blockShift();
-}
-
-uint64_t
-CacheConfig::setIndex(uint64_t byte_addr) const
-{
-    return blockAddr(byte_addr) & (sets() - 1);
-}
-
-uint64_t
-CacheConfig::tag(uint64_t byte_addr) const
-{
-    return blockAddr(byte_addr) >> setShift();
-}
-
 void
 CacheConfig::validate() const
 {
@@ -60,6 +42,12 @@ CacheConfig::validate() const
     }
     if (!isPow2(sets()))
         fatal(name + ": number of sets must be a power of two");
+}
+
+AddressDecode::AddressDecode(const CacheConfig &config)
+    : blockShift(config.blockShift()), setShift(config.setShift()),
+      setMask(config.sets() - 1)
+{
 }
 
 CacheConfig

@@ -37,15 +37,6 @@ struct CacheConfig
     /** log2(sets()). */
     unsigned setShift() const;
 
-    /** Block address (byte address with offset stripped). */
-    uint64_t blockAddr(uint64_t byte_addr) const;
-
-    /** Set index of a byte address. */
-    uint64_t setIndex(uint64_t byte_addr) const;
-
-    /** Tag of a byte address (block address with set bits stripped). */
-    uint64_t tag(uint64_t byte_addr) const;
-
     /** Throws std::runtime_error (via fatal) on inconsistent geometry. */
     void validate() const;
 
@@ -61,6 +52,48 @@ struct CacheConfig
      * with it.
      */
     static CacheConfig benchLlc();
+};
+
+/**
+ * The address-to-line mapping of one validated geometry, with its
+ * shifts and set mask computed once: the only place a byte address is
+ * split into block, set and tag.
+ */
+struct AddressDecode
+{
+    unsigned blockShift = 0;
+    unsigned setShift = 0;
+    uint64_t setMask = 0;
+
+    AddressDecode() = default;
+    explicit AddressDecode(const CacheConfig &config);
+
+    /** Byte address with the block offset stripped. */
+    uint64_t
+    blockAddr(uint64_t byte_addr) const
+    {
+        return byte_addr >> blockShift;
+    }
+
+    uint64_t
+    setIndex(uint64_t byte_addr) const
+    {
+        return blockAddr(byte_addr) & setMask;
+    }
+
+    /** Block address with the set bits stripped. */
+    uint64_t
+    tag(uint64_t byte_addr) const
+    {
+        return blockAddr(byte_addr) >> setShift;
+    }
+
+    /** Block address of the line holding @p tag in @p set. */
+    uint64_t
+    blockOf(uint64_t set, uint64_t tag) const
+    {
+        return (tag << setShift) | set;
+    }
 };
 
 } // namespace gippr

@@ -24,9 +24,9 @@
 #include <vector>
 
 #include "cache/config.hh"
-#include "cache/hierarchy.hh"
 #include "core/ipv.hh"
 #include "sim/fastpath/engine.hh"
+#include "sim/fastpath/hierarchy.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/timer.hh"
 #include "trace/simpoint.hh"

@@ -23,7 +23,7 @@
 #include <cstdint>
 #include <deque>
 
-#include "cache/hierarchy.hh"
+#include "sim/fastpath/hierarchy.hh"
 
 namespace gippr
 {

@@ -393,6 +393,7 @@ ScalarReplayEngine::replay(const ReplaySpec &spec,
     if (dg)
         leader_misses.assign(dg->ipvs().size(), 0);
 
+    const AddressDecode decode(config);
     CacheStats at_warmup;
     for (size_t i = 0; i < trace.size(); ++i) {
         if (i == warmup)
@@ -402,7 +403,7 @@ ScalarReplayEngine::replay(const ReplaySpec &spec,
         const AccessResult res = cache.access(r.addr, type, r.pc);
         if (dg && !res.hit && type != AccessType::Writeback) {
             const int owner =
-                dg->leaderSets().owner(config.setIndex(r.addr));
+                dg->leaderSets().owner(decode.setIndex(r.addr));
             if (owner != LeaderSets::kFollower)
                 ++leader_misses[static_cast<unsigned>(owner)];
         }

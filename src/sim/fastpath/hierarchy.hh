@@ -1,0 +1,142 @@
+/**
+ * @file
+ * One core's private L1D and L2, and the cascade that feeds its LLC.
+ *
+ * The paper filters every CPU reference through a non-inclusive,
+ * writeback, true-LRU L1D and L2; only the surviving stream reaches
+ * the LLC policy under study.  Hierarchy::access is that cascade, and
+ * it is written once here.  Both levels are packed models running
+ * lruSpec() (the transition the fastpath tests hold in lock-step with
+ * the scalar LRU policy), each decoding addresses through its own
+ * AddressDecode.  tests/test_hierarchy.cc checks the whole cascade
+ * against the scalar two-level one it replaced.  The caller supplies
+ * the LLC as a callback, which gives the hierarchy its two roles:
+ *
+ *  1. In the performance simulator (simulateTrace) the callback is the
+ *     scalar LLC under study, and the returned HitLevel drives the CPU
+ *     model's per-level latencies.
+ *  2. As a *filter*: filterToLlc()'s callback records the stream, which
+ *     the GA fitness function, the fast replay engines and the offline
+ *     MIN simulator consume.
+ */
+
+#ifndef GIPPR_SIM_FASTPATH_HIERARCHY_HH_
+#define GIPPR_SIM_FASTPATH_HIERARCHY_HH_
+
+#include "cache/config.hh"
+#include "cache/replacement.hh"
+#include "sim/fastpath/soa_cache.hh"
+#include "trace/trace.hh"
+
+namespace gippr
+{
+
+/** Where a demand reference was satisfied. */
+enum class HitLevel : uint8_t { L1, L2, Llc, Memory };
+
+/** Per-level geometries of the full hierarchy. */
+struct HierarchyConfig
+{
+    CacheConfig l1 = CacheConfig::paperL1d();
+    CacheConfig l2 = CacheConfig::paperL2();
+    CacheConfig llc = CacheConfig::paperLlc();
+};
+
+/** The private L1D -> L2 of one core (true LRU at both levels). */
+class Hierarchy
+{
+  public:
+    /**
+     * Builds the L1 and L2 of @p config; config.llc is the caller's.
+     * A level whose geometry is invalid or outside the packed LRU's
+     * 2..64 ways is fatal.
+     */
+    explicit Hierarchy(const HierarchyConfig &config);
+
+    /**
+     * Service one CPU reference.  Every access that reaches the LLC
+     * goes to @p llc as `bool llc(byte_addr, AccessType, pc)`, which
+     * returns whether the LLC hit: first the L2's dirty victims as
+     * Writeback with pc 0, then the demand itself.
+     *
+     * @return the level that supplied the data
+     */
+    template <typename Llc>
+    HitLevel access(const MemRecord &rec, Llc &&llc);
+
+    /**
+     * Run a CPU-level trace through L1+L2 only and return the access
+     * stream that reaches the LLC.  Demand misses become Load/Store
+     * records; L2 dirty evictions become write records (pc == 0).
+     * Each record carries the instruction gaps of the references it
+     * absorbed, so MPKI denominators match the original trace; a gap
+     * that overflows MemRecord::instGap is fatal.
+     */
+    static Trace filterToLlc(const Trace &cpu_trace,
+                             const HierarchyConfig &config);
+
+  private:
+    using Step = fastpath::SoaCacheModel::Step;
+
+    /** One private level: its packed LRU state and address split. */
+    struct Level
+    {
+        /** @p level names the level ("L1"/"L2") in a fatal message. */
+        Level(const CacheConfig &config, const char *level);
+
+        Step
+        access(uint64_t byte_addr, AccessType type)
+        {
+            return model.access(decode.setIndex(byte_addr),
+                                decode.tag(byte_addr), type);
+        }
+
+        /** Byte address of the line that @p step, an access to
+         *  @p byte_addr, evicted. */
+        uint64_t
+        evictedAddr(uint64_t byte_addr, const Step &step) const
+        {
+            return decode.blockOf(decode.setIndex(byte_addr),
+                                  step.evictedTag)
+                   << decode.blockShift;
+        }
+
+        AddressDecode decode;
+        fastpath::SoaCacheModel model;
+    };
+
+    Level l1_;
+    Level l2_;
+};
+
+template <typename Llc>
+HitLevel
+Hierarchy::access(const MemRecord &rec, Llc &&llc)
+{
+    const AccessType type =
+        rec.isWrite ? AccessType::Store : AccessType::Load;
+    const Step r1 = l1_.access(rec.addr, type);
+    if (r1.hit)
+        return HitLevel::L1;
+
+    // The L1 victim writes back into the L2, which may evict in turn.
+    if (r1.evictedDirty) {
+        const uint64_t victim = l1_.evictedAddr(rec.addr, r1);
+        const Step wb = l2_.access(victim, AccessType::Writeback);
+        if (wb.evictedDirty)
+            llc(l2_.evictedAddr(victim, wb), AccessType::Writeback,
+                uint64_t{0});
+    }
+
+    const Step r2 = l2_.access(rec.addr, type);
+    if (r2.evictedDirty)
+        llc(l2_.evictedAddr(rec.addr, r2), AccessType::Writeback,
+            uint64_t{0});
+    if (r2.hit)
+        return HitLevel::L2;
+    return llc(rec.addr, type, rec.pc) ? HitLevel::Llc : HitLevel::Memory;
+}
+
+} // namespace gippr
+
+#endif // GIPPR_SIM_FASTPATH_HIERARCHY_HH_

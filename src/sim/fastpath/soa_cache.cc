@@ -111,8 +111,7 @@ SoaCacheModel::supports(const ReplaySpec &spec, const CacheConfig &config)
 
 SoaCacheModel::SoaCacheModel(const ReplaySpec &spec,
                              const CacheConfig &config, unsigned domains)
-    : sets_(config.sets()), assoc_(config.assoc),
-      blockShift_(config.blockShift()), setShift_(config.setShift()),
+    : sets_(config.sets()), assoc_(config.assoc), decode_(config),
       wayMask_(lowMask(config.assoc))
 {
     GIPPR_CHECK(supports(spec, config));
@@ -220,18 +219,6 @@ SoaCacheModel::SoaCacheModel(const ReplaySpec &spec,
                               std::vector<uint64_t>(nvec, 0)});
         }
     }
-}
-
-uint64_t
-SoaCacheModel::setIndex(uint64_t byte_addr) const
-{
-    return (byte_addr >> blockShift_) & (sets_ - 1);
-}
-
-uint64_t
-SoaCacheModel::tagOf(uint64_t byte_addr) const
-{
-    return byte_addr >> (blockShift_ + setShift_);
 }
 
 ReplayStats

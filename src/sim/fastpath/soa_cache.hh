@@ -53,6 +53,7 @@
 #include <immintrin.h>
 #endif
 
+#include "cache/config.hh"
 #include "cache/replacement.hh"
 #include "policies/set_dueling.hh"
 #include "sim/fastpath/replay_spec.hh"
@@ -344,8 +345,14 @@ class SoaCacheModel
     unsigned assoc() const { return assoc_; }
 
     /** Set index / tag of a byte address (replay plumbing). */
-    uint64_t setIndex(uint64_t byte_addr) const;
-    uint64_t tagOf(uint64_t byte_addr) const;
+    uint64_t setIndex(uint64_t byte_addr) const
+    {
+        return decode_.setIndex(byte_addr);
+    }
+    uint64_t tagOf(uint64_t byte_addr) const
+    {
+        return decode_.tag(byte_addr);
+    }
 
     /** Recency positions of every way in @p set (equivalence probe). */
     std::vector<unsigned> positionsOf(uint64_t set) const;
@@ -398,8 +405,7 @@ class SoaCacheModel
     // Geometry.
     uint64_t sets_;
     unsigned assoc_;
-    unsigned blockShift_;
-    unsigned setShift_;
+    AddressDecode decode_;
     uint64_t wayMask_;
 
     // Policy.

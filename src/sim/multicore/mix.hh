@@ -28,7 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/hierarchy.hh"
+#include "sim/fastpath/hierarchy.hh"
 #include "sim/trace_cache.hh"
 #include "workloads/suite.hh"
 

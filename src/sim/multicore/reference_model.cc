@@ -13,7 +13,7 @@ namespace gippr::multicore
 ScalarSharedLlc::ScalarSharedLlc(const fastpath::ReplaySpec &spec,
                                  const CacheConfig &config,
                                  unsigned domains)
-    : config_(config), sets_(config.sets()), assoc_(config.assoc),
+    : decode_(config), sets_(config.sets()), assoc_(config.assoc),
       fullMask_(config.assoc == 64 ? ~uint64_t{0}
                                    : (uint64_t{1} << config.assoc) - 1)
 {
@@ -70,13 +70,13 @@ ScalarSharedLlc::ScalarSharedLlc(const fastpath::ReplaySpec &spec,
 uint64_t
 ScalarSharedLlc::setIndex(uint64_t byte_addr) const
 {
-    return config_.setIndex(byte_addr);
+    return decode_.setIndex(byte_addr);
 }
 
 uint64_t
 ScalarSharedLlc::tagOf(uint64_t byte_addr) const
 {
-    return config_.tag(byte_addr);
+    return decode_.tag(byte_addr);
 }
 
 unsigned

@@ -75,7 +75,7 @@ class ScalarSharedLlc
     int findWay(uint64_t set, uint64_t tag) const;
     unsigned victimWay(uint64_t set, uint64_t mask) const;
 
-    CacheConfig config_;
+    AddressDecode decode_;
     uint64_t sets_;
     unsigned assoc_;
 

@@ -14,8 +14,8 @@
 #include <string>
 #include <vector>
 
-#include "cache/hierarchy.hh"
 #include "core/ipv.hh"
+#include "sim/fastpath/hierarchy.hh"
 #include "sim/fastpath/replay_spec.hh"
 
 namespace gippr

@@ -38,7 +38,7 @@ struct Rec
 
 void
 appendRecs(std::vector<Rec> &out, const MemRecord &r, uint32_t core,
-           const CacheConfig &llc)
+           const AddressDecode &llc)
 {
     Rec rec;
     rec.addr = r.addr;
@@ -384,10 +384,11 @@ runSelect(const std::vector<PolicyDef> &library, const SelectConfig &cfg,
           Backend backend)
 {
     GIPPR_CHECK(warmup <= trace.size());
+    const AddressDecode decode(llc);
     std::vector<Rec> recs;
     recs.reserve(trace.size());
     for (const MemRecord &r : trace.records())
-        appendRecs(recs, r, 0, llc);
+        appendRecs(recs, r, 0, decode);
     const std::vector<uint64_t> warmups = {warmup};
     return runStream(library, cfg, llc, recs, 1, warmups, backend);
 }
@@ -415,6 +416,7 @@ runSelectShared(const std::vector<multicore::CoreStream> &streams,
         merged_size += lengths[c];
     }
 
+    const AddressDecode decode(llc);
     std::vector<Rec> recs;
     recs.reserve(merged_size);
     std::vector<size_t> cursor(cores, 0);
@@ -423,7 +425,7 @@ runSelectShared(const std::vector<multicore::CoreStream> &streams,
     while ((c = il.next()) >= 0) {
         const auto core = static_cast<unsigned>(c);
         const MemRecord &r = (*streams[core].trace)[cursor[core]++];
-        appendRecs(recs, r, core, llc);
+        appendRecs(recs, r, core, decode);
     }
     return runStream(library, cfg, llc, recs, cores, warmups, backend);
 }

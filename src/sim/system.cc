@@ -58,6 +58,7 @@ simulateWorkload(const Workload &workload,
         combined.instructions += r.instructions;
         combined.cycles += r.cycles;
         combined.llcMisses += r.llcMisses;
+        combined.llcStats += r.llcStats;
     }
     combined.ipc = workload.combine(ipcs);
     combined.llcMpki = workload.combine(mpkis);

@@ -6,8 +6,8 @@
 #ifndef GIPPR_SIM_SYSTEM_HH_
 #define GIPPR_SIM_SYSTEM_HH_
 
-#include "cache/hierarchy.hh"
 #include "sim/cpu_model.hh"
+#include "sim/fastpath/hierarchy.hh"
 #include "trace/simpoint.hh"
 #include "trace/trace.hh"
 
@@ -48,7 +48,8 @@ SimResult simulateTrace(const Trace &cpu_trace,
 /**
  * Simulate every simpoint of @p workload and combine per-simpoint IPC
  * and MPKI with the SimPoint weights (the paper's per-benchmark
- * reporting rule).
+ * reporting rule).  Instructions, cycles, LLC misses and llcStats are
+ * the simpoints' unweighted sums.
  */
 SimResult simulateWorkload(const Workload &workload,
                            const PolicyFactory &llc_policy,

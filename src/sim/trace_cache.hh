@@ -28,7 +28,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cache/hierarchy.hh"
+#include "sim/fastpath/hierarchy.hh"
 #include "telemetry/timer.hh"
 #include "trace/trace.hh"
 #include "workloads/suite.hh"

@@ -160,9 +160,10 @@ FastpathOracle::run(const Trace &trace, const std::string &stream,
     result.policy = spec_.name();
     result.stream = stream;
 
+    const AddressDecode decode(config_);
     for (const MemRecord &rec : trace) {
         const AccessType type = recordType(rec);
-        const uint64_t set = config_.setIndex(rec.addr);
+        const uint64_t set = decode.setIndex(rec.addr);
         const AccessResult want = scalar_.access(rec.addr, type, rec.pc);
         const SoaCacheModel::Step got =
             model_.accessAddr(rec.addr, type);
@@ -185,15 +186,14 @@ FastpathOracle::run(const Trace &trace, const std::string &stream,
                 record(result, index, set, "evicted", dumpBoth(set));
             } else if (got.evicted &&
                        (*want.evictedBlock !=
-                            ((got.evictedTag << config_.setShift()) |
-                             set) ||
+                            decode.blockOf(set, got.evictedTag) ||
                         want.evictedDirty != got.evictedDirty)) {
                 std::ostringstream os;
                 os << "scalar evicts 0x" << std::hex
                    << *want.evictedBlock
                    << (want.evictedDirty ? " dirty" : " clean")
                    << " vs fast 0x"
-                   << ((got.evictedTag << config_.setShift()) | set)
+                   << decode.blockOf(set, got.evictedTag)
                    << std::dec << (got.evictedDirty ? " dirty" : " clean")
                    << "; " << dumpBoth(set);
                 record(result, index, set, "victim", os.str());

@@ -44,11 +44,12 @@ TEST(CacheConfig, GeometryDerivation)
 
 TEST(CacheConfig, AddressDecomposition)
 {
-    CacheConfig cfg = tinyConfig(4, 2); // 4 sets, 64B blocks
+    const AddressDecode decode(tinyConfig(4, 2)); // 4 sets, 64B blocks
     uint64_t addr = (0x5u << 8) | (3u << 6) | 17u; // tag 5, set 3
-    EXPECT_EQ(cfg.blockAddr(addr), (0x5u << 2) | 3u);
-    EXPECT_EQ(cfg.setIndex(addr), 3u);
-    EXPECT_EQ(cfg.tag(addr), 0x5u);
+    EXPECT_EQ(decode.blockAddr(addr), (0x5u << 2) | 3u);
+    EXPECT_EQ(decode.setIndex(addr), 3u);
+    EXPECT_EQ(decode.tag(addr), 0x5u);
+    EXPECT_EQ(decode.blockOf(3, 0x5u), decode.blockAddr(addr));
 }
 
 TEST(CacheConfig, ValidateAcceptsPaperConfigs)

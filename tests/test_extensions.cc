@@ -55,7 +55,7 @@ TEST(CacheBypass, BypassedMissDoesNotAllocate)
     EXPECT_TRUE(r.bypassed);
     EXPECT_EQ(cache.stats().bypasses, 1u);
     EXPECT_FALSE(cache.probe(0x1000));
-    EXPECT_EQ(cache.validCount(c.setIndex(0x1000)), 0u);
+    EXPECT_EQ(cache.validCount(AddressDecode(c).setIndex(0x1000)), 0u);
 }
 
 TEST(CacheBypass, WritebacksNeverBypass)

@@ -31,10 +31,10 @@
 
 #include <gtest/gtest.h>
 
-#include "cache/hierarchy.hh"
 #include "core/plru_tree.hh"
 #include "core/vectors.hh"
 #include "sim/fastpath/engine.hh"
+#include "sim/fastpath/hierarchy.hh"
 #include "sim/fastpath/soa_cache.hh"
 #include "trace/trace.hh"
 #include "util/rng.hh"

@@ -1,14 +1,19 @@
 /**
  * @file
  * Tests for the L1/L2 cascade (the level of each reference and the
- * stream it passes to the LLC) and LLC trace filtering.
+ * stream it passes to the LLC), its differential check against a
+ * scalar SetAssocCache + LruPolicy cascade, and LLC trace filtering.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
-#include "cache/hierarchy.hh"
+#include "cache/cache.hh"
+#include "policies/lru.hh"
+#include "sim/fastpath/hierarchy.hh"
+#include "util/rng.hh"
 
 namespace gippr
 {
@@ -31,6 +36,8 @@ struct LlcCall
     uint64_t addr;
     AccessType type;
     uint64_t pc;
+
+    bool operator==(const LlcCall &o) const = default;
 };
 
 /** Runs references through one Hierarchy and logs its LLC calls. */
@@ -134,6 +141,133 @@ TEST(Hierarchy, PcZeroDemandStoreReachesLlcAsStore)
     EXPECT_EQ(c.calls[0].pc, 0u);
 }
 
+/**
+ * The scalar cascade Hierarchy replaced: a SetAssocCache with an
+ * LruPolicy at each level, in the same event order.  It counts the
+ * two outcomes of a dirty L1 victim's writeback into the L2, so the
+ * differential test can show its stream reached both.
+ */
+class ScalarCascade
+{
+  public:
+    explicit ScalarCascade(const HierarchyConfig &config)
+        : l1_(config.l1, std::make_unique<LruPolicy>(config.l1)),
+          l2_(config.l2, std::make_unique<LruPolicy>(config.l2))
+    {
+    }
+
+    HitLevel
+    access(const MemRecord &rec, std::vector<LlcCall> &calls,
+           bool (*llc_hit)(uint64_t))
+    {
+        const AccessType type =
+            rec.isWrite ? AccessType::Store : AccessType::Load;
+        const AccessResult r1 = l1_.access(rec.addr, type, rec.pc);
+        if (r1.hit)
+            return HitLevel::L1;
+        if (r1.evictedBlock && r1.evictedDirty) {
+            const AccessResult wb = l2_.access(
+                *r1.evictedBlock << l1_.config().blockShift(),
+                AccessType::Writeback, 0);
+            ++(wb.hit ? dirtyVictimL2Hits : dirtyVictimL2Misses);
+            if (wb.evictedBlock && wb.evictedDirty)
+                calls.push_back(
+                    {*wb.evictedBlock << l2_.config().blockShift(),
+                     AccessType::Writeback, 0});
+        }
+        const AccessResult r2 = l2_.access(rec.addr, type, rec.pc);
+        if (r2.evictedBlock && r2.evictedDirty)
+            calls.push_back({*r2.evictedBlock << l2_.config().blockShift(),
+                             AccessType::Writeback, 0});
+        if (r2.hit)
+            return HitLevel::L2;
+        calls.push_back({rec.addr, type, rec.pc});
+        return llc_hit(rec.addr) ? HitLevel::Llc : HitLevel::Memory;
+    }
+
+    uint64_t dirtyVictimL2Hits = 0;
+    uint64_t dirtyVictimL2Misses = 0;
+
+  private:
+    SetAssocCache l1_;
+    SetAssocCache l2_;
+};
+
+/** Whether the stub LLC hits: a fixed function of the address. */
+bool
+stubLlcHit(uint64_t addr)
+{
+    return ((addr >> 6) * 0x9e3779b97f4a7c15ULL) >> 63;
+}
+
+/**
+ * Randomized Load/Store stream over @p config: half the references
+ * reuse a hot group a quarter the size of the L1, the rest draw from
+ * four times the L2's blocks, at any byte offset, from one of 16 PCs.
+ * The hot blocks live in the L1 long enough for the pool to push their
+ * L2 copies out, so some dirty L1 victims miss in the L2.
+ */
+std::vector<MemRecord>
+randomStream(const HierarchyConfig &config, size_t n, uint64_t seed)
+{
+    const uint64_t block = config.l1.blockBytes;
+    const uint64_t hot = config.l1.sizeBytes / block / 4;
+    const uint64_t pool = 4 * config.l2.sizeBytes / block;
+    Rng rng(seed);
+    std::vector<MemRecord> out(n);
+    for (MemRecord &r : out) {
+        const uint64_t b = rng.nextBool(0.5) ? rng.nextBounded(hot)
+                                             : rng.nextBounded(pool);
+        r.addr = 0x7f3a00000000ULL + b * block + rng.nextBounded(block);
+        r.isWrite = rng.nextBool(0.3);
+        r.pc = 0x400000 + 4 * rng.nextBounded(16);
+    }
+    return out;
+}
+
+TEST(Hierarchy, PackedCascadeMatchesScalarCascade)
+{
+    HierarchyConfig small;
+    small.l1 = {"L1", 4 * 1024, 8, 64};
+    small.l2 = {"L2", 8 * 1024, 8, 64};
+    HierarchyConfig paper;
+    paper.l1 = CacheConfig::paperL1d();
+    paper.l2 = CacheConfig::paperL2();
+    const HierarchyConfig geometries[] = {tinyHier(), small, paper};
+
+    for (const HierarchyConfig &config : geometries) {
+        SCOPED_TRACE(config.l1.name + "/" + config.l2.name + " " +
+                     std::to_string(config.l1.sizeBytes) + "/" +
+                     std::to_string(config.l2.sizeBytes));
+        Hierarchy packed(config);
+        ScalarCascade scalar(config);
+        std::vector<LlcCall> got;
+        std::vector<LlcCall> want;
+        const std::vector<MemRecord> stream =
+            randomStream(config, 100000, config.l2.sizeBytes);
+        for (size_t i = 0; i < stream.size(); ++i) {
+            got.clear();
+            want.clear();
+            const HitLevel level = packed.access(
+                stream[i], [&](uint64_t a, AccessType type, uint64_t pc) {
+                    got.push_back({a, type, pc});
+                    return stubLlcHit(a);
+                });
+            ASSERT_EQ(level, scalar.access(stream[i], want, stubLlcHit))
+                << "record " << i;
+            ASSERT_EQ(got.size(), want.size()) << "record " << i;
+            for (size_t k = 0; k < got.size(); ++k)
+                ASSERT_EQ(got[k], want[k])
+                    << "record " << i << " call " << k << " addr 0x"
+                    << std::hex << got[k].addr << " vs 0x" << want[k].addr;
+        }
+        // Both outcomes of a dirty L1 victim's writeback into the L2:
+        // a hit (which must not promote) and an allocating miss.
+        EXPECT_GT(scalar.dirtyVictimL2Hits, 0u);
+        EXPECT_GT(scalar.dirtyVictimL2Misses, 0u);
+    }
+}
+
 Trace
 sequentialTrace(size_t blocks, uint32_t gap = 10)
 {
@@ -201,6 +335,28 @@ TEST(HierarchyFilter, InstructionGapOverflowIsFatal)
                      Hierarchy::filterToLlc(cpu, tinyHier());
                  })(),
                  "instruction gap 8589934591 at CPU record 3 overflows");
+}
+
+TEST(HierarchyFilter, UnsupportedGeometryIsFatal)
+{
+    // The packed LRU runs 2..64 ways; the check must hold in release
+    // builds too, where the model's own GIPPR_CHECK compiles out.
+    HierarchyConfig direct_mapped = tinyHier();
+    direct_mapped.l1 = {"L1", 4 * 64, 1, 64};
+    EXPECT_DEATH(([&]() noexcept { Hierarchy h(direct_mapped); })(),
+                 "Hierarchy: L1 'L1' is 1-way; the packed LRU supports "
+                 "2 to 64 ways");
+    HierarchyConfig wide = tinyHier();
+    wide.l2 = {"L2", 2 * 128 * 64, 128, 64};
+    EXPECT_DEATH(([&]() noexcept { Hierarchy h(wide); })(),
+                 "Hierarchy: L2 'L2' is 128-way");
+    HierarchyConfig three_sets = tinyHier();
+    three_sets.l2 = {"L2", 3 * 4 * 64, 4, 64};
+    EXPECT_DEATH(([&]() noexcept {
+                     Hierarchy::filterToLlc(sequentialTrace(4),
+                                            three_sets);
+                 })(),
+                 "L2: number of sets must be a power of two");
 }
 
 TEST(HierarchyFilter, SmallLoopGeneratesNoSteadyLlcTraffic)

@@ -73,6 +73,27 @@ TEST(Integration, FriendlyWorkloadNoRegression)
     EXPECT_GT(dgippr.ipc, lru.ipc * 0.97);
 }
 
+TEST(Integration, WorkloadLlcStatsSumTheSimpoints)
+{
+    // simulateWorkload's llcStats is the field-wise sum of each
+    // simpoint's simulateTrace llcStats.
+    SyntheticSuite suite(tinySuite());
+    Workload w =
+        SyntheticSuite::materialize(suite.spec("multiphase_mix"));
+    ASSERT_EQ(w.simpoints().size(), 3u);
+    SystemParams sys = tinySystem();
+    for (const char *policy : {"LRU", "DGIPPR2"}) {
+        const PolicyFactory make = policyByName(policy).make;
+        CacheStats sum;
+        for (const Simpoint &sp : w.simpoints())
+            sum += simulateTrace(*sp.trace, make, sys).llcStats;
+        const SimResult r = simulateWorkload(w, make, sys);
+        EXPECT_GT(sum.accesses, 0u) << policy;
+        EXPECT_EQ(r.llcStats, sum) << policy;
+        EXPECT_EQ(r.llcMisses, sum.demandMisses) << policy;
+    }
+}
+
 TEST(Integration, PlruTracksLruClosely)
 {
     // Section 3.1: PLRU performs almost equivalently to full LRU.

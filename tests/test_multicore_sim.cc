@@ -37,9 +37,9 @@
 #include <gtest/gtest.h>
 
 #include "cache/config.hh"
-#include "cache/hierarchy.hh"
 #include "core/vectors.hh"
 #include "sim/fastpath/engine.hh"
+#include "sim/fastpath/hierarchy.hh"
 #include "sim/fastpath/soa_cache.hh"
 #include "sim/multicore/engine.hh"
 #include "sim/multicore/fairness.hh"

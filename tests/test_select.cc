@@ -469,7 +469,7 @@ TEST(PhaseShiftSuiteDigest, RegimeBoundariesChangeAddressRegion)
     const Workload w = SyntheticSuite::materialize(*quad);
     const Trace &trace = *w.simpoints().front().trace;
     const size_t quarter = trace.size() / 4;
-    const CacheConfig llc = llcCfg();
+    const AddressDecode llc(llcCfg());
 
     auto blockRange = [&](size_t begin, size_t end) {
         uint64_t lo = ~uint64_t{0};

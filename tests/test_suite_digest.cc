@@ -18,8 +18,8 @@
 
 #include <gtest/gtest.h>
 
-#include "cache/hierarchy.hh"
 #include "sim/experiment.hh"
+#include "sim/fastpath/hierarchy.hh"
 #include "sim/policy_zoo.hh"
 #include "sim/system.hh"
 
@@ -167,7 +167,8 @@ TEST(SuiteDigest, FullSystemResultsPinned)
     // Golden digest of the whole-system results (Fig. 13's inputs):
     // simulateWorkload's combined IPC, cycles, instructions and LLC
     // misses, plus every LLC statistic of each simpoint's
-    // simulateTrace (simulateWorkload does not combine llcStats).
+    // simulateTrace (the digest predates simulateWorkload's summed
+    // llcStats, so it folds the per-simpoint stats, not the sum).
     const SyntheticSuite suite(pinnedParams());
     SystemParams params;
     params.hier = tinyHier();
