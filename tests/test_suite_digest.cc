@@ -195,6 +195,33 @@ TEST(SuiteDigest, FullSystemResultsPinned)
     EXPECT_EQ(h, kGolden) << std::hex << h;
 }
 
+TEST(SuiteDigest, MissExperimentRowsPinned)
+{
+    // Golden digest of runMissExperiment's rows (Figs. 10/11): packed
+    // replays (LRU, 2-DGIPPR), scalar policies (DRRIP, PDP, B-GIPPR)
+    // and Belady MIN, every column of every workload bit for bit.
+    const SyntheticSuite suite(pinnedParams());
+    ExperimentConfig cfg;
+    cfg.system.hier = tinyHier();
+    cfg.threads = 4;
+    cfg.includeMin = true;
+    std::vector<PolicyDef> policies;
+    for (const char *name : {"LRU", "DGIPPR2", "DRRIP", "PDP", "BGIPPR"})
+        policies.push_back(policyByName(name));
+    const ExperimentResult r = runMissExperiment(suite, policies, cfg);
+
+    uint64_t h = kFnvOffset;
+    for (const std::string &c : r.columns)
+        h = fnv1a(h, c.data(), c.size());
+    for (const WorkloadRow &row : r.rows) {
+        h = fnv1a(h, row.workload.data(), row.workload.size());
+        for (double v : row.values)
+            h = foldDouble(h, v);
+    }
+    constexpr uint64_t kGolden = 0xc57cef467bdd1522ull;
+    EXPECT_EQ(h, kGolden) << std::hex << h;
+}
+
 TEST(SuiteDigest, TraceCacheMemoizesEntries)
 {
     const SyntheticSuite suite(pinnedParams());
