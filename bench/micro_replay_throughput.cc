@@ -83,9 +83,8 @@ main(int argc, char **argv)
 
     const fastpath::ScalarReplayEngine scalar;
     const fastpath::FastReplayEngine fast1(1);
-    const auto fastN = fastpath::makeReplayEngine("fast", 0);
-    const unsigned shards =
-        dynamic_cast<const fastpath::FastReplayEngine &>(*fastN).shards();
+    const fastpath::FastReplayEngine fastN(0);
+    const unsigned shards = fastN.shards();
     session.setConfig("fastN_shards",
                       telemetry::JsonValue(uint64_t{shards}));
 
@@ -107,7 +106,7 @@ main(int argc, char **argv)
                 scalar.replay(spec, sys.hier.llc, *t.trace, t.warmup);
             if (fast1.replay(spec, sys.hier.llc, *t.trace, t.warmup) !=
                     want ||
-                fastN->replay(spec, sys.hier.llc, *t.trace, t.warmup) !=
+                fastN.replay(spec, sys.hier.llc, *t.trace, t.warmup) !=
                     want) {
                 fatal("fast backend diverged from scalar on " +
                       t.workload + " under " + spec.name());
@@ -128,7 +127,7 @@ main(int argc, char **argv)
         for (int r = 0; r < reps; ++r) {
             const double a = onePass(scalar, spec, sys.hier.llc, traces);
             const double b = onePass(fast1, spec, sys.hier.llc, traces);
-            const double c = onePass(*fastN, spec, sys.hier.llc, traces);
+            const double c = onePass(fastN, spec, sys.hier.llc, traces);
             if (r == 0 || a < s_scalar)
                 s_scalar = a;
             if (r == 0 || b < s_fast1)

@@ -5,14 +5,10 @@
 
 #include "ga/fitness.hh"
 
-#include <cstdlib>
-#include <limits>
-
 #include "cache/cache.hh"
 #include "cache/replay.hh"
 #include "core/rrip_ipv.hh"
 #include "util/check.hh"
-#include "util/env.hh"
 #include "util/log.hh"
 #include "util/parallel.hh"
 #include "util/stats.hh"
@@ -61,27 +57,6 @@ digestTrace(const FitnessTrace &t)
     return h;
 }
 
-/** GIPPR_GA_BATCH: genomes per batched trace stream (<= 1 disables). */
-unsigned
-envBatchWidth()
-{
-    if (const char *s = std::getenv("GIPPR_GA_BATCH")) {
-        const uint64_t v = parseEnvUnsigned(
-            "GIPPR_GA_BATCH", s, std::numeric_limits<unsigned>::max());
-        return v == 0 ? 1u : static_cast<unsigned>(v);
-    }
-    return 32;
-}
-
-/** GIPPR_GA_MEMO: memo entries retained (0 disables the cache). */
-size_t
-envMemoCapacity()
-{
-    if (const char *s = std::getenv("GIPPR_GA_MEMO"))
-        return static_cast<size_t>(parseEnvUnsigned("GIPPR_GA_MEMO", s));
-    return size_t{1} << 16;
-}
-
 /** Fast-path spec for the stack/tree families. */
 fastpath::ReplaySpec
 specFor(const Ipv &ipv, IpvFamily family)
@@ -99,8 +74,7 @@ FitnessEvaluator::FitnessEvaluator(const CacheConfig &llc,
                                    telemetry::PhaseTimings *timings,
                                    const fastpath::ReplayEngine *engine)
     : llc_(llc), traces_(std::move(traces)), model_(model),
-      engine_(engine ? engine : &fastpath::defaultReplayEngine()),
-      batchWidth_(envBatchWidth()), memoCapacity_(envMemoCapacity())
+      engine_(engine ? engine : &fastpath::defaultReplayEngine())
 {
     if (traces_.empty())
         fatal("fitness evaluator needs at least one training trace");
@@ -269,18 +243,6 @@ FitnessEvaluator::missesForAll(std::span<const Ipv> ipvs,
                 const size_t t = item % n_traces;
                 const size_t lo = g * width;
                 const size_t hi = std::min(work.size(), lo + width);
-                if (hi - lo == 1) {
-                    // Degenerate batch: identical to the per-genome
-                    // fast path (and to what the GA did before
-                    // batching existed).
-                    computed[lo][t] =
-                        engine_
-                            ->replay(specFor(ipvs[work[lo]], family),
-                                     llc_, *traces_[t].llcTrace,
-                                     warmupOf(t))
-                            .measured.demandMisses;
-                    return;
-                }
                 std::vector<fastpath::ReplaySpec> specs;
                 specs.reserve(hi - lo);
                 for (size_t u = lo; u < hi; ++u)
@@ -291,7 +253,9 @@ FitnessEvaluator::missesForAll(std::span<const Ipv> ipvs,
                                         warmupOf(t));
                 for (size_t u = lo; u < hi; ++u)
                     computed[u][t] = stats[u - lo].measured.demandMisses;
-                if (batchReplays_)
+                // replayMany sends a lone spec to replay(): only
+                // groups of two or more count as batched.
+                if (batchReplays_ && hi - lo > 1)
                     batchReplays_->increment(hi - lo);
             });
     }

@@ -127,16 +127,21 @@ class FitnessEvaluator
     missesForAll(std::span<const Ipv> ipvs, IpvFamily family,
                  unsigned threads = 0) const;
 
+    /** Default batchWidth(). */
+    static constexpr unsigned kDefaultBatchWidth = 32;
+    /** Default memoCapacity(). */
+    static constexpr size_t kDefaultMemoCapacity = size_t{1} << 16;
+
     /**
-     * Genomes replayed together per trace stream (default from
-     * GIPPR_GA_BATCH, 32; <= 1 restores per-genome replay).
+     * Genomes replayed together per trace stream (default
+     * kDefaultBatchWidth; <= 1 restores per-genome replay).
      */
     void setBatchWidth(unsigned genomes);
     unsigned batchWidth() const { return batchWidth_; }
 
     /**
      * Memo entries retained, each one vector's per-trace miss row
-     * (default from GIPPR_GA_MEMO, 65536; 0 disables memoization).
+     * (default kDefaultMemoCapacity; 0 disables memoization).
      */
     void setMemoCapacity(size_t entries);
     size_t memoCapacity() const { return memoCapacity_; }
@@ -187,8 +192,8 @@ class FitnessEvaluator
     CpiModel model_;
     const fastpath::ReplayEngine *engine_;
     std::vector<uint64_t> lruMisses_;
-    unsigned batchWidth_;
-    size_t memoCapacity_;
+    unsigned batchWidth_ = kDefaultBatchWidth;
+    size_t memoCapacity_ = kDefaultMemoCapacity;
     uint64_t traceDigest_ = 0;
     /** Memoized per-trace miss rows, keyed by memoKey(). */
     mutable std::mutex memoMu_;

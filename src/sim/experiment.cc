@@ -7,7 +7,6 @@
 
 #include <algorithm>
 
-#include "cache/replay.hh"
 #include "policies/belady.hh"
 #include "util/check.hh"
 #include "util/log.hh"
@@ -19,34 +18,6 @@ namespace gippr
 
 namespace
 {
-
-/**
- * Mirror a fast-backend replay into the registry the same way a
- * telemetry-attached SetAssocCache (and DgipprPolicy) would: live
- * counters cover the whole trace, warmup included, and the duel
- * winner gauge holds the final winner.
- */
-void
-mirrorTelemetry(telemetry::MetricRegistry &registry,
-                const std::string &prefix,
-                const fastpath::ReplayStats &stats)
-{
-    registry.counter(prefix + ".hits").increment(stats.total.hits);
-    registry.counter(prefix + ".demand_misses")
-        .increment(stats.total.demandMisses);
-    registry.counter(prefix + ".bypasses").increment(0);
-    registry.counter(prefix + ".evictions")
-        .increment(stats.total.evictions);
-    registry.counter(prefix + ".writebacks")
-        .increment(stats.total.writebacks);
-    for (size_t i = 0; i < stats.leaderMisses.size(); ++i)
-        registry
-            .counter(prefix + ".duel.leader_misses." +
-                     std::to_string(i))
-            .increment(stats.leaderMisses[i]);
-    if (!stats.leaderMisses.empty())
-        registry.gauge(prefix + ".duel.winner").set(stats.finalWinner);
-}
 
 /** Miss metrics for one workload under a policy list. */
 WorkloadRow
@@ -94,24 +65,10 @@ missRowFor(const WorkloadSpec &spec,
 
         telemetry::ScopedTimer replay_timer(config.timings, "replay");
         for (size_t p = 0; p < policies.size(); ++p) {
-            uint64_t demand_misses = 0;
-            if (policies[p].fastSpec) {
-                fastpath::ReplayStats stats =
-                    engine.replay(*policies[p].fastSpec, hier.llc,
-                                  llc_trace, warmup);
-                demand_misses = stats.measured.demandMisses;
-                if (config.registry)
-                    mirrorTelemetry(*config.registry,
-                                    "llc." + policies[p].name, stats);
-            } else {
-                SetAssocCache cache(hier.llc,
-                                    policies[p].make(hier.llc));
-                if (config.registry)
-                    cache.attachTelemetry(*config.registry,
-                                          "llc." + policies[p].name);
-                replayTrace(cache, llc_trace, warmup);
-                demand_misses = cache.stats().demandMisses;
-            }
+            const uint64_t demand_misses =
+                replayPolicy(policies[p], hier.llc, llc_trace, warmup,
+                             engine, config.registry)
+                    .demandMisses;
             per_simpoint[p].push_back(
                 1000.0 * static_cast<double>(demand_misses) /
                 static_cast<double>(inst));
@@ -324,36 +281,6 @@ runPerfExperiment(const SyntheticSuite &suite,
     return runOverSuite(suite, columnNames(policies, false), config,
                         "IPC", [&](const WorkloadSpec &spec) {
                             return perfRowFor(spec, policies, config);
-                        });
-}
-
-ExperimentResult
-runPerfExperimentPerWorkload(
-    const SyntheticSuite &suite, const std::vector<std::string> &columns,
-    const std::function<std::vector<PolicyDef>(const std::string &)>
-        &policies_for,
-    const ExperimentConfig &config)
-{
-    return runOverSuite(suite, columns, config, "IPC",
-                        [&](const WorkloadSpec &spec) {
-                            return perfRowFor(spec,
-                                              policies_for(spec.name),
-                                              config);
-                        });
-}
-
-ExperimentResult
-runMissExperimentPerWorkload(
-    const SyntheticSuite &suite, const std::vector<std::string> &columns,
-    const std::function<std::vector<PolicyDef>(const std::string &)>
-        &policies_for,
-    const ExperimentConfig &config)
-{
-    return runOverSuite(suite, columns, config, "MPKI",
-                        [&](const WorkloadSpec &spec) {
-                            return missRowFor(spec,
-                                              policies_for(spec.name),
-                                              config);
                         });
 }
 

@@ -18,7 +18,6 @@
 #ifndef GIPPR_SIM_EXPERIMENT_HH_
 #define GIPPR_SIM_EXPERIMENT_HH_
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -56,9 +55,8 @@ struct ExperimentConfig
     telemetry::PhaseTimings *timings = nullptr;
     /**
      * Replay engine for miss experiments.  Policies with a fastSpec
-     * replay through it (backend per GIPPR_REPLAY_BACKEND when this is
-     * the default engine); policies without one always use the scalar
-     * simulator.  Null means defaultReplayEngine().
+     * replay through it; policies without one always use the scalar
+     * simulator (see replayPolicy).  Null means defaultReplayEngine().
      */
     const fastpath::ReplayEngine *replayEngine = nullptr;
     /**
@@ -137,29 +135,6 @@ ExperimentResult runMissExperiment(const SyntheticSuite &suite,
 ExperimentResult runPerfExperiment(const SyntheticSuite &suite,
                                    const std::vector<PolicyDef> &policies,
                                    const ExperimentConfig &config);
-
-/**
- * Performance experiment with per-workload policy lists (for WN1,
- * where each workload is evaluated under its own held-out vectors).
- * @p policies_for must return lists with names matching @p columns.
- */
-ExperimentResult runPerfExperimentPerWorkload(
-    const SyntheticSuite &suite,
-    const std::vector<std::string> &columns,
-    const std::function<std::vector<PolicyDef>(const std::string &)>
-        &policies_for,
-    const ExperimentConfig &config);
-
-/**
- * Miss experiment with per-workload policy lists (for WN1 MPKI
- * figures).
- */
-ExperimentResult runMissExperimentPerWorkload(
-    const SyntheticSuite &suite,
-    const std::vector<std::string> &columns,
-    const std::function<std::vector<PolicyDef>(const std::string &)>
-        &policies_for,
-    const ExperimentConfig &config);
 
 } // namespace gippr
 

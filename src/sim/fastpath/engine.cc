@@ -6,15 +6,11 @@
 #include "sim/fastpath/engine.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <limits>
 
 #include "cache/replay.hh"
 #include "core/dgippr.hh"
 #include "sim/fastpath/soa_cache.hh"
 #include "util/check.hh"
-#include "util/env.hh"
-#include "util/log.hh"
 #include "util/parallel.hh"
 
 namespace gippr::fastpath
@@ -22,34 +18,6 @@ namespace gippr::fastpath
 
 namespace
 {
-
-CounterBank
-toBank(const CacheStats &s)
-{
-    CounterBank b;
-    b.accesses = s.accesses;
-    b.hits = s.hits;
-    b.misses = s.misses;
-    b.evictions = s.evictions;
-    b.writebacks = s.writebacks;
-    b.demandAccesses = s.demandAccesses;
-    b.demandMisses = s.demandMisses;
-    return b;
-}
-
-CounterBank
-bankDelta(const CacheStats &end, const CacheStats &start)
-{
-    CounterBank b;
-    b.accesses = end.accesses - start.accesses;
-    b.hits = end.hits - start.hits;
-    b.misses = end.misses - start.misses;
-    b.evictions = end.evictions - start.evictions;
-    b.writebacks = end.writebacks - start.writebacks;
-    b.demandAccesses = end.demandAccesses - start.demandAccesses;
-    b.demandMisses = end.demandMisses - start.demandMisses;
-    return b;
-}
 
 /** Contiguous-range shard of @p set for @p shards partitions. */
 inline size_t
@@ -413,7 +381,7 @@ ScalarReplayEngine::replay(const ReplaySpec &spec,
 
     ReplayStats stats;
     stats.total = toBank(cache.stats());
-    stats.measured = bankDelta(cache.stats(), at_warmup);
+    stats.measured = stats.total - toBank(at_warmup);
     if (dg) {
         stats.finalWinner = dg->currentWinner();
         stats.duelCounters = dg->selector().counterValues();
@@ -564,34 +532,11 @@ FastReplayEngine::replayMany(std::span<const ReplaySpec> specs,
     return out;
 }
 
-std::unique_ptr<ReplayEngine>
-makeReplayEngine(const std::string &backend, unsigned shards)
-{
-    if (backend == "scalar")
-        return std::make_unique<ScalarReplayEngine>();
-    if (backend == "fast")
-        return std::make_unique<FastReplayEngine>(shards);
-    fatal("unknown replay backend '" + backend +
-          "' (expected scalar or fast)");
-}
-
 const ReplayEngine &
 defaultReplayEngine()
 {
-    static const std::unique_ptr<ReplayEngine> engine = [] {
-        const char *backend_env = std::getenv("GIPPR_REPLAY_BACKEND");
-        const std::string backend = backend_env ? backend_env : "fast";
-        // Default to one shard: every production caller (GA fitness,
-        // the experiment harness) already parallelizes across traces,
-        // so nested sharding is opt-in via the environment.
-        unsigned shards = 1;
-        if (const char *s = std::getenv("GIPPR_REPLAY_SHARDS"))
-            shards = static_cast<unsigned>(parseEnvUnsigned(
-                "GIPPR_REPLAY_SHARDS", s,
-                std::numeric_limits<unsigned>::max()));
-        return makeReplayEngine(backend, shards);
-    }();
-    return *engine;
+    static const FastReplayEngine engine(1);
+    return engine;
 }
 
 } // namespace gippr::fastpath

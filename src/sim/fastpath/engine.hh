@@ -17,16 +17,14 @@
  *    count.  Counter merges are plain sums over disjoint set ranges,
  *    so results are bit-identical for any shard count.
  *
- * Backend selection: consumers default to defaultReplayEngine(),
- * which honours GIPPR_REPLAY_BACKEND (fast | scalar, default fast)
- * and GIPPR_REPLAY_SHARDS (default 1 — callers like the GA already
- * parallelize over traces, so nested sharding is opt-in).
+ * Consumers default to defaultReplayEngine(), one unsharded fast
+ * engine: callers like the GA already parallelize over traces, so
+ * set sharding is reached only by constructing FastReplayEngine(n).
  */
 
 #ifndef GIPPR_SIM_FASTPATH_ENGINE_HH_
 #define GIPPR_SIM_FASTPATH_ENGINE_HH_
 
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -106,7 +104,10 @@ class ScalarReplayEngine : public ReplayEngine
 class FastReplayEngine : public ReplayEngine
 {
   public:
-    /** @param shards set-space partitions (>= 1); 1 = no threading */
+    /**
+     * @param shards set-space partitions; 1 = no threading, 0 = one
+     *               per hardware thread
+     */
     explicit FastReplayEngine(unsigned shards = 1);
 
     ReplayStats replay(const ReplaySpec &spec, const CacheConfig &config,
@@ -147,18 +148,7 @@ class FastReplayEngine : public ReplayEngine
     ScalarReplayEngine fallback_;
 };
 
-/**
- * Build an engine by name: "scalar" or "fast" (with @p shards; 0
- * means one shard per hardware thread).  Throws on unknown names.
- */
-std::unique_ptr<ReplayEngine> makeReplayEngine(const std::string &backend,
-                                               unsigned shards = 1);
-
-/**
- * The process-wide default engine, resolved once from the
- * environment: GIPPR_REPLAY_BACKEND (default "fast") and
- * GIPPR_REPLAY_SHARDS (default 1).
- */
+/** The process-wide default engine: FastReplayEngine(1). */
 const ReplayEngine &defaultReplayEngine();
 
 } // namespace gippr::fastpath

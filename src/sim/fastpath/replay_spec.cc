@@ -118,6 +118,20 @@ CounterBank::operator-(const CounterBank &o) const
     return d;
 }
 
+CounterBank
+toBank(const CacheStats &stats)
+{
+    CounterBank b;
+    b.accesses = stats.accesses;
+    b.hits = stats.hits;
+    b.misses = stats.misses;
+    b.evictions = stats.evictions;
+    b.writebacks = stats.writebacks;
+    b.demandAccesses = stats.demandAccesses;
+    b.demandMisses = stats.demandMisses;
+    return b;
+}
+
 CacheStats
 ReplayStats::toCacheStats() const
 {

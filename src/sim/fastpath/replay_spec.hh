@@ -85,6 +85,9 @@ struct CounterBank
     bool operator==(const CounterBank &o) const = default;
 };
 
+/** @p stats as a counter bank (bypasses dropped). */
+CounterBank toBank(const CacheStats &stats);
+
 /** Outcome of replaying one trace under one spec. */
 struct ReplayStats
 {

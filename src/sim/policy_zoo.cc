@@ -7,16 +7,12 @@
 
 #include <memory>
 
+#include "cache/replay.hh"
 #include "core/bypass_gippr.hh"
-#include "core/dgippr.hh"
-#include "core/giplr.hh"
-#include "core/gippr.hh"
 #include "core/rrip_ipv.hh"
-#include "core/plru.hh"
 #include "core/vectors.hh"
 #include "policies/dip.hh"
 #include "policies/fifo.hh"
-#include "policies/lru.hh"
 #include "policies/pdp.hh"
 #include "policies/random.hh"
 #include "policies/rrip.hh"
@@ -26,38 +22,65 @@
 namespace gippr
 {
 
+namespace
+{
+
+/**
+ * Mirror a packed replay into the registry the same way a
+ * telemetry-attached SetAssocCache (and DgipprPolicy) would: live
+ * counters cover the whole trace, warmup included, and the duel
+ * winner gauge holds the final winner.
+ */
+void
+mirrorTelemetry(telemetry::MetricRegistry &registry,
+                const std::string &prefix,
+                const fastpath::ReplayStats &stats)
+{
+    registry.counter(prefix + ".hits").increment(stats.total.hits);
+    registry.counter(prefix + ".demand_misses")
+        .increment(stats.total.demandMisses);
+    registry.counter(prefix + ".bypasses").increment(0);
+    registry.counter(prefix + ".evictions")
+        .increment(stats.total.evictions);
+    registry.counter(prefix + ".writebacks")
+        .increment(stats.total.writebacks);
+    for (size_t i = 0; i < stats.leaderMisses.size(); ++i)
+        registry
+            .counter(prefix + ".duel.leader_misses." +
+                     std::to_string(i))
+            .increment(stats.leaderMisses[i]);
+    if (!stats.leaderMisses.empty())
+        registry.gauge(prefix + ".duel.winner").set(stats.finalWinner);
+}
+
+/** A packable policy: its factory builds the spec's scalar object. */
+PolicyDef
+specDef(const std::string &name, fastpath::ReplaySpec spec)
+{
+    PolicyFactory make = [spec](const CacheConfig &cfg) {
+        return fastpath::makeScalarPolicy(spec, cfg);
+    };
+    return {name, std::move(make), std::move(spec)};
+}
+
+} // namespace
+
 PolicyDef
 lruDef()
 {
-    return {"LRU",
-            [](const CacheConfig &cfg) {
-                return std::unique_ptr<ReplacementPolicy>(
-                    std::make_unique<LruPolicy>(cfg));
-            },
-            fastpath::lruSpec()};
+    return specDef("LRU", fastpath::lruSpec());
 }
 
 PolicyDef
 lipDef()
 {
-    return {"LIP",
-            [](const CacheConfig &cfg) {
-                return std::unique_ptr<ReplacementPolicy>(
-                    std::make_unique<GiplrPolicy>(
-                        cfg, Ipv::lruInsertion(cfg.assoc)));
-            },
-            fastpath::lipSpec()};
+    return specDef("LIP", fastpath::lipSpec());
 }
 
 PolicyDef
 plruDef()
 {
-    return {"PLRU",
-            [](const CacheConfig &cfg) {
-                return std::unique_ptr<ReplacementPolicy>(
-                    std::make_unique<PlruPolicy>(cfg));
-            },
-            fastpath::plruSpec()};
+    return specDef("PLRU", fastpath::plruSpec());
 }
 
 PolicyDef
@@ -143,35 +166,20 @@ shipDef()
 PolicyDef
 giplrDef(const std::string &name, const Ipv &ipv)
 {
-    return {name,
-            [ipv](const CacheConfig &cfg) {
-                return std::unique_ptr<ReplacementPolicy>(
-                    std::make_unique<GiplrPolicy>(cfg, ipv));
-            },
-            fastpath::giplrSpec(ipv)};
+    return specDef(name, fastpath::giplrSpec(ipv));
 }
 
 PolicyDef
 gipprDef(const std::string &name, const Ipv &ipv)
 {
-    return {name,
-            [ipv](const CacheConfig &cfg) {
-                return std::unique_ptr<ReplacementPolicy>(
-                    std::make_unique<GipprPolicy>(cfg, ipv));
-            },
-            fastpath::gipprSpec(ipv)};
+    return specDef(name, fastpath::gipprSpec(ipv));
 }
 
 PolicyDef
 dgipprDef(const std::string &name, std::vector<Ipv> ipvs,
           unsigned leaders)
 {
-    return {name,
-            [ipvs, leaders](const CacheConfig &cfg) {
-                return std::unique_ptr<ReplacementPolicy>(
-                    std::make_unique<DgipprPolicy>(cfg, ipvs, leaders));
-            },
-            fastpath::dgipprSpec(ipvs, leaders)};
+    return specDef(name, fastpath::dgipprSpec(std::move(ipvs), leaders));
 }
 
 PolicyDef
@@ -248,6 +256,27 @@ policyByName(const std::string &text)
             return rripIpvDef(text, ipv);
     }
     fatal("unknown policy name: " + text);
+}
+
+fastpath::CounterBank
+replayPolicy(const PolicyDef &policy, const CacheConfig &llc,
+             const Trace &trace, size_t warmup,
+             const fastpath::ReplayEngine &engine,
+             telemetry::MetricRegistry *registry)
+{
+    const std::string prefix = "llc." + policy.name;
+    if (policy.fastSpec) {
+        const fastpath::ReplayStats stats =
+            engine.replay(*policy.fastSpec, llc, trace, warmup);
+        if (registry)
+            mirrorTelemetry(*registry, prefix, stats);
+        return stats.measured;
+    }
+    SetAssocCache cache(llc, policy.make(llc));
+    if (registry)
+        cache.attachTelemetry(*registry, prefix);
+    replayTrace(cache, trace, warmup);
+    return fastpath::toBank(cache.stats());
 }
 
 } // namespace gippr

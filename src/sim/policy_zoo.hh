@@ -15,8 +15,10 @@
 #include <vector>
 
 #include "core/ipv.hh"
+#include "sim/fastpath/engine.hh"
 #include "sim/fastpath/hierarchy.hh"
 #include "sim/fastpath/replay_spec.hh"
+#include "telemetry/metrics.hh"
 
 namespace gippr
 {
@@ -27,10 +29,10 @@ struct PolicyDef
     std::string name;
     PolicyFactory make;
     /**
-     * Value description for the fast replay backend; policies without
-     * one (RRIP family, PDP, SHiP, ...) always replay through the
-     * scalar simulator.  The miss-experiment harness uses this to
-     * route trace replay through the selected ReplayEngine.
+     * Value description for the replay engines; @c make then builds
+     * this spec's scalar object.  Policies without one (RRIP family,
+     * PDP, SHiP, ...) always replay on the scalar simulator; see
+     * replayPolicy().
      */
     std::optional<fastpath::ReplaySpec> fastSpec;
 };
@@ -69,6 +71,22 @@ PolicyDef rripIpvDef(const std::string &name, const Ipv &ipv);
  * Throws std::runtime_error for unknown names.
  */
 PolicyDef policyByName(const std::string &text);
+
+/**
+ * Replay @p trace under @p policy on an @p llc cache; records with
+ * index >= @p warmup are measured (the replayTrace convention).  A
+ * policy with a fastSpec replays through @p engine, any other on a
+ * SetAssocCache built by its factory.  With @p registry set, the
+ * whole-trace counters (and DGIPPR's duel state) land under
+ * "llc.<name>.*" identically on either path.  Returns the measured
+ * counters.
+ */
+fastpath::CounterBank replayPolicy(const PolicyDef &policy,
+                                   const CacheConfig &llc,
+                                   const Trace &trace, size_t warmup,
+                                   const fastpath::ReplayEngine &engine,
+                                   telemetry::MetricRegistry *registry =
+                                       nullptr);
 
 } // namespace gippr
 

@@ -462,40 +462,18 @@ staticOracle(const std::vector<PolicyDef> &library,
              const CacheConfig &llc, const Trace &trace, size_t warmup,
              Backend backend)
 {
-    const fastpath::FastReplayEngine fast_engine(1);
+    // Arms without a fast spec replay on the scalar simulator under
+    // either backend (identical by definition, so reports stay
+    // byte-comparable).
     const fastpath::ScalarReplayEngine scalar_engine;
+    const fastpath::ReplayEngine &engine =
+        backend == Backend::Fast ? fastpath::defaultReplayEngine()
+                                 : scalar_engine;
     std::vector<StaticOracleRow> rows;
     rows.reserve(library.size());
-    for (const PolicyDef &def : library) {
-        StaticOracleRow row;
-        row.name = def.name;
-        if (def.fastSpec.has_value()) {
-            const fastpath::ReplayEngine &engine =
-                backend == Backend::Fast
-                    ? static_cast<const fastpath::ReplayEngine &>(
-                          fast_engine)
-                    : scalar_engine;
-            row.measured = engine
-                               .replay(*def.fastSpec, llc, trace,
-                                       warmup)
-                               .measured;
-        } else {
-            // Policies outside the fast path replay through the
-            // scalar simulator on either backend (identical by
-            // definition, so reports stay byte-comparable).
-            SetAssocCache cache(llc, def.make(llc));
-            replayTrace(cache, trace, warmup);
-            const CacheStats &st = cache.stats();
-            row.measured.accesses = st.accesses;
-            row.measured.hits = st.hits;
-            row.measured.misses = st.misses;
-            row.measured.evictions = st.evictions;
-            row.measured.writebacks = st.writebacks;
-            row.measured.demandAccesses = st.demandAccesses;
-            row.measured.demandMisses = st.demandMisses;
-        }
-        rows.push_back(std::move(row));
-    }
+    for (const PolicyDef &def : library)
+        rows.push_back(
+            {def.name, replayPolicy(def, llc, trace, warmup, engine)});
     return rows;
 }
 

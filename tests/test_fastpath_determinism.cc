@@ -161,20 +161,10 @@ TEST(FastpathDeterminism, RepeatedRunsYieldByteIdenticalReports)
     EXPECT_EQ(one, four);
 }
 
-TEST(FastpathDeterminism, EngineFactoryResolvesBackends)
+TEST(FastpathDeterminism, ZeroShardsResolvesToHardwareThreads)
 {
-    EXPECT_EQ(fastpath::makeReplayEngine("scalar")->name(), "scalar");
-    EXPECT_EQ(fastpath::makeReplayEngine("fast", 3)->name(), "fast");
-    auto fast = fastpath::makeReplayEngine("fast", 3);
-    EXPECT_EQ(
-        dynamic_cast<const fastpath::FastReplayEngine &>(*fast).shards(),
-        3u);
     // shards == 0 resolves to the hardware concurrency (at least 1).
-    auto hw = fastpath::makeReplayEngine("fast", 0);
-    EXPECT_GE(
-        dynamic_cast<const fastpath::FastReplayEngine &>(*hw).shards(),
-        1u);
-    EXPECT_THROW(fastpath::makeReplayEngine("simd"), std::runtime_error);
+    EXPECT_GE(fastpath::FastReplayEngine(0).shards(), 1u);
 }
 
 } // namespace gippr

@@ -53,14 +53,12 @@ DETERMINISM_ALLOW = {
 }
 
 # getenv is legal only at these audited config-knob sites: they steer
-# pacing, batching, backend selection, and fault injection — never a
+# the trace loader, I/O retry pacing and fault injection — never a
 # seed, an ordering, or a reported result.
 GETENV_ALLOW = {
     "src/trace/trace_io.cc",        # GIPPR_TRACE_MMAP loader switch
-    "src/ga/fitness.cc",            # GIPPR_GA_BATCH / GIPPR_GA_MEMO
     "src/robust/fault_inject.cc",   # GIPPR_FAULT_INJECT test hook
     "src/robust/atomic_io.cc",      # GIPPR_IO_RETRY_BASE_MS pacing
-    "src/sim/fastpath/engine.cc",   # GIPPR_REPLAY_BACKEND / _SHARDS
 }
 
 DETERMINISM_RE = re.compile(
