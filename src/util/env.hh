@@ -3,10 +3,9 @@
  * Strict parsing of numeric GIPPR_* environment knobs.
  *
  * A knob that is set but malformed must fail loudly: strtoul-style
- * parsing silently turns "abc" into 0, which disables batching or the
- * fitness memo, or changes the shard count, without a word.  Callers
- * keep their own getenv (the audited config-knob sites) and hand the
- * value here.
+ * parsing silently turns "abc" into 0, which changes the I/O retry
+ * pacing or the trace loader without a word.  Callers keep their own
+ * getenv (the audited config-knob sites) and hand the value here.
  */
 
 #ifndef GIPPR_UTIL_ENV_HH_
