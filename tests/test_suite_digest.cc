@@ -19,7 +19,9 @@
 #include <gtest/gtest.h>
 
 #include "sim/experiment.hh"
+#include "core/vectors.hh"
 #include "sim/fastpath/hierarchy.hh"
+#include "sim/multicore/engine.hh"
 #include "sim/policy_zoo.hh"
 #include "sim/system.hh"
 
@@ -113,6 +115,48 @@ foldStats(uint64_t h, const CacheStats &s)
                        s.demandMisses})
         h = foldU64(h, v);
     return h;
+}
+
+uint64_t
+foldBank(uint64_t h, const fastpath::CounterBank &b)
+{
+    for (uint64_t v : {b.accesses, b.hits, b.misses, b.evictions,
+                       b.writebacks, b.demandAccesses, b.demandMisses})
+        h = foldU64(h, v);
+    return h;
+}
+
+uint64_t
+foldReplay(uint64_t h, const fastpath::ReplayStats &s)
+{
+    h = foldBank(h, s.measured);
+    h = foldBank(h, s.total);
+    h = foldU64(h, s.finalWinner);
+    h = foldU64(h, s.duelCounters.size());
+    for (uint64_t v : s.duelCounters)
+        h = foldU64(h, v);
+    h = foldU64(h, s.leaderMisses.size());
+    for (uint64_t v : s.leaderMisses)
+        h = foldU64(h, v);
+    return h;
+}
+
+/** Digest of a whole shared-LLC run: every core's shared and solo
+ *  statistics (duel state included), the summed banks, the final way
+ *  split and the repartition count. */
+uint64_t
+foldRun(uint64_t h, const multicore::RunResult &r)
+{
+    for (const multicore::CoreResult &c : r.cores) {
+        h = foldReplay(h, c.stats);
+        h = foldReplay(h, c.solo);
+    }
+    h = foldBank(h, r.measured);
+    h = foldBank(h, r.total);
+    h = foldU64(h, r.wayCounts.size());
+    for (unsigned w : r.wayCounts)
+        h = foldU64(h, w);
+    return foldU64(h, r.repartitions);
 }
 
 } // namespace
@@ -298,6 +342,47 @@ TEST(SuiteDigest, SharedCacheLeavesExperimentRowsUnchanged)
     EXPECT_GT(shared.hits(), 0u);
     for (size_t i = 0; i < plain.rows.size(); ++i)
         EXPECT_EQ(plain.rows[i].values, again.rows[i].values);
+}
+
+TEST(SuiteDigest, SharedLlcRunsPinned)
+{
+    // Golden digest of whole shared-LLC runs over a 4-core mix at a
+    // 64-set, 16-way LLC: per-core duels with utility repartitioning,
+    // one global duel with a static split, and unpartitioned LRU.
+    // Both backends must land on the same value.
+    SuiteParams sp = pinnedParams();
+    sp.llcBlocks = 1024;
+    sp.accessesPerSimpoint = 20000;
+    const SyntheticSuite suite(sp);
+    const std::vector<multicore::CoreStream> streams =
+        multicore::buildCoreStreams(multicore::parseMixSpec("balanced", 4),
+                                    suite, tinyHier(), nullptr);
+
+    multicore::RunParams base;
+    base.llc = {"LLC", 64 * 1024, 16, 64};
+    std::vector<multicore::RunParams> configs(3, base);
+    configs[0].policy = fastpath::dgipprSpec(local_vectors::dgippr4());
+    configs[0].duelScope = multicore::DuelScope::PerCore;
+    configs[0].schedule = multicore::Schedule::Weighted;
+    configs[0].partition.mode = multicore::PartitionMode::Utility;
+    configs[0].partition.repartitionEvery = 4096;
+    configs[0].partition.sampleEvery = 4;
+    configs[1].policy = fastpath::dgipprSpec(local_vectors::dgippr2());
+    configs[1].partition.mode = multicore::PartitionMode::Static;
+    configs[1].partition.staticWays = {6, 4, 3, 3};
+    configs[2].policy = fastpath::lruSpec();
+
+    for (multicore::Backend backend :
+         {multicore::Backend::Fast, multicore::Backend::Scalar}) {
+        uint64_t h = kFnvOffset;
+        for (multicore::RunParams params : configs) {
+            params.backend = backend;
+            h = foldRun(h, multicore::runSharedLlc(streams, params));
+        }
+        constexpr uint64_t kGolden = 0x18a3123a07f1327bull;
+        EXPECT_EQ(h, kGolden)
+            << multicore::backendName(backend) << ' ' << std::hex << h;
+    }
 }
 
 } // namespace gippr
