@@ -5,6 +5,9 @@
 
 #include "cache/cache.hh"
 
+#include <algorithm>
+
+#include "util/bitops.hh"
 #include "util/check.hh"
 #include "util/log.hh"
 
@@ -17,6 +20,8 @@ SetAssocCache::SetAssocCache(const CacheConfig &config,
 {
     config_.validate();
     decode_ = AddressDecode(config_);
+    // Way masks are 64 bits wide; wider caches take only full masks.
+    allWays_ = lowMask(std::min(config_.assoc, 64u));
     if (!policy_)
         fatal(config_.name + ": null replacement policy");
     lines_.resize(config_.sets() * config_.assoc);
@@ -50,17 +55,36 @@ SetAssocCache::findWay(uint64_t set, uint64_t tag) const
 }
 
 unsigned
-SetAssocCache::findInvalidWay(uint64_t set) const
+SetAssocCache::findInvalidWay(uint64_t set, uint64_t mask) const
 {
     for (unsigned w = 0; w < config_.assoc; ++w) {
-        if (!line(set, w).valid)
+        if (!line(set, w).valid &&
+            (mask == allWays_ || ((mask >> w) & 1) != 0))
             return w;
     }
     return config_.assoc;
 }
 
+unsigned
+SetAssocCache::maskedVictim(uint64_t set, uint64_t mask) const
+{
+    // Positions are a permutation, so the maximum is unique.
+    unsigned best = 0;
+    unsigned best_pos = 0;
+    for (uint64_t m = mask; m != 0; m &= m - 1) {
+        const auto w = static_cast<unsigned>(countTrailingZeros(m));
+        const unsigned p = *policy_->recencyPosition(set, w);
+        if (p >= best_pos) {
+            best = w;
+            best_pos = p;
+        }
+    }
+    return best;
+}
+
 AccessResult
-SetAssocCache::access(uint64_t byte_addr, AccessType type, uint64_t pc)
+SetAssocCache::access(uint64_t byte_addr, AccessType type, uint64_t pc,
+                      unsigned domain, uint64_t way_mask)
 {
     const uint64_t set = decode_.setIndex(byte_addr);
     const uint64_t tag = decode_.tag(byte_addr);
@@ -72,6 +96,18 @@ SetAssocCache::access(uint64_t byte_addr, AccessType type, uint64_t pc)
     info.pc = pc;
     info.type = type;
     info.sequence = sequence_++;
+    info.domain = domain;
+    info.wayMask = way_mask & allWays_;
+    const bool partial = info.wayMask != allWays_;
+    if (partial) {
+        if (info.wayMask == 0)
+            fatal(config_.name + ": access with an empty way mask");
+        if (config_.assoc > 64 ||
+            !policy_->recencyPosition(set, 0).has_value())
+            fatal(config_.name + ": " + policy_->name() +
+                  " keeps no recency order, so it cannot fill within "
+                  "a way mask");
+    }
 
     ++stats_.accesses;
     if (demand)
@@ -110,9 +146,10 @@ SetAssocCache::access(uint64_t byte_addr, AccessType type, uint64_t pc)
         return result;
     }
 
-    way = findInvalidWay(set);
+    way = findInvalidWay(set, info.wayMask);
     if (way == config_.assoc) {
-        way = policy_->victim(info);
+        way = partial ? maskedVictim(set, info.wayMask)
+                      : policy_->victim(info);
         if (way >= config_.assoc)
             panic(config_.name + ": policy returned way out of range");
         Line &victim_line = line(set, way);

@@ -105,9 +105,17 @@ class SetAssocCache
      * @param byte_addr  referenced byte address
      * @param type       access kind
      * @param pc         referencing instruction address (0 if unknown)
+     * @param domain     duel domain (AccessInfo::domain)
+     * @param way_mask   ways the fill may use (AccessInfo::wayMask).
+     *                   A mask covering only some of the ways fills
+     *                   its first invalid way, else evicts its way at
+     *                   the highest recency position; the policy must
+     *                   then have one (fatal otherwise).  Lines
+     *                   outside the mask still hit.
      */
     AccessResult access(uint64_t byte_addr, AccessType type,
-                        uint64_t pc = 0);
+                        uint64_t pc = 0, unsigned domain = 0,
+                        uint64_t way_mask = ~uint64_t{0});
 
     /** True if the block holding @p byte_addr is present (no update). */
     bool probe(uint64_t byte_addr) const;
@@ -158,8 +166,11 @@ class SetAssocCache
     /** Find way holding @p tag in @p set, or assoc if absent. */
     unsigned findWay(uint64_t set, uint64_t tag) const;
 
-    /** First invalid way in @p set, or assoc if the set is full. */
-    unsigned findInvalidWay(uint64_t set) const;
+    /** First invalid way of @p mask in @p set, or assoc if none. */
+    unsigned findInvalidWay(uint64_t set, uint64_t mask) const;
+
+    /** The way of @p mask at the highest recency position. */
+    unsigned maskedVictim(uint64_t set, uint64_t mask) const;
 
     /** Registry counters mirrored on the access path (see
      *  attachTelemetry); all null until attached. */
@@ -175,6 +186,8 @@ class SetAssocCache
     CacheConfig config_;
     /** config_'s address split, derived once (the access path's). */
     AddressDecode decode_;
+    /** One bit per way: the mask of an unrestricted access. */
+    uint64_t allWays_ = 0;
     std::unique_ptr<ReplacementPolicy> policy_;
     std::vector<Line> lines_; // sets * assoc, row-major by set
     CacheStats stats_;

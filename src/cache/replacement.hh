@@ -25,6 +25,7 @@
 #define GIPPR_CACHE_REPLACEMENT_HH_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "telemetry/metrics.hh"
@@ -53,6 +54,12 @@ struct AccessInfo
     AccessType type = AccessType::Load;
     /** Monotonic per-cache access sequence number (for offline MIN). */
     uint64_t sequence = 0;
+    /** Duel domain: a shared cache keeps one set-dueling tournament
+     *  per domain (DGIPPR's per-core duels); 0 everywhere else. */
+    unsigned domain = 0;
+    /** Ways the access may fill, bit w for way w (way partitioning);
+     *  every way unless the caller restricts it. */
+    uint64_t wayMask = ~uint64_t{0};
 };
 
 /**
@@ -99,6 +106,22 @@ class ReplacementPolicy
 
     /** Hit on @p way. */
     virtual void onHit(unsigned way, const AccessInfo &info) = 0;
+
+    /**
+     * Recency position of the line in (@p set, @p way): 0 is the
+     * most-recently-used end and assoc-1 the line victim() evicts.
+     * Policies that keep a total recency order (the LRU stack, the
+     * PseudoLRU tree) return it; the rest return std::nullopt.  A
+     * way-masked fill reads it to evict the masked way closest to
+     * eviction.
+     */
+    virtual std::optional<unsigned>
+    recencyPosition(uint64_t set, unsigned way) const
+    {
+        (void)set;
+        (void)way;
+        return std::nullopt;
+    }
 
     /** Line in (set, way) invalidated externally. */
     virtual void

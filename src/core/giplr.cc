@@ -57,6 +57,12 @@ GiplrPolicy::onInvalidate(uint64_t set, unsigned way)
     stacks_[set].moveTo(way, ways_ - 1);
 }
 
+std::optional<unsigned>
+GiplrPolicy::recencyPosition(uint64_t set, unsigned way) const
+{
+    return stacks_[set].position(way);
+}
+
 unsigned
 GiplrPolicy::position(uint64_t set, unsigned way) const
 {

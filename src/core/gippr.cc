@@ -52,4 +52,10 @@ GipprPolicy::onInvalidate(uint64_t set, unsigned way)
     trees_[set].setPosition(way, trees_[set].ways() - 1);
 }
 
+std::optional<unsigned>
+GipprPolicy::recencyPosition(uint64_t set, unsigned way) const
+{
+    return trees_[set].position(way);
+}
+
 } // namespace gippr

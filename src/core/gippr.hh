@@ -40,6 +40,8 @@ class GipprPolicy : public ReplacementPolicy
     void onInsert(unsigned way, const AccessInfo &info) override;
     void onHit(unsigned way, const AccessInfo &info) override;
     void onInvalidate(uint64_t set, unsigned way) override;
+    std::optional<unsigned> recencyPosition(uint64_t set,
+                                            unsigned way) const override;
 
     std::string name() const override { return "GIPPR"; }
 

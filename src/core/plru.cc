@@ -40,4 +40,10 @@ PlruPolicy::onInvalidate(uint64_t set, unsigned way)
     trees_[set].setPosition(way, trees_[set].ways() - 1);
 }
 
+std::optional<unsigned>
+PlruPolicy::recencyPosition(uint64_t set, unsigned way) const
+{
+    return trees_[set].position(way);
+}
+
 } // namespace gippr

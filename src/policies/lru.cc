@@ -41,6 +41,12 @@ LruPolicy::onInvalidate(uint64_t set, unsigned way)
     stacks_[set].moveTo(way, ways_ - 1);
 }
 
+std::optional<unsigned>
+LruPolicy::recencyPosition(uint64_t set, unsigned way) const
+{
+    return stacks_[set].position(way);
+}
+
 unsigned
 LruPolicy::position(uint64_t set, unsigned way) const
 {

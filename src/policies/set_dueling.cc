@@ -42,6 +42,17 @@ LeaderSets::owner(uint64_t set) const
     return owner_[set];
 }
 
+std::vector<int8_t>
+LeaderSets::domainOwners(unsigned domains) const
+{
+    std::vector<int8_t> owners(domains * sets_);
+    for (unsigned d = 0; d < domains; ++d)
+        for (uint64_t s = 0; s < sets_; ++s)
+            owners[d * sets_ + s] =
+                owner_[(s + d * kLeaderSetRotate) % sets_];
+    return owners;
+}
+
 unsigned
 clampLeaders(uint64_t sets, unsigned policies, unsigned requested)
 {

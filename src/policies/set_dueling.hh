@@ -47,6 +47,22 @@ class LeaderSets
 
     static constexpr int kFollower = -1;
 
+    /**
+     * Rotation stride between duel domains' leader tables: domain d
+     * gives set s the owner this map gives set
+     * (s + d * kLeaderSetRotate) mod sets.  Any odd constant
+     * decorrelates the domains' sampled sets; domain 0's rotation is
+     * zero, so a one-domain table is this map exactly.
+     */
+    static constexpr uint64_t kLeaderSetRotate = 97;
+
+    /**
+     * Owners of every set in @p domains duel domains (a shared
+     * cache's per-core duels), flat and domain-major: entry
+     * d * sets + s is set s's owner in domain d.
+     */
+    std::vector<int8_t> domainOwners(unsigned domains) const;
+
     unsigned policies() const { return policies_; }
     unsigned leadersPerPolicy() const { return leadersPerPolicy_; }
 

@@ -8,7 +8,6 @@
 #include <algorithm>
 
 #include "cache/replay.hh"
-#include "core/dgippr.hh"
 #include "sim/fastpath/soa_cache.hh"
 #include "util/check.hh"
 #include "util/parallel.hh"
@@ -355,26 +354,12 @@ ScalarReplayEngine::replay(const ReplaySpec &spec,
 {
     GIPPR_CHECK(warmup <= trace.size());
     SetAssocCache cache(config, makeScalarPolicy(spec, config));
-    const auto *dg =
-        dynamic_cast<const DgipprPolicy *>(&cache.policy());
-    std::vector<uint64_t> leader_misses;
-    if (dg)
-        leader_misses.assign(dg->ipvs().size(), 0);
-
-    const AddressDecode decode(config);
     CacheStats at_warmup;
     for (size_t i = 0; i < trace.size(); ++i) {
         if (i == warmup)
             at_warmup = cache.stats();
         const MemRecord &r = trace[i];
-        const AccessType type = recordType(r);
-        const AccessResult res = cache.access(r.addr, type, r.pc);
-        if (dg && !res.hit && type != AccessType::Writeback) {
-            const int owner =
-                dg->leaderSets().owner(decode.setIndex(r.addr));
-            if (owner != LeaderSets::kFollower)
-                ++leader_misses[static_cast<unsigned>(owner)];
-        }
+        cache.access(r.addr, recordType(r), r.pc);
     }
     if (warmup == trace.size())
         at_warmup = cache.stats();
@@ -382,11 +367,7 @@ ScalarReplayEngine::replay(const ReplaySpec &spec,
     ReplayStats stats;
     stats.total = toBank(cache.stats());
     stats.measured = stats.total - toBank(at_warmup);
-    if (dg) {
-        stats.finalWinner = dg->currentWinner();
-        stats.duelCounters = dg->selector().counterValues();
-        stats.leaderMisses = std::move(leader_misses);
-    }
+    scalarDuelStats(spec, cache.policy(), 0, stats);
     return stats;
 }
 

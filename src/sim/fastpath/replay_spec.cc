@@ -180,7 +180,8 @@ ReplayStats::toString() const
 }
 
 std::unique_ptr<ReplacementPolicy>
-makeScalarPolicy(const ReplaySpec &spec, const CacheConfig &config)
+makeScalarPolicy(const ReplaySpec &spec, const CacheConfig &config,
+                 unsigned domains)
 {
     switch (spec.kind) {
       case FastPolicyKind::Lru:
@@ -201,9 +202,22 @@ makeScalarPolicy(const ReplaySpec &spec, const CacheConfig &config)
       case FastPolicyKind::Dgippr:
         return std::make_unique<DgipprPolicy>(config, spec.ipvs,
                                               spec.leaders,
-                                              spec.counterBits);
+                                              spec.counterBits, domains);
     }
     fatal("makeScalarPolicy: unknown policy kind");
+}
+
+void
+scalarDuelStats(const ReplaySpec &spec, const ReplacementPolicy &policy,
+                unsigned domain, ReplayStats &out)
+{
+    if (spec.kind != FastPolicyKind::Dgippr)
+        return;
+    // makeScalarPolicy builds a DgipprPolicy for every Dgippr spec.
+    const auto &dg = static_cast<const DgipprPolicy &>(policy);
+    out.finalWinner = dg.currentWinner(domain);
+    out.duelCounters = dg.selector(domain).counterValues();
+    out.leaderMisses = dg.leaderMisses(domain);
 }
 
 } // namespace gippr::fastpath

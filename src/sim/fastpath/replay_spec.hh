@@ -116,10 +116,23 @@ struct ReplayStats
 
 /**
  * Build the scalar ReplacementPolicy object for @p spec — the single
- * source of truth tying specs to production policy classes.
+ * source of truth tying specs to production policy classes.  Dgippr
+ * policies get @p domains duel domains (a shared LLC's per-core
+ * duels); the other kinds have no duel state.
  */
 std::unique_ptr<ReplacementPolicy>
-makeScalarPolicy(const ReplaySpec &spec, const CacheConfig &config);
+makeScalarPolicy(const ReplaySpec &spec, const CacheConfig &config,
+                 unsigned domains = 1);
+
+/**
+ * Write duel domain @p domain's state — final winner, PSEL counters,
+ * leader misses — of @p policy, which makeScalarPolicy(@p spec) built,
+ * into @p out's duel fields.  Leaves them untouched unless @p spec is
+ * a Dgippr spec (the scalar twin of SoaCacheModel::duelStats).
+ */
+void scalarDuelStats(const ReplaySpec &spec,
+                     const ReplacementPolicy &policy, unsigned domain,
+                     ReplayStats &out);
 
 } // namespace gippr::fastpath
 

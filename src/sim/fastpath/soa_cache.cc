@@ -15,6 +15,14 @@
 namespace gippr::fastpath
 {
 
+namespace
+{
+
+/**
+ * Promotion/insertion vectors a spec's policy family applies: Lru and
+ * Lip synthesize their fixed vectors, Plru needs none, the IPV
+ * families use the spec's own.
+ */
 std::vector<Ipv>
 effectiveIpvs(const ReplaySpec &spec, unsigned ways)
 {
@@ -32,6 +40,8 @@ effectiveIpvs(const ReplaySpec &spec, unsigned ways)
     }
     return {};
 }
+
+} // namespace
 
 std::shared_ptr<const TreeTables>
 TreeTables::forAssoc(unsigned assoc)
@@ -205,14 +215,11 @@ SoaCacheModel::SoaCacheModel(const ReplaySpec &spec,
     }
     if (duel_) {
         const auto nvec = static_cast<unsigned>(promo_.size());
-        const LeaderSets leaders(
-            sets_, nvec, clampLeaders(sets_, nvec, spec.leaders));
-        owners_.resize(domains * sets_);
+        owners_ = LeaderSets(sets_, nvec,
+                             clampLeaders(sets_, nvec, spec.leaders))
+                      .domainOwners(domains);
         duels_.reserve(domains);
         for (unsigned d = 0; d < domains; ++d) {
-            for (uint64_t s = 0; s < sets_; ++s)
-                owners_[d * sets_ + s] = static_cast<int8_t>(
-                    leaders.owner((s + d * kLeaderSetRotate) % sets_));
             TournamentSelector selector(nvec, spec.counterBits);
             const unsigned winner = selector.winner();
             duels_.push_back({std::move(selector), winner,

@@ -157,24 +157,6 @@ struct TreeTables
 };
 
 /**
- * Promotion/insertion vectors a spec's policy family applies: Lru and
- * Lip synthesize their fixed vectors, Plru needs none, the IPV
- * families use the spec's own.  Shared by the packed model and the
- * scalar shared-LLC reference.
- */
-std::vector<Ipv> effectiveIpvs(const ReplaySpec &spec, unsigned ways);
-
-/**
- * Rotation stride between duel domains' leader-set tables: domain d
- * owns set s as the base LeaderSets map does set
- * (s + d * kLeaderSetRotate) mod sets.  Any odd constant decorrelates
- * the domains' sampled sets; domain 0's rotation is zero, so a
- * one-domain model keeps the single-core tables exactly.  Every
- * shared-LLC backend must use this same constant.
- */
-constexpr uint64_t kLeaderSetRotate = 97;
-
-/**
  * Packed replica of SetAssocCache + one of the seven core policies.
  *
  * The model covers every set of the geometry but is oblivious to
@@ -186,7 +168,8 @@ constexpr uint64_t kLeaderSetRotate = 97;
  *
  * A shared LLC is the same model with two additions, both taken per
  * access: a duel domain (each domain has its own rotated leader
- * table, tournament, winner and leader-miss counts) and a way mask
+ * table, LeaderSets::domainOwners, and its own tournament, winner and
+ * leader-miss counts — DgipprPolicy's domains) and a way mask
  * restricting the fill.  One domain and a full mask is exactly the
  * single-core transition.
  */

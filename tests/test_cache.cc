@@ -11,6 +11,7 @@
 #include "cache/config.hh"
 #include "cache/replay.hh"
 #include "policies/lru.hh"
+#include "policies/rrip.hh"
 
 namespace gippr
 {
@@ -308,6 +309,65 @@ TEST(CacheReplay, InstructionGapOverflowIsFatal)
     t.append(demand);
     EXPECT_DEATH(([&]() noexcept { demandOnlyTrace(t); })(),
                  "instruction gap 4294967296 at LLC record 1 overflows");
+}
+
+TEST(Cache, WayMaskConfinesFills)
+{
+    CacheConfig cfg = tinyConfig(1, 4);
+    SetAssocCache cache = makeLruCache(cfg);
+    const uint64_t low = 0b0011;
+    // Fills take the mask's invalid ways, then evict within it.
+    EXPECT_EQ(cache.access(0 * 64, AccessType::Load, 0, 0, low).way, 0u);
+    EXPECT_EQ(cache.access(1 * 64, AccessType::Load, 0, 0, low).way, 1u);
+    AccessResult r = cache.access(2 * 64, AccessType::Load, 0, 0, low);
+    EXPECT_EQ(r.way, 0u);
+    ASSERT_TRUE(r.evictedBlock.has_value());
+    EXPECT_EQ(*r.evictedBlock, 0u);
+    EXPECT_EQ(cache.validCount(0), 2u);
+    // The other ways fill under their own mask; every line still
+    // hits whatever mask the hit carries.
+    EXPECT_EQ(cache.access(3 * 64, AccessType::Load, 0, 0, 0b1100).way,
+              2u);
+    EXPECT_TRUE(cache.access(3 * 64, AccessType::Load, 0, 0, low).hit);
+}
+
+TEST(Cache, MaskedVictimIsTheOldestWayOfTheMask)
+{
+    CacheConfig cfg = tinyConfig(1, 4);
+    SetAssocCache cache = makeLruCache(cfg);
+    for (uint64_t b = 0; b < 4; ++b)
+        cache.access(b * 64, AccessType::Load);
+    cache.access(0 * 64, AccessType::Load); // LRU order now 1,2,3,0
+    // The full set would evict way 1; the mask {2, 0} evicts way 2.
+    const AccessResult r =
+        cache.access(9 * 64, AccessType::Load, 0, 0, 0b0101);
+    EXPECT_EQ(r.way, 2u);
+    EXPECT_EQ(*r.evictedBlock, 2u);
+    // A full mask is the unmasked victim again: way 1.
+    EXPECT_EQ(cache.access(10 * 64, AccessType::Load, 0, 0, 0b1111).way,
+              1u);
+}
+
+TEST(Cache, MaskedAccessWithoutRecencyOrderIsFatal)
+{
+    CacheConfig cfg = tinyConfig(64, 4);
+    SetAssocCache cache(cfg, std::make_unique<RripPolicy>(
+                                 cfg, RripPolicy::Mode::Dynamic));
+    cache.access(0, AccessType::Load); // a full mask is fine
+    EXPECT_DEATH(([&]() noexcept {
+                     cache.access(64, AccessType::Load, 0, 0, 0b0011);
+                 })(),
+                 "DRRIP keeps no recency order, so it cannot fill "
+                 "within a way mask");
+}
+
+TEST(Cache, EmptyWayMaskIsFatal)
+{
+    SetAssocCache cache = makeLruCache(tinyConfig(1, 4));
+    EXPECT_DEATH(([&]() noexcept {
+                     cache.access(0, AccessType::Load, 0, 0, 0);
+                 })(),
+                 "tiny: access with an empty way mask");
 }
 
 } // namespace

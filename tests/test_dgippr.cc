@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "core/dgippr.hh"
@@ -215,6 +216,71 @@ TEST(Dgippr, WritebacksDoNotTrainTheDuel)
     for (int i = 0; i < 5000; ++i)
         policy.onMiss(info);
     EXPECT_EQ(policy.currentWinner(), before);
+}
+
+TEST(Dgippr, DomainsDuelIndependently)
+{
+    // Two domains over one tree array: the thrashing loop of
+    // ThrashingStreamSelectsLipVector runs in domain 0, then the
+    // stream of RecencyFriendlyStreamSelectsPmruVector in domain 1.
+    // Each tournament follows only its own domain's misses.
+    CacheConfig c = cfg(64, 16);
+    DgipprPolicy *raw;
+    auto p = std::make_unique<DgipprPolicy>(c, pmruVsPlru(), 4, 11, 2);
+    raw = p.get();
+    SetAssocCache cache(c, std::move(p));
+    for (int rep = 0; rep < 40; ++rep)
+        for (uint64_t b = 0; b < 1280; ++b)
+            cache.access(b * 64, AccessType::Load, 0, 0);
+    EXPECT_EQ(raw->currentWinner(0), 1u);
+    EXPECT_EQ(raw->selector(1).counterValues(),
+              TournamentSelector(2).counterValues());
+    EXPECT_EQ(raw->leaderMisses(1), std::vector<uint64_t>(2, 0));
+
+    const std::vector<uint64_t> psel0 = raw->selector(0).counterValues();
+    const std::vector<uint64_t> misses0 = raw->leaderMisses(0);
+    uint64_t next_block = 1 << 20;
+    for (int i = 0; i < 200000; ++i) {
+        const uint64_t b = next_block++;
+        cache.access(b * 64, AccessType::Load, 0, 1);
+        cache.access((b - 128) * 64, AccessType::Load, 0, 1);
+    }
+    EXPECT_EQ(raw->currentWinner(1), 0u);
+    EXPECT_EQ(raw->currentWinner(0), 1u);
+    EXPECT_EQ(raw->selector(0).counterValues(), psel0);
+    EXPECT_EQ(raw->leaderMisses(0), misses0);
+    EXPECT_EQ(raw->globalStateBits(), 22u); // one PSEL per domain
+}
+
+TEST(Dgippr, ExtraDomainsIdleWithoutTheirAccesses)
+{
+    // Every access in domain 0: a three-domain policy replays exactly
+    // the one-domain policy, and domains 1 and 2 never move.
+    CacheConfig c = cfg(64, 16);
+    auto one = std::make_unique<DgipprPolicy>(c, local_vectors::dgippr4(), 4);
+    auto three = std::make_unique<DgipprPolicy>(
+        c, local_vectors::dgippr4(), 4, 11, 3);
+    const DgipprPolicy &a = *one;
+    const DgipprPolicy &b = *three;
+    SetAssocCache ca(c, std::move(one));
+    SetAssocCache cb(c, std::move(three));
+    Rng rng(7);
+    for (int i = 0; i < 100000; ++i) {
+        const uint64_t addr =
+            addrOf(c, rng.nextBounded(64), rng.nextBounded(40));
+        const AccessResult ra = ca.access(addr, AccessType::Load);
+        const AccessResult rb = cb.access(addr, AccessType::Load);
+        ASSERT_EQ(ra.hit, rb.hit) << i;
+        ASSERT_EQ(ra.way, rb.way) << i;
+    }
+    EXPECT_EQ(a.currentWinner(), b.currentWinner());
+    EXPECT_EQ(a.selector().counterValues(), b.selector().counterValues());
+    EXPECT_EQ(a.leaderMisses(), b.leaderMisses());
+    for (unsigned d = 1; d < 3; ++d) {
+        EXPECT_EQ(b.selector(d).counterValues(),
+                  TournamentSelector(4).counterValues());
+        EXPECT_EQ(b.leaderMisses(d), std::vector<uint64_t>(4, 0));
+    }
 }
 
 } // namespace

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "policies/set_dueling.hh"
 
 namespace gippr
@@ -148,6 +151,40 @@ TEST(Tournament, SwitchesWhenBehaviourFlips)
     for (int i = 0; i < 200; ++i)
         t.recordMiss(0);
     EXPECT_EQ(t.winner(), 1u);
+}
+
+TEST(LeaderSets, DomainOwnersRotateTheBaseMap)
+{
+    // Every domain's table is a rotation of the base map, so each
+    // keeps its exact leader counts; domain 0's rotation is zero, and
+    // the domains sample different sets.
+    const uint64_t sets = 256;
+    const unsigned domains = 3;
+    LeaderSets ls(sets, 4, 8);
+    const std::vector<int8_t> owners = ls.domainOwners(domains);
+    ASSERT_EQ(owners.size(), domains * sets);
+    for (unsigned d = 0; d < domains; ++d) {
+        const auto table = owners.begin() + d * sets;
+        bool rotated = false;
+        for (uint64_t r = 0; r < sets && !rotated; ++r) {
+            rotated = true;
+            for (uint64_t s = 0; s < sets && rotated; ++s)
+                rotated = table[s] == ls.owner((s + r) % sets);
+        }
+        EXPECT_TRUE(rotated) << "domain " << d;
+        EXPECT_EQ(std::count_if(table, table + sets,
+                                [](int8_t o) {
+                                    return o != LeaderSets::kFollower;
+                                }),
+                  4 * 8)
+            << "domain " << d;
+        for (unsigned e = 0; e < d; ++e)
+            EXPECT_FALSE(std::equal(table, table + sets,
+                                    owners.begin() + e * sets))
+                << "domains " << e << " and " << d;
+    }
+    for (uint64_t s = 0; s < sets; ++s)
+        EXPECT_EQ(owners[s], ls.owner(s));
 }
 
 } // namespace
