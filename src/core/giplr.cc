@@ -63,10 +63,4 @@ GiplrPolicy::recencyPosition(uint64_t set, unsigned way) const
     return stacks_[set].position(way);
 }
 
-unsigned
-GiplrPolicy::position(uint64_t set, unsigned way) const
-{
-    return stacks_[set].position(way);
-}
-
 } // namespace gippr

@@ -51,9 +51,6 @@ class GiplrPolicy : public ReplacementPolicy
 
     const Ipv &ipv() const { return ipv_; }
 
-    /** Stack position of a way (test aid). */
-    unsigned position(uint64_t set, unsigned way) const;
-
   private:
     unsigned ways_;
     Ipv ipv_;

@@ -47,10 +47,4 @@ LruPolicy::recencyPosition(uint64_t set, unsigned way) const
     return stacks_[set].position(way);
 }
 
-unsigned
-LruPolicy::position(uint64_t set, unsigned way) const
-{
-    return stacks_[set].position(way);
-}
-
 } // namespace gippr

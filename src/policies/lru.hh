@@ -41,9 +41,6 @@ class LruPolicy : public ReplacementPolicy
         return static_cast<size_t>(ways_) * ceilLog2(ways_);
     }
 
-    /** Stack position of a way (diagnostic / test aid). */
-    unsigned position(uint64_t set, unsigned way) const;
-
   private:
     unsigned ways_;
     std::vector<RecencyStack> stacks_;

@@ -266,6 +266,7 @@ runMissExperiment(const SyntheticSuite &suite,
                   const std::vector<PolicyDef> &policies,
                   const ExperimentConfig &config)
 {
+    checkWarmupFraction(config.system);
     return runOverSuite(suite,
                         columnNames(policies, config.includeMin), config,
                         "MPKI", [&](const WorkloadSpec &spec) {

@@ -13,8 +13,9 @@
  * the LLC as a callback, which gives the hierarchy its two roles:
  *
  *  1. In the performance simulator (simulateTrace) the callback is the
- *     scalar LLC under study, and the returned HitLevel drives the CPU
- *     model's per-level latencies.
+ *     LLC under study — a packed SoaCacheModel for the policies it
+ *     packs, else SetAssocCache — and the returned HitLevel drives
+ *     the CPU model's per-level latencies.
  *  2. As a *filter*: filterToLlc()'s callback records the stream, which
  *     the GA fitness function, the fast replay engines and the offline
  *     MIN simulator consume.

@@ -207,6 +207,13 @@ makeScalarPolicy(const ReplaySpec &spec, const CacheConfig &config,
     fatal("makeScalarPolicy: unknown policy kind");
 }
 
+const ReplaySpec *
+specOf(const PolicyFactory &factory)
+{
+    const auto *spec_factory = factory.target<SpecFactory>();
+    return spec_factory != nullptr ? &spec_factory->spec : nullptr;
+}
+
 void
 scalarDuelStats(const ReplaySpec &spec, const ReplacementPolicy &policy,
                 unsigned domain, ReplayStats &out)

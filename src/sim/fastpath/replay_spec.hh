@@ -125,6 +125,27 @@ makeScalarPolicy(const ReplaySpec &spec, const CacheConfig &config,
                  unsigned domains = 1);
 
 /**
+ * The PolicyFactory of a spec: builds makeScalarPolicy(spec, config).
+ * A factory built this way still names its spec, which specOf()
+ * reads back, so a caller handed only the factory can run the spec
+ * on the packed model instead.
+ */
+struct SpecFactory
+{
+    ReplaySpec spec;
+
+    std::unique_ptr<ReplacementPolicy>
+    operator()(const CacheConfig &config) const
+    {
+        return makeScalarPolicy(spec, config);
+    }
+};
+
+/** @p factory's spec if it holds a SpecFactory, else nullptr (any
+ *  other callable, including a lambda around a SpecFactory). */
+const ReplaySpec *specOf(const PolicyFactory &factory);
+
+/**
  * Write duel domain @p domain's state — final winner, PSEL counters,
  * leader misses — of @p policy, which makeScalarPolicy(@p spec) built,
  * into @p out's duel fields.  Leaves them untouched unless @p spec is

@@ -28,11 +28,11 @@
 #include <string>
 #include <vector>
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-
 /**
+ * The 8- and 16-way row operations (signature scan, recency victim,
+ * recency shift) compare a set's whole byte row in one SSE2
+ * instruction; other widths take the generic loops.
+ *
  * The 32-wide batch kernel uses AVX2 and BMI2 pext through
  * per-function target attributes, so the library builds with baseline
  * flags and the replay engine selects the kernel at run time
@@ -42,13 +42,18 @@
  * independent dependency chains.  Only compiled where the attributes
  * and the intrinsics exist.
  *
- * -DGIPPR_PORTABLE_KERNELS compiles the kernel out even on x86-64, so
- * CI can prove the portable generic path (the permanent fallback for
- * hosts without BMI2/AVX2) stays bit-identical without needing such a
+ * -DGIPPR_PORTABLE_KERNELS compiles both out even on x86-64 — the
+ * SSE2 rows and the batch kernel — so CI can prove the portable
+ * generic path (the permanent fallback for hosts without SSE2, BMI2
+ * or AVX2) stays bit-identical at every width without needing such a
  * machine.
  */
-#if defined(__GNUC__) && defined(__x86_64__) && defined(__SSE2__) && \
-    !defined(GIPPR_PORTABLE_KERNELS)
+#if defined(__SSE2__) && !defined(GIPPR_PORTABLE_KERNELS)
+#define GIPPR_SSE_ROWS 1
+#include <emmintrin.h>
+#endif
+
+#if defined(__GNUC__) && defined(__x86_64__) && defined(GIPPR_SSE_ROWS)
 #define GIPPR_BATCH_KERNELS 1
 #include <immintrin.h>
 #endif
@@ -123,6 +128,48 @@ packedPromoteMru(uint64_t word, unsigned ways, unsigned way)
     }
     return word;
 }
+
+#if GIPPR_SSE_ROWS
+/**
+ * One set's byte row (signatures or recency positions) of @p Ways
+ * lanes in an SSE register: a 16-way row fills it, an 8-way row is
+ * its low half (64-bit load, upper lanes zero, 64-bit store), so the
+ * upper lanes never reach memory and mask() cuts them off.
+ */
+template <unsigned Ways>
+struct SseRow
+{
+    static_assert(Ways == 8 || Ways == 16);
+
+    static __m128i
+    load(const uint8_t *row)
+    {
+        const auto *p = reinterpret_cast<const __m128i *>(row);
+        if constexpr (Ways == 16)
+            return _mm_loadu_si128(p);
+        else
+            return _mm_loadl_epi64(p);
+    }
+
+    static void
+    store(uint8_t *row, __m128i v)
+    {
+        auto *p = reinterpret_cast<__m128i *>(row);
+        if constexpr (Ways == 16)
+            _mm_storeu_si128(p, v);
+        else
+            _mm_storel_epi64(p, v);
+    }
+
+    /** Way bitmask of the lanes where @p cmp is all-ones. */
+    static unsigned
+    mask(__m128i cmp)
+    {
+        return static_cast<unsigned>(_mm_movemask_epi8(cmp)) &
+               ((1u << Ways) - 1);
+    }
+};
+#endif
 
 /**
  * Per-way tree tables for one pow2 associativity.
@@ -371,8 +418,20 @@ class SoaCacheModel
     unsigned maskedVictim(uint64_t set, uint64_t base,
                           uint64_t mask) const;
     void moveTo(uint8_t *pos, unsigned way, unsigned to);
+    unsigned recencyVictim(const uint8_t *pos) const;
+    int findWay(uint64_t base, uint64_t tag, uint64_t valid) const;
+#if GIPPR_SSE_ROWS
+    /** The three row operations on a whole @p Ways-byte row (8 or
+     *  16) in one SSE register; the 16-way ones also serve the batch
+     *  kernel's tail. */
+    template <unsigned Ways>
+    static void moveToRow(uint8_t *pos, unsigned way, unsigned to);
+    template <unsigned Ways>
+    static unsigned recencyVictimRow(const uint8_t *pos);
+    template <unsigned Ways>
+    int findWayRow(uint64_t base, uint64_t tag, uint64_t valid) const;
+#endif
 #if GIPPR_BATCH_KERNELS
-    void moveTo16(uint8_t *pos, unsigned way, unsigned to);
     /** Branch-free per-genome tail of the 32-wide kernel: everything
      *  after the signature scan, taking the raw 16-bit
      *  signature-match mask (not yet masked with valid). */
@@ -381,8 +440,6 @@ class SoaCacheModel
     accessResolved16(uint64_t set, uint64_t tag, AccessType type,
                      unsigned sig_match);
 #endif
-    unsigned recencyVictim(const uint8_t *pos) const;
-    int findWay(uint64_t base, uint64_t tag, uint64_t valid) const;
     unsigned treePositionOf(uint64_t word, unsigned way) const;
 
     // Geometry.
@@ -478,43 +535,79 @@ SoaCacheModel::recordDuelMiss(unsigned domain, uint64_t set)
     }
 }
 
+#if GIPPR_SSE_ROWS
+template <unsigned Ways>
+inline void
+SoaCacheModel::moveToRow(uint8_t *pos, unsigned way, unsigned to)
+{
+    // Branch-free: the increment region [to, from) and the decrement
+    // region (from, to] cannot both be non-empty, so applying both
+    // masks unconditionally is the exact shift for either direction
+    // (and a no-op when to == from).  Positions are < 64, so signed
+    // byte compares are safe.
+    const unsigned from = pos[way];
+    const __m128i v = SseRow<Ways>::load(pos);
+    const __m128i inc = _mm_and_si128(
+        _mm_cmpgt_epi8(v, _mm_set1_epi8(static_cast<char>(
+                              static_cast<int>(to) - 1))),
+        _mm_cmplt_epi8(v,
+                       _mm_set1_epi8(static_cast<char>(from))));
+    const __m128i dec = _mm_and_si128(
+        _mm_cmpgt_epi8(v, _mm_set1_epi8(static_cast<char>(from))),
+        _mm_cmplt_epi8(v, _mm_set1_epi8(static_cast<char>(
+                              static_cast<int>(to) + 1))));
+    // Subtracting a -1 mask adds one; adding it subtracts one.
+    SseRow<Ways>::store(pos, _mm_add_epi8(_mm_sub_epi8(v, inc), dec));
+    pos[way] = static_cast<uint8_t>(to);
+}
+
+template <unsigned Ways>
+inline unsigned
+SoaCacheModel::recencyVictimRow(const uint8_t *pos)
+{
+    const unsigned match = SseRow<Ways>::mask(_mm_cmpeq_epi8(
+        SseRow<Ways>::load(pos),
+        _mm_set1_epi8(static_cast<char>(Ways - 1))));
+    GIPPR_DCHECK(match != 0);
+    return static_cast<unsigned>(countTrailingZeros(match));
+}
+
+template <unsigned Ways>
+inline int
+SoaCacheModel::findWayRow(uint64_t base, uint64_t tag,
+                          uint64_t valid) const
+{
+    // One-byte signatures filter the row in a single compare;
+    // candidates (usually exactly the hit way) verify against the
+    // full tag.  Valid tags are unique per set, so the first verified
+    // candidate is THE match.
+    unsigned cand =
+        SseRow<Ways>::mask(_mm_cmpeq_epi8(
+            SseRow<Ways>::load(&sig_[base]),
+            _mm_set1_epi8(static_cast<char>(tag)))) &
+        static_cast<unsigned>(valid);
+    while (cand != 0) {
+        const unsigned w = static_cast<unsigned>(countTrailingZeros(cand));
+        if (tags_[base + w] == tag)
+            return static_cast<int>(w);
+        cand &= cand - 1;
+    }
+    return -1;
+}
+#endif
+
 inline void
 SoaCacheModel::moveTo(uint8_t *pos, unsigned way, unsigned to)
 {
     // RecencyStack semantics: slide the interval between the old and
-    // new positions by one.  Positions are < 64, so signed byte
-    // compares are safe in the vector path.
-    const unsigned from = pos[way];
-#if defined(__SSE2__)
-    if (assoc_ == 16) {
-        const __m128i v =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(pos));
-        __m128i out = v;
-        if (to < from) {
-            // pos += (pos >= to) & (pos < from): the mask bytes are
-            // -1, so subtracting the mask adds one.
-            const __m128i m = _mm_and_si128(
-                _mm_cmpgt_epi8(
-                    v, _mm_set1_epi8(static_cast<char>(
-                           static_cast<int>(to) - 1))),
-                _mm_cmplt_epi8(v, _mm_set1_epi8(
-                                      static_cast<char>(from))));
-            out = _mm_sub_epi8(v, m);
-        } else if (to > from) {
-            // pos -= (pos > from) & (pos <= to).
-            const __m128i m = _mm_and_si128(
-                _mm_cmpgt_epi8(v, _mm_set1_epi8(
-                                      static_cast<char>(from))),
-                _mm_cmplt_epi8(
-                    v, _mm_set1_epi8(static_cast<char>(
-                           static_cast<int>(to) + 1))));
-            out = _mm_add_epi8(v, m);
-        }
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(pos), out);
-        pos[way] = static_cast<uint8_t>(to);
-        return;
-    }
+    // new positions by one.
+#if GIPPR_SSE_ROWS
+    if (assoc_ == 16)
+        return moveToRow<16>(pos, way, to);
+    if (assoc_ == 8)
+        return moveToRow<8>(pos, way, to);
 #endif
+    const unsigned from = pos[way];
     if (to < from) {
         for (unsigned w = 0; w < assoc_; ++w)
             pos[w] = static_cast<uint8_t>(
@@ -527,47 +620,16 @@ SoaCacheModel::moveTo(uint8_t *pos, unsigned way, unsigned to)
     pos[way] = static_cast<uint8_t>(to);
 }
 
-#if GIPPR_BATCH_KERNELS
-inline void
-SoaCacheModel::moveTo16(uint8_t *pos, unsigned way, unsigned to)
-{
-    // Branch-free moveTo for 16 ways: the increment region [to, from)
-    // and the decrement region (from, to] cannot both be non-empty,
-    // so applying both masks unconditionally is the exact shift for
-    // either direction (and a no-op when to == from).
-    const unsigned from = pos[way];
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(pos));
-    const __m128i inc = _mm_and_si128(
-        _mm_cmpgt_epi8(v, _mm_set1_epi8(static_cast<char>(
-                              static_cast<int>(to) - 1))),
-        _mm_cmplt_epi8(v,
-                       _mm_set1_epi8(static_cast<char>(from))));
-    const __m128i dec = _mm_and_si128(
-        _mm_cmpgt_epi8(v, _mm_set1_epi8(static_cast<char>(from))),
-        _mm_cmplt_epi8(v, _mm_set1_epi8(static_cast<char>(
-                              static_cast<int>(to) + 1))));
-    // Subtracting a -1 mask adds one; adding it subtracts one.
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(pos),
-                     _mm_add_epi8(_mm_sub_epi8(v, inc), dec));
-    pos[way] = static_cast<uint8_t>(to);
-}
-#endif
-
 inline unsigned
 SoaCacheModel::recencyVictim(const uint8_t *pos) const
 {
-    const uint8_t last = static_cast<uint8_t>(assoc_ - 1);
-#if defined(__SSE2__)
-    if (assoc_ == 16) {
-        const __m128i v =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(pos));
-        const unsigned match = static_cast<unsigned>(_mm_movemask_epi8(
-            _mm_cmpeq_epi8(v, _mm_set1_epi8(static_cast<char>(last)))));
-        GIPPR_DCHECK(match != 0);
-        return static_cast<unsigned>(countTrailingZeros(match));
-    }
+#if GIPPR_SSE_ROWS
+    if (assoc_ == 16)
+        return recencyVictimRow<16>(pos);
+    if (assoc_ == 8)
+        return recencyVictimRow<8>(pos);
 #endif
+    const uint8_t last = static_cast<uint8_t>(assoc_ - 1);
     uint64_t match = 0;
     for (unsigned w = 0; w < assoc_; ++w)
         match |= uint64_t{pos[w] == last} << w;
@@ -579,27 +641,11 @@ inline int
 SoaCacheModel::findWay(uint64_t base, uint64_t tag,
                        uint64_t valid) const
 {
-#if defined(__SSE2__)
-    if (assoc_ == 16) {
-        // One-byte signatures filter the row in a single compare;
-        // candidates (usually exactly the hit way) verify against the
-        // full tag.  Valid tags are unique per set, so the first
-        // verified candidate is THE match.
-        const __m128i row = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(&sig_[base]));
-        const __m128i probe = _mm_set1_epi8(static_cast<char>(tag));
-        unsigned cand = static_cast<unsigned>(_mm_movemask_epi8(
-                            _mm_cmpeq_epi8(row, probe))) &
-                        static_cast<unsigned>(valid);
-        while (cand != 0) {
-            const unsigned w =
-                static_cast<unsigned>(countTrailingZeros(cand));
-            if (tags_[base + w] == tag)
-                return static_cast<int>(w);
-            cand &= cand - 1;
-        }
-        return -1;
-    }
+#if GIPPR_SSE_ROWS
+    if (assoc_ == 16)
+        return findWayRow<16>(base, tag, valid);
+    if (assoc_ == 8)
+        return findWayRow<8>(base, tag, valid);
 #endif
     const uint64_t *tags = &tags_[base];
     uint64_t match = 0;
@@ -827,7 +873,7 @@ SoaCacheModel::accessResolved16(uint64_t set, uint64_t tag,
     // row it reads is already resident for the update below.  Only
     // cold-set fills during warmup take the free-way branch.
     unsigned fill = family_ == Family::Recency
-                        ? recencyVictim(&pos_[base])
+                        ? recencyVictimRow<16>(&pos_[base])
                         : victimLut_[tree_[set]];
     const uint64_t free = ~valid & wayMask_;
     const bool full = free == 0;
@@ -869,7 +915,7 @@ SoaCacheModel::accessResolved16(uint64_t set, uint64_t tag,
         const unsigned from = pos[way];
         const unsigned to =
             hit ? (demand ? promo_[0][from] : from) : insert_[0];
-        moveTo16(pos, way, to);
+        moveToRow<16>(pos, way, to);
         break;
       }
       case Family::Plru: {

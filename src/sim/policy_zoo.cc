@@ -57,9 +57,7 @@ mirrorTelemetry(telemetry::MetricRegistry &registry,
 PolicyDef
 specDef(const std::string &name, fastpath::ReplaySpec spec)
 {
-    PolicyFactory make = [spec](const CacheConfig &cfg) {
-        return fastpath::makeScalarPolicy(spec, cfg);
-    };
+    PolicyFactory make = fastpath::SpecFactory{spec};
     return {name, std::move(make), std::move(spec)};
 }
 

@@ -5,20 +5,54 @@
 
 #include "sim/system.hh"
 
+#include <string>
+
+#include "util/log.hh"
 #include "util/stats.hh"
 
 namespace gippr
 {
 
+namespace
+{
+
+/** The LLC under study on the scalar simulator (any policy). */
+struct ScalarLlc
+{
+    SetAssocCache cache;
+
+    bool
+    access(uint64_t addr, AccessType type, uint64_t pc)
+    {
+        return cache.access(addr, type, pc).hit;
+    }
+    void markWarmup() { cache.clearStats(); }
+    CacheStats stats() const { return cache.stats(); }
+};
+
+/** The LLC under study on the packed model (a spec it supports). */
+struct PackedLlc
+{
+    fastpath::SoaCacheModel model;
+
+    bool
+    access(uint64_t addr, AccessType type, uint64_t /*pc*/)
+    {
+        return model.accessAddr(addr, type).hit;
+    }
+    void markWarmup() { model.markWarmup(); }
+    CacheStats stats() const { return model.stats().toCacheStats(); }
+};
+
+/** The CPU walk, templated over the two LLC backends. */
+template <class Llc>
 SimResult
-simulateTrace(const Trace &cpu_trace, const PolicyFactory &llc_policy,
-              const SystemParams &params)
+walk(const Trace &cpu_trace, Llc &llc, const SystemParams &params)
 {
     Hierarchy hier(params.hier);
-    SetAssocCache llc(params.hier.llc, llc_policy(params.hier.llc));
     CpuModel cpu(params.cpu);
     auto to_llc = [&llc](uint64_t addr, AccessType type, uint64_t pc) {
-        return llc.access(addr, type, pc).hit;
+        return llc.access(addr, type, pc);
     };
 
     const size_t warmup = static_cast<size_t>(
@@ -26,7 +60,7 @@ simulateTrace(const Trace &cpu_trace, const PolicyFactory &llc_policy,
 
     for (size_t i = 0; i < cpu_trace.size(); ++i) {
         if (i == warmup) {
-            llc.clearStats();
+            llc.markWarmup();
             cpu.clearStats();
         }
         const MemRecord &r = cpu_trace[i];
@@ -42,6 +76,34 @@ simulateTrace(const Trace &cpu_trace, const PolicyFactory &llc_policy,
     result.llcMisses = result.llcStats.demandMisses;
     result.llcMpki = result.llcStats.mpki(result.instructions);
     return result;
+}
+
+} // namespace
+
+void
+checkWarmupFraction(const SystemParams &params)
+{
+    if (!(params.warmupFraction >= 0.0 && params.warmupFraction <= 1.0))
+        fatal("SystemParams: warmup fraction " +
+              std::to_string(params.warmupFraction) +
+              " is outside [0, 1]");
+}
+
+SimResult
+simulateTrace(const Trace &cpu_trace, const PolicyFactory &llc_policy,
+              const SystemParams &params)
+{
+    checkWarmupFraction(params);
+    const CacheConfig &config = params.hier.llc;
+    config.validate();
+    const fastpath::ReplaySpec *spec = fastpath::specOf(llc_policy);
+    if (spec != nullptr &&
+        fastpath::SoaCacheModel::supports(*spec, config)) {
+        PackedLlc llc{fastpath::SoaCacheModel(*spec, config)};
+        return walk(cpu_trace, llc, params);
+    }
+    ScalarLlc llc{SetAssocCache(config, llc_policy(config))};
+    return walk(cpu_trace, llc, params);
 }
 
 SimResult

@@ -38,8 +38,18 @@ struct SystemParams
 };
 
 /**
+ * fatal, naming the value, unless @p params.warmupFraction is in
+ * [0, 1] (NaN is not).  simulateTrace and runMissExperiment call it.
+ */
+void checkWarmupFraction(const SystemParams &params);
+
+/**
  * Simulate @p cpu_trace end to end with @p llc_policy in the LLC
- * (L1/L2 use true LRU, as in the paper's CMP$im setup).
+ * (L1/L2 use true LRU, as in the paper's CMP$im setup).  A factory
+ * built as a fastpath::SpecFactory (every PolicyDef with a fastSpec)
+ * runs its spec on the packed SoaCacheModel when the model supports
+ * the LLC geometry; any other factory, and any unsupported geometry,
+ * runs on SetAssocCache.  Both give bit-identical results.
  */
 SimResult simulateTrace(const Trace &cpu_trace,
                         const PolicyFactory &llc_policy,

@@ -202,6 +202,17 @@ mirrorIpvs(const std::string &policy, unsigned ways)
 
 } // namespace
 
+PositionProbe
+recencyProbe(unsigned ways)
+{
+    return [ways](const ReplacementPolicy &p, uint64_t set) {
+        std::vector<unsigned> pos(ways);
+        for (unsigned w = 0; w < ways; ++w)
+            pos[w] = *p.recencyPosition(set, w);
+        return pos;
+    };
+}
+
 std::vector<std::string>
 mirrorNames()
 {
@@ -219,60 +230,28 @@ makeMirror(const std::string &policy, const CacheConfig &config)
                   : policy == "LIP" ? Ipv::lruInsertion(ways)
                                     : mirrorIpvs(policy, ways).front();
         std::unique_ptr<ReplacementPolicy> inner;
-        PositionProbe probe;
-        if (policy == "LRU") {
+        if (policy == "LRU")
             inner = std::make_unique<LruPolicy>(config);
-            probe = [ways](const ReplacementPolicy &p, uint64_t set) {
-                const auto &lru = dynamic_cast<const LruPolicy &>(p);
-                std::vector<unsigned> pos(ways);
-                for (unsigned w = 0; w < ways; ++w)
-                    pos[w] = lru.position(set, w);
-                return pos;
-            };
-        } else {
+        else
             inner = std::make_unique<GiplrPolicy>(config, ipv);
-            probe = [ways](const ReplacementPolicy &p, uint64_t set) {
-                const auto &g = dynamic_cast<const GiplrPolicy &>(p);
-                std::vector<unsigned> pos(ways);
-                for (unsigned w = 0; w < ways; ++w)
-                    pos[w] = g.position(set, w);
-                return pos;
-            };
-        }
         auto oracle = std::make_unique<RecencyStackOracle>(sets, ways,
                                                            std::move(ipv));
         return std::make_unique<DifferentialChecker>(
-            std::move(inner), std::move(oracle), std::move(probe));
+            std::move(inner), std::move(oracle), recencyProbe(ways));
     }
 
     if (policy == "PLRU" || policy == "GIPPR") {
         Ipv ipv = policy == "PLRU" ? Ipv::lru(ways)
                                    : mirrorIpvs(policy, ways).front();
         std::unique_ptr<ReplacementPolicy> inner;
-        PositionProbe probe;
-        if (policy == "PLRU") {
+        if (policy == "PLRU")
             inner = std::make_unique<PlruPolicy>(config);
-            probe = [ways](const ReplacementPolicy &p, uint64_t set) {
-                const auto &plru = dynamic_cast<const PlruPolicy &>(p);
-                std::vector<unsigned> pos(ways);
-                for (unsigned w = 0; w < ways; ++w)
-                    pos[w] = plru.tree(set).position(w);
-                return pos;
-            };
-        } else {
+        else
             inner = std::make_unique<GipprPolicy>(config, ipv);
-            probe = [ways](const ReplacementPolicy &p, uint64_t set) {
-                const auto &g = dynamic_cast<const GipprPolicy &>(p);
-                std::vector<unsigned> pos(ways);
-                for (unsigned w = 0; w < ways; ++w)
-                    pos[w] = g.tree(set).position(w);
-                return pos;
-            };
-        }
         auto oracle =
             std::make_unique<PlruTreeOracle>(sets, ways, std::move(ipv));
         return std::make_unique<DifferentialChecker>(
-            std::move(inner), std::move(oracle), std::move(probe));
+            std::move(inner), std::move(oracle), recencyProbe(ways));
     }
 
     if (policy == "DGIPPR2" || policy == "DGIPPR4") {
@@ -282,14 +261,6 @@ makeMirror(const std::string &policy, const CacheConfig &config)
         auto inner =
             std::make_unique<DgipprPolicy>(config, ipvs, leaders,
                                            counter_bits);
-        PositionProbe probe = [ways](const ReplacementPolicy &p,
-                                     uint64_t set) {
-            const auto &d = dynamic_cast<const DgipprPolicy &>(p);
-            std::vector<unsigned> pos(ways);
-            for (unsigned w = 0; w < ways; ++w)
-                pos[w] = d.tree(set).position(w);
-            return pos;
-        };
         AuxProbe aux = [](const ReplacementPolicy &p) {
             return std::to_string(
                 dynamic_cast<const DgipprPolicy &>(p).currentWinner());
@@ -297,7 +268,7 @@ makeMirror(const std::string &policy, const CacheConfig &config)
         auto oracle = std::make_unique<DuelOracle>(
             sets, ways, std::move(ipvs), leaders, counter_bits);
         return std::make_unique<DifferentialChecker>(
-            std::move(inner), std::move(oracle), std::move(probe),
+            std::move(inner), std::move(oracle), recencyProbe(ways),
             std::move(aux));
     }
 

@@ -52,6 +52,12 @@ using PositionProbe =
     std::function<std::vector<unsigned>(const ReplacementPolicy &,
                                         uint64_t set)>;
 
+/**
+ * The probe of any policy with a recency order: each of @p ways ways'
+ * ReplacementPolicy::recencyPosition in the set.
+ */
+PositionProbe recencyProbe(unsigned ways);
+
 /** Reads auxiliary global state ("" when none) out of a policy. */
 using AuxProbe = std::function<std::string(const ReplacementPolicy &)>;
 

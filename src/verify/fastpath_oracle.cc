@@ -9,11 +9,8 @@
 
 #include "cache/replay.hh"
 #include "core/dgippr.hh"
-#include "core/giplr.hh"
-#include "core/gippr.hh"
-#include "core/plru.hh"
-#include "policies/lru.hh"
 #include "util/check.hh"
+#include "verify/differential.hh"
 
 namespace gippr::verify
 {
@@ -46,39 +43,7 @@ FastpathOracle::FastpathOracle(const fastpath::ReplaySpec &spec,
 std::vector<unsigned>
 FastpathOracle::scalarPositions(uint64_t set) const
 {
-    const ReplacementPolicy &p = scalar_.policy();
-    const unsigned ways = config_.assoc;
-    std::vector<unsigned> pos(ways);
-    switch (spec_.kind) {
-      case FastPolicyKind::Lru:
-        for (unsigned w = 0; w < ways; ++w)
-            pos[w] = dynamic_cast<const LruPolicy &>(p).position(set, w);
-        break;
-      case FastPolicyKind::Lip:
-      case FastPolicyKind::Giplr:
-        for (unsigned w = 0; w < ways; ++w)
-            pos[w] =
-                dynamic_cast<const GiplrPolicy &>(p).position(set, w);
-        break;
-      case FastPolicyKind::Plru:
-        for (unsigned w = 0; w < ways; ++w)
-            pos[w] =
-                dynamic_cast<const PlruPolicy &>(p).tree(set).position(w);
-        break;
-      case FastPolicyKind::Gippr:
-        for (unsigned w = 0; w < ways; ++w)
-            pos[w] =
-                dynamic_cast<const GipprPolicy &>(p).tree(set).position(
-                    w);
-        break;
-      case FastPolicyKind::Dgippr:
-        for (unsigned w = 0; w < ways; ++w)
-            pos[w] =
-                dynamic_cast<const DgipprPolicy &>(p).tree(set).position(
-                    w);
-        break;
-    }
-    return pos;
+    return recencyProbe(config_.assoc)(scalar_.policy(), set);
 }
 
 std::string

@@ -59,11 +59,11 @@ TEST(Lru, HitOrderIsExactStackOrder)
     for (uint64_t t = 0; t < 4; ++t)
         cache.access(setAddr(c, 0, t), AccessType::Load);
     // Most recent is tag 3 at way 3.
-    EXPECT_EQ(lru_raw->position(0, 3), 0u);
-    EXPECT_EQ(lru_raw->position(0, 0), 3u);
+    EXPECT_EQ(*lru_raw->recencyPosition(0, 3), 0u);
+    EXPECT_EQ(*lru_raw->recencyPosition(0, 0), 3u);
     cache.access(setAddr(c, 0, 0), AccessType::Load);
-    EXPECT_EQ(lru_raw->position(0, 0), 0u);
-    EXPECT_EQ(lru_raw->position(0, 3), 1u);
+    EXPECT_EQ(*lru_raw->recencyPosition(0, 0), 0u);
+    EXPECT_EQ(*lru_raw->recencyPosition(0, 3), 1u);
 }
 
 TEST(Lru, StateBitsMatchPaper)

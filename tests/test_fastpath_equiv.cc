@@ -7,7 +7,8 @@
  *  1. The packed single-word PLRU kernels are checked exhaustively
  *     against PlruTree over every internal-node state.
  *  2. FastpathOracle replays the scalar simulator and the SoA model
- *     in lock-step over randomized and workload-suite streams,
+ *     in lock-step over randomized streams (at 16 and 8 ways, the
+ *     two SSE row widths) and workload-suite streams,
  *     comparing every access's outcome (hit, way, victim, dirtiness)
  *     and, periodically, the full per-set recency state and duel
  *     winner.  The first divergence is dumped with both models' set
@@ -27,6 +28,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -72,6 +74,16 @@ smallLlc()
     return cfg;
 }
 
+/** smallLlc's 64 sets at 8 ways, the paper L1D/L2 associativity. */
+CacheConfig
+smallLlc8()
+{
+    CacheConfig cfg = smallLlc();
+    cfg.sizeBytes = 32 * 1024;
+    cfg.assoc = 8;
+    return cfg;
+}
+
 /** The seven core policies the fast path covers, at 16 ways. */
 std::vector<fastpath::ReplaySpec>
 coreSpecs()
@@ -83,6 +95,22 @@ coreSpecs()
             fastpath::gipprSpec(local_vectors::gippr()),
             fastpath::dgipprSpec(local_vectors::dgippr2()),
             fastpath::dgipprSpec(local_vectors::dgippr4())};
+}
+
+/** The seven core policies at 8 ways, with 8-way vectors. */
+std::vector<fastpath::ReplaySpec>
+coreSpecs8()
+{
+    const Ipv a({0, 0, 1, 0, 3, 0, 1, 2, 5});
+    const Ipv b({0, 1, 0, 2, 1, 4, 3, 6, 7});
+    return {fastpath::lruSpec(),
+            fastpath::lipSpec(),
+            fastpath::giplrSpec(a),
+            fastpath::plruSpec(),
+            fastpath::gipprSpec(b),
+            fastpath::dgipprSpec({Ipv::lru(8), Ipv::lruInsertion(8)}),
+            fastpath::dgipprSpec(
+                {Ipv::lru(8), Ipv::lruInsertion(8), a, b})};
 }
 
 /**
@@ -118,6 +146,37 @@ randomStream(uint64_t n, uint64_t seed, const CacheConfig &cfg)
         } else {
             rec.isWrite = rng.nextBool(0.3);
             rec.pc = 0x400000 + rng.nextBounded(512) * 4;
+        }
+        trace.append(rec);
+    }
+    return trace;
+}
+
+/**
+ * Stream whose tags all end in the same byte, so every valid line of
+ * a set shares the probe's one-byte signature and the signature scan
+ * must verify each candidate against the full tag.  Three times as
+ * many tags as ways per set give hits, misses and evictions alike.
+ */
+Trace
+signatureCollisionStream(uint64_t n, uint64_t seed, const CacheConfig &cfg)
+{
+    Rng rng(seed);
+    const AddressDecode decode(cfg);
+    Trace trace;
+    trace.reserve(n);
+    for (uint64_t i = 0; i < n; ++i) {
+        const uint64_t set = rng.nextBounded(cfg.sets());
+        const uint64_t tag = (rng.nextBounded(3 * cfg.assoc) << 8) | 0xa5;
+        MemRecord rec;
+        rec.instGap = 1;
+        rec.addr = decode.blockOf(set, tag) << decode.blockShift;
+        if (rng.nextBool(0.08)) {
+            rec.isWrite = true; // writeback convention: store, pc 0
+            rec.pc = 0;
+        } else {
+            rec.isWrite = rng.nextBool(0.3);
+            rec.pc = 0x400000;
         }
         trace.append(rec);
     }
@@ -221,16 +280,34 @@ TEST(FastpathEquiv, ScalarPolicyNamesMatchSpecNames)
 
 TEST(FastpathEquiv, LockStepOnRandomizedStreams)
 {
-    const CacheConfig cfg = smallLlc();
+    // Both row widths the packed model scans in one SSE compare (16
+    // ways, and the paper L1D/L2's 8), each on the mixed stream and
+    // on one whose signatures always collide.
     const uint64_t n = equivAccesses();
-    for (const fastpath::ReplaySpec &spec : coreSpecs()) {
-        verify::FastpathOracle oracle(spec, cfg);
-        const Trace trace = randomStream(n, 0x1ee7 + spec.ipvs.size(),
-                                         cfg);
-        verify::FastpathResult result =
-            oracle.run(trace, "randomized", 997);
-        EXPECT_TRUE(result.ok()) << result.toString();
-        EXPECT_EQ(result.accesses, n);
+    for (const auto &[cfg, specs] :
+         {std::pair{smallLlc(), coreSpecs()},
+          std::pair{smallLlc8(), coreSpecs8()}}) {
+        for (const fastpath::ReplaySpec &spec : specs) {
+            const std::string geometry =
+                spec.name() + "/" + std::to_string(cfg.assoc) + "w";
+            verify::FastpathOracle oracle(spec, cfg);
+            const Trace trace =
+                randomStream(n, 0x1ee7 + spec.ipvs.size(), cfg);
+            const verify::FastpathResult result =
+                oracle.run(trace, "randomized", 997);
+            EXPECT_TRUE(result.ok()) << geometry << ": "
+                                     << result.toString();
+            EXPECT_EQ(result.accesses, n) << geometry;
+
+            verify::FastpathOracle colliding(spec, cfg);
+            const Trace same_sig = signatureCollisionStream(
+                n / 4, 0x5197 + spec.ipvs.size(), cfg);
+            const verify::FastpathResult collided =
+                colliding.run(same_sig, "signature-collisions", 997);
+            EXPECT_TRUE(collided.ok()) << geometry << ": "
+                                       << collided.toString();
+            EXPECT_EQ(collided.accesses, n / 4) << geometry;
+        }
     }
 }
 

@@ -81,7 +81,7 @@ TEST(Giplr, LipVectorInsertsAtLruPosition)
     AccessResult r = cache.access(addrOf(c, 0, 10), AccessType::Load);
     ASSERT_TRUE(r.evictedBlock.has_value());
     // Newly inserted block 10 now occupies the LRU position.
-    EXPECT_EQ(raw->position(0, r.way), 3u);
+    EXPECT_EQ(*raw->recencyPosition(0, r.way), 3u);
 }
 
 TEST(Giplr, LipProtectsEstablishedWorkingSet)
@@ -115,9 +115,9 @@ TEST(Giplr, PromotionFollowsVector)
         cache.access(addrOf(c, 0, t), AccessType::Load);
     // Tag 0 is now at position 3 (LRU).  Touch it: must land at 1.
     unsigned way0 = 0;
-    ASSERT_EQ(raw->position(0, way0), 3u);
+    ASSERT_EQ(*raw->recencyPosition(0, way0), 3u);
     cache.access(addrOf(c, 0, 0), AccessType::Load);
-    EXPECT_EQ(raw->position(0, way0), 1u);
+    EXPECT_EQ(*raw->recencyPosition(0, way0), 1u);
 }
 
 TEST(Giplr, InsertionPositionHonored)
@@ -133,7 +133,7 @@ TEST(Giplr, InsertionPositionHonored)
     // The most recent insertion (tag 4) sits at position 2.
     unsigned pos_sum = 0;
     for (unsigned w = 0; w < 4; ++w)
-        pos_sum += raw->position(0, w);
+        pos_sum += *raw->recencyPosition(0, w);
     EXPECT_EQ(pos_sum, 0u + 1u + 2u + 3u); // permutation intact
     // Find tag 4's way via the cache and check its position.
     AccessResult r = cache.access(addrOf(c, 0, 4), AccessType::Load);
@@ -157,7 +157,7 @@ TEST(Giplr, PaperVectorRunsWithoutViolatingInvariants)
     for (uint64_t s = 0; s < 16; ++s) {
         unsigned sum = 0;
         for (unsigned w = 0; w < 16; ++w)
-            sum += raw->position(s, w);
+            sum += *raw->recencyPosition(s, w);
         EXPECT_EQ(sum, 120u) << s;
     }
 }

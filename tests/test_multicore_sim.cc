@@ -72,8 +72,8 @@ smallLlc()
     return cfg;
 }
 
-/** smallLlc's 64 sets at 8 ways: runs the packed model's generic
- *  (non-SSE) scans, victims and masked victims. */
+/** smallLlc's 64 sets at 8 ways: runs the packed model's 8-way row
+ *  scans, victims and masked victims. */
 CacheConfig
 smallLlc8()
 {

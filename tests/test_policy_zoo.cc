@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "sim/policy_zoo.hh"
 
 namespace gippr
@@ -71,6 +74,37 @@ TEST(PolicyZoo, FactoriesAreReusableAcrossGeometries)
     auto b = def.make(small);
     EXPECT_EQ(a->stateBitsPerSet(), 32u);
     EXPECT_EQ(b->stateBitsPerSet(), 8u);
+}
+
+TEST(PolicyZoo, SpecOfMatchesFastSpec)
+{
+    // Every name policyByName accepts: the factory names its spec
+    // (and so may run on the packed model) exactly when the def
+    // carries one, and it is the same spec.
+    const char *vec = "0 0 1 0 3 0 1 2 1 0 5 1 0 0 1 11 13";
+    std::vector<std::string> names = {
+        "LRU",   "LIP",     "PLRU",    "GIPLR",   "GIPPR",  "Random",
+        "FIFO",  "DIP",     "SRRIP",   "BRRIP",   "DRRIP",  "PDP",
+        "SHiP",  "DGIPPR2", "DGIPPR4", "DGIPPR8", "BGIPPR", "RRIPIPV"};
+    for (const char *kind : {"GIPLR:", "GIPPR:", "BGIPPR:", "RRIPIPV:"})
+        names.push_back(std::string(kind) + vec);
+    for (const std::string &name : names) {
+        const PolicyDef def = policyByName(name);
+        const fastpath::ReplaySpec *spec = fastpath::specOf(def.make);
+        ASSERT_EQ(spec != nullptr, def.fastSpec.has_value()) << name;
+        if (spec == nullptr)
+            continue;
+        EXPECT_EQ(spec->kind, def.fastSpec->kind) << name;
+        EXPECT_EQ(spec->ipvs, def.fastSpec->ipvs) << name;
+        EXPECT_EQ(spec->leaders, def.fastSpec->leaders) << name;
+        EXPECT_EQ(spec->counterBits, def.fastSpec->counterBits) << name;
+    }
+    // A lambda around a spec's factory hides the spec.
+    const PolicyFactory make = policyByName("LRU").make;
+    const PolicyFactory wrapped = [make](const CacheConfig &cfg) {
+        return make(cfg);
+    };
+    EXPECT_EQ(fastpath::specOf(wrapped), nullptr);
 }
 
 TEST(PolicyZoo, OverheadComparisonMatchesPaperTable)

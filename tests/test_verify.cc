@@ -187,17 +187,9 @@ TEST(Differential, DetectsInjectedMismatch)
     auto inner = std::make_unique<LruPolicy>(cfg);
     auto oracle = std::make_unique<verify::RecencyStackOracle>(
         cfg.sets(), cfg.assoc, Ipv::lruInsertion(cfg.assoc));
-    verify::PositionProbe probe = [](const ReplacementPolicy &p,
-                                     uint64_t set) {
-        const auto &lru = dynamic_cast<const LruPolicy &>(p);
-        std::vector<unsigned> pos;
-        for (unsigned w = 0; w < 4; ++w)
-            pos.push_back(lru.position(set, w));
-        return pos;
-    };
     verify::DifferentialChecker checker(std::move(inner),
                                         std::move(oracle),
-                                        std::move(probe));
+                                        verify::recencyProbe(4));
     AccessInfo info;
     info.set = 0;
     info.type = AccessType::Load;
@@ -216,17 +208,9 @@ TEST(Differential, FirstDivergenceIsSticky)
     auto inner = std::make_unique<LruPolicy>(cfg);
     auto oracle = std::make_unique<verify::RecencyStackOracle>(
         cfg.sets(), cfg.assoc, Ipv::lruInsertion(cfg.assoc));
-    verify::PositionProbe probe = [](const ReplacementPolicy &p,
-                                     uint64_t set) {
-        const auto &lru = dynamic_cast<const LruPolicy &>(p);
-        std::vector<unsigned> pos;
-        for (unsigned w = 0; w < 4; ++w)
-            pos.push_back(lru.position(set, w));
-        return pos;
-    };
     verify::DifferentialChecker checker(std::move(inner),
                                         std::move(oracle),
-                                        std::move(probe));
+                                        verify::recencyProbe(4));
     AccessInfo info;
     info.set = 0;
     info.type = AccessType::Load;
