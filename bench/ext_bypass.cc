@@ -47,12 +47,13 @@ main(int argc, char **argv)
         std::printf("  %-10s %.4f\n", r.columns[c].c_str(),
                     r.geomeanNormalized(c, lru, false));
 
-    // Bypass behaviour on two archetypes.
+    // Bypass behaviour on two archetypes, on the first simpoint's
+    // demand trace that the experiment above already filtered.
     SystemParams sys = systemParams();
     for (const char *name : {"hotcold_stream", "loop_fit"}) {
-        Workload w = SyntheticSuite::materialize(suite.spec(name));
-        Trace llc = demandOnlyTrace(
-            Hierarchy::filterToLlc(*w.simpoints()[0].trace, sys.hier));
+        const auto entries =
+            session.traceCache().get(suite.spec(name), sys.hier, nullptr);
+        const Trace &llc = *entries->front().demandTrace;
         auto policy = std::make_unique<BypassGipprPolicy>(
             sys.hier.llc, local_vectors::gippr());
         BypassGipprPolicy *raw = policy.get();

@@ -6,7 +6,6 @@
 #include "sim/fastpath/hierarchy.hh"
 
 #include <cstdint>
-#include <limits>
 #include <string>
 
 #include "sim/fastpath/replay_spec.hh"
@@ -43,36 +42,25 @@ Hierarchy::Hierarchy(const HierarchyConfig &config)
 {
 }
 
+void
+LlcRecorder::overflow(uint64_t gap) const
+{
+    fatal("LLC filter: instruction gap " + std::to_string(gap) +
+          " at CPU record " + std::to_string(cpuRecords_ - 1) +
+          " overflows the 32-bit MemRecord::instGap");
+}
+
 Trace
 Hierarchy::filterToLlc(const Trace &cpu_trace,
                        const HierarchyConfig &config)
 {
     Hierarchy hier(config);
     Trace llc_trace;
-    uint64_t pending_gap = 0;
-
-    for (size_t i = 0; i < cpu_trace.size(); ++i) {
-        const MemRecord &rec = cpu_trace[i];
-        pending_gap += rec.instGap;
-        hier.access(rec, [&](uint64_t addr, AccessType type, uint64_t pc) {
-            // The first record emitted after a run of filtered
-            // references absorbs their accumulated gap.
-            if (pending_gap > std::numeric_limits<uint32_t>::max())
-                fatal("filterToLlc: instruction gap " +
-                      std::to_string(pending_gap) + " at CPU record " +
-                      std::to_string(i) +
-                      " overflows the 32-bit MemRecord::instGap");
-            MemRecord out;
-            out.instGap = static_cast<uint32_t>(pending_gap);
-            pending_gap = 0;
-            out.addr = addr;
-            out.pc = pc;
-            out.isWrite = type != AccessType::Load;
-            llc_trace.append(out);
-            return false;
-        });
+    LlcRecorder record(llc_trace, /*keep_writebacks=*/true);
+    for (const MemRecord &rec : cpu_trace) {
+        record.addGap(rec.instGap);
+        hier.access(rec, record);
     }
-
     return llc_trace;
 }
 

@@ -16,16 +16,22 @@
  *     LLC under study — a packed SoaCacheModel for the policies it
  *     packs, else SetAssocCache — and the returned HitLevel drives
  *     the CPU model's per-level latencies.
- *  2. As a *filter*: filterToLlc()'s callback records the stream, which
+ *  2. As a *filter*: an LlcRecorder callback records the stream, which
  *     the GA fitness function, the fast replay engines and the offline
- *     MIN simulator consume.
+ *     MIN simulator consume.  filterToLlc() runs it over a materialized
+ *     CPU trace; LlcTraceCache feeds it each simpoint's generator
+ *     output chunk by chunk, so no CPU trace is ever held whole.
  */
 
 #ifndef GIPPR_SIM_FASTPATH_HIERARCHY_HH_
 #define GIPPR_SIM_FASTPATH_HIERARCHY_HH_
 
+#include <cstdint>
+#include <limits>
+
 #include "cache/config.hh"
 #include "cache/replacement.hh"
+#include "cache/replay.hh"
 #include "sim/fastpath/soa_cache.hh"
 #include "trace/trace.hh"
 
@@ -41,6 +47,80 @@ struct HierarchyConfig
     CacheConfig l1 = CacheConfig::paperL1d();
     CacheConfig l2 = CacheConfig::paperL2();
     CacheConfig llc = CacheConfig::paperLlc();
+};
+
+/**
+ * The LLC callback that records a filtered stream into a Trace.  Each
+ * recorded access carries the instruction gaps of the CPU references
+ * since the previous one, so MPKI denominators match the CPU trace; a
+ * gap that overflows MemRecord::instGap is fatal.
+ *
+ * With @p keep_writebacks false the recorder keeps only what
+ * demandOnlyTrace() would keep of the full stream (records that are
+ * not writebacks under recordType()'s convention) and folds a dropped
+ * record's gap into the next kept one.  It is then fatal wherever
+ * recording the full stream or stripping it would be.
+ */
+class LlcRecorder
+{
+  public:
+    LlcRecorder(Trace &out, bool keep_writebacks)
+        : out_(out), keepWritebacks_(keep_writebacks)
+    {
+    }
+
+    /** Credit the next CPU reference's gap; call it before handing
+     *  that reference to Hierarchy::access. */
+    void
+    addGap(uint32_t gap)
+    {
+        pending_ += gap;
+        ++cpuRecords_;
+    }
+
+    /** Record one access that reaches the LLC; reports a miss. */
+    bool
+    operator()(uint64_t addr, AccessType type, uint64_t pc)
+    {
+        // The first access after a run of filtered references absorbs
+        // their accumulated gap.
+        checkGap(pending_);
+        MemRecord rec;
+        rec.instGap = static_cast<uint32_t>(pending_);
+        pending_ = 0;
+        rec.addr = addr;
+        rec.pc = pc;
+        rec.isWrite = type != AccessType::Load;
+        if (!keepWritebacks_ && recordType(rec) == AccessType::Writeback) {
+            dropped_ += rec.instGap;
+            return false;
+        }
+        const uint64_t gap = dropped_ + rec.instGap;
+        checkGap(gap);
+        dropped_ = 0;
+        rec.instGap = static_cast<uint32_t>(gap);
+        out_.append(rec);
+        return false;
+    }
+
+  private:
+    void
+    checkGap(uint64_t gap) const
+    {
+        if (gap > std::numeric_limits<uint32_t>::max())
+            overflow(gap);
+    }
+
+    [[noreturn]] void overflow(uint64_t gap) const;
+
+    Trace &out_;
+    bool keepWritebacks_;
+    /** Gap since the previous access that reached the LLC. */
+    uint64_t pending_ = 0;
+    /** Gaps of the writebacks dropped since the last kept record. */
+    uint64_t dropped_ = 0;
+    /** CPU references credited so far. */
+    uint64_t cpuRecords_ = 0;
 };
 
 /** The private L1D -> L2 of one core (true LRU at both levels). */
@@ -67,11 +147,9 @@ class Hierarchy
 
     /**
      * Run a CPU-level trace through L1+L2 only and return the access
-     * stream that reaches the LLC.  Demand misses become Load/Store
-     * records; L2 dirty evictions become write records (pc == 0).
-     * Each record carries the instruction gaps of the references it
-     * absorbed, so MPKI denominators match the original trace; a gap
-     * that overflows MemRecord::instGap is fatal.
+     * stream that reaches the LLC, recorded by an LlcRecorder that
+     * keeps writebacks.  Demand misses become Load/Store records; L2
+     * dirty evictions become write records (pc == 0).
      */
     static Trace filterToLlc(const Trace &cpu_trace,
                              const HierarchyConfig &config);

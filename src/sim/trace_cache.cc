@@ -5,15 +5,75 @@
 
 #include "sim/trace_cache.hh"
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 
-#include "cache/replay.hh"
+#include "util/check.hh"
+#include "util/rng.hh"
 
 namespace gippr
 {
 
 namespace
 {
+
+/**
+ * CPU records generated per chunk.  A chunk (64 KB) stays in the host's
+ * caches between the generator writing it and the cascade reading it.
+ */
+constexpr size_t kChunkRecords = 2048;
+
+/** Seconds of one simpoint's build, split by layer. */
+struct BuildSeconds
+{
+    double generate = 0.0;
+    double filter = 0.0;
+};
+
+/**
+ * One simpoint's demand-only LLC trace: its generator streamed in
+ * chunks through a fresh L1/L2 and an LlcRecorder that drops
+ * writebacks.  The result equals
+ * demandOnlyTrace(filterToLlc(materialize(...))) record for record,
+ * without the CPU trace or the full LLC stream ever being held.
+ * @p seconds receives the generator and cascade time.
+ */
+LlcTraceCache::Entry
+streamSimpoint(const SimpointSpec &sp, const HierarchyConfig &hier,
+               BuildSeconds &seconds)
+{
+    // Workload::addSimpoint's condition, which materializing checks.
+    GIPPR_CHECK(sp.weight > 0.0);
+    using Clock = std::chrono::steady_clock;
+    using Seconds = std::chrono::duration<double>;
+
+    const std::unique_ptr<AccessGenerator> gen = sp.make();
+    Rng rng(sp.seed);
+    Hierarchy cascade(hier);
+    auto demand = std::make_shared<Trace>();
+    demand->reserve(sp.accesses);
+    LlcRecorder record(*demand, /*keep_writebacks=*/false);
+    std::vector<MemRecord> chunk(kChunkRecords);
+    uint64_t instructions = 0;
+    for (uint64_t done = 0; done < sp.accesses;) {
+        const size_t n = static_cast<size_t>(
+            std::min<uint64_t>(kChunkRecords, sp.accesses - done));
+        const Clock::time_point start = Clock::now();
+        for (size_t i = 0; i < n; ++i)
+            chunk[i] = gen->next(rng);
+        const Clock::time_point generated = Clock::now();
+        for (size_t i = 0; i < n; ++i) {
+            instructions += chunk[i].instGap;
+            record.addGap(chunk[i].instGap);
+            cascade.access(chunk[i], record);
+        }
+        seconds.generate += Seconds(generated - start).count();
+        seconds.filter += Seconds(Clock::now() - generated).count();
+        done += n;
+    }
+    return {std::move(demand), instructions, sp.weight};
+}
 
 void
 appendGeometry(std::string &key, const CacheConfig &config)
@@ -69,19 +129,21 @@ LlcTraceCache::get(const WorkloadSpec &spec, const HierarchyConfig &hier,
     // Build outside the lock so concurrent workers make progress; a
     // rare duplicate build for the same key is benign (the first
     // published entry wins and both are equivalent).
-    telemetry::ScopedTimer materialize_timer(timings, "materialize");
-    const Workload workload = SyntheticSuite::materialize(spec);
-    materialize_timer.stop();
-
     auto entries = std::make_shared<Entries>();
-    entries->reserve(workload.simpoints().size());
-    for (const Simpoint &sp : workload.simpoints()) {
-        telemetry::ScopedTimer filter_timer(timings, "llc_filter");
-        auto demand = std::make_shared<const Trace>(demandOnlyTrace(
-            Hierarchy::filterToLlc(*sp.trace, hier)));
-        filter_timer.stop();
+    entries->reserve(spec.simpoints.size());
+    std::vector<BuildSeconds> seconds(spec.simpoints.size());
+    for (size_t i = 0; i < spec.simpoints.size(); ++i)
         entries->push_back(
-            {std::move(demand), sp.trace->instructions(), sp.weight});
+            streamSimpoint(spec.simpoints[i], hier, seconds[i]));
+    if (timings) {
+        // One "materialize" per build and one "llc_filter" per
+        // simpoint, the counts of the materialize-then-filter build.
+        double generate = 0.0;
+        for (const BuildSeconds &s : seconds)
+            generate += s.generate;
+        timings->record("materialize", generate);
+        for (const BuildSeconds &s : seconds)
+            timings->record("llc_filter", s.filter);
     }
 
     std::lock_guard<std::mutex> lock(mu_);

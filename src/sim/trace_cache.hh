@@ -8,7 +8,11 @@
  * before/after comparisons) used to redo that work per repetition.
  * LlcTraceCache memoizes the demand-only LLC trace per (workload
  * spec, L1/L2 filter geometry) so repeated runMissExperiment calls
- * replay from memory.  Keys capture every input that shapes the
+ * replay from memory.  A build streams each simpoint's generator in
+ * small chunks through the L1/L2 into its demand-only trace, so the
+ * CPU trace and the full LLC stream (with writebacks) are never held;
+ * the entries equal demandOnlyTrace(filterToLlc(...)) of the
+ * materialized simpoints.  Keys capture every input that shapes the
  * filtered trace — workload name, per-simpoint seeds/lengths/weights
  * and the full hierarchy geometry — so benches that deliberately vary
  * the suite (seed ablations) never alias entries.
@@ -55,8 +59,10 @@ class LlcTraceCache
     /**
      * Entries for @p spec filtered through @p hier's L1+L2 (true LRU,
      * as everywhere), building and publishing them on first use.
-     * @p timings, when non-null, receives the "materialize" and
-     * "llc_filter" phases on cache misses (hits cost neither).
+     * @p timings, when non-null, receives the "materialize" phase
+     * (generator time, once per build) and the "llc_filter" phase
+     * (L1/L2 and recording time, once per simpoint) on cache misses;
+     * hits cost neither.
      */
     std::shared_ptr<const Entries> get(const WorkloadSpec &spec,
                                        const HierarchyConfig &hier,

@@ -98,15 +98,25 @@ Rng::nextBool(double p)
 uint64_t
 Rng::nextGeometric(double p)
 {
+    return GeometricDist(p).sample(*this);
+}
+
+GeometricDist::GeometricDist(double p)
+    : logFail_(p >= 1.0 ? 0.0 : std::log1p(-p))
+{
     GIPPR_CHECK(p > 0.0 && p <= 1.0);
-    if (p >= 1.0)
+}
+
+uint64_t
+GeometricDist::sample(Rng &rng) const
+{
+    if (logFail_ == 0.0)
         return 0;
-    double u = nextDouble();
+    double u = rng.nextDouble();
     // Avoid log(0).
     if (u <= 0.0)
         u = 0x1.0p-53;
-    return static_cast<uint64_t>(std::floor(std::log(u) /
-                                            std::log1p(-p)));
+    return static_cast<uint64_t>(std::floor(std::log(u) / logFail_));
 }
 
 Rng

@@ -57,6 +57,8 @@ class Rng
     /**
      * Geometric number of failures before first success,
      * success probability @p p.  @pre 0 < p <= 1
+     * A caller drawing many times with one @p p holds a
+     * GeometricDist instead, which draws the same values.
      */
     uint64_t nextGeometric(double p);
 
@@ -84,6 +86,26 @@ class Rng
 
   private:
     uint64_t s_[4];
+};
+
+/**
+ * The geometric distribution of Rng::nextGeometric with its success
+ * probability fixed, so the log1p(-p) denominator is computed once
+ * rather than per draw.  The draw divides by that same double, so
+ * sample(rng) returns bit for bit what rng.nextGeometric(p) would.
+ */
+class GeometricDist
+{
+  public:
+    /** @pre 0 < p <= 1 */
+    explicit GeometricDist(double p);
+
+    /** Failures before the first success; draws nothing when p == 1. */
+    uint64_t sample(Rng &rng) const;
+
+  private:
+    /** log1p(-p); 0 when p == 1, which always succeeds. */
+    double logFail_;
 };
 
 /**

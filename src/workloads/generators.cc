@@ -14,20 +14,6 @@ namespace gippr
 namespace
 {
 
-/** Sample an instruction gap with mean roughly @p mean_gap. */
-uint32_t
-sampleGap(Rng &rng, uint32_t mean_gap)
-{
-    if (mean_gap <= 1)
-        return 1;
-    // 1 + geometric with mean (mean_gap - 1).
-    double p = 1.0 / static_cast<double>(mean_gap);
-    uint64_t g = rng.nextGeometric(p);
-    if (g > 1000)
-        g = 1000; // keep gaps bounded for the CPU model
-    return static_cast<uint32_t>(1 + g);
-}
-
 /** Mix a 64-bit value (splitmix-style finalizer). */
 uint64_t
 mix64(uint64_t x)
@@ -41,6 +27,20 @@ mix64(uint64_t x)
 }
 
 } // namespace
+
+AccessGenerator::GapSampler::GapSampler(uint32_t mean_gap)
+    : extra_(mean_gap <= 1 ? 1.0 : 1.0 / static_cast<double>(mean_gap))
+{
+}
+
+uint32_t
+AccessGenerator::GapSampler::sample(Rng &rng) const
+{
+    uint64_t g = extra_.sample(rng);
+    if (g > 1000)
+        g = 1000; // keep gaps bounded for the CPU model
+    return static_cast<uint32_t>(1 + g);
+}
 
 MemRecord
 AccessGenerator::makeRecord(uint64_t block, uint64_t pc, uint32_t gap,
@@ -56,7 +56,8 @@ AccessGenerator::makeRecord(uint64_t block, uint64_t pc, uint32_t gap,
 
 StreamGenerator::StreamGenerator(const GenParams &params, uint64_t stride,
                                  uint64_t wrap)
-    : params_(params), stride_(stride), wrap_(wrap)
+    : params_(params), gaps_(params.meanGap), stride_(stride),
+      wrap_(wrap)
 {
     GIPPR_CHECK(stride_ >= 1);
     GIPPR_CHECK(wrap_ >= 1);
@@ -68,12 +69,12 @@ StreamGenerator::next(Rng &rng)
     uint64_t block = params_.regionBase + cursor_;
     cursor_ = (cursor_ + stride_) % wrap_;
     return makeRecord(block, params_.pcBase,
-                      sampleGap(rng, params_.meanGap),
+                      gaps_.sample(rng),
                       rng.nextBool(params_.writeFrac));
 }
 
 LoopGenerator::LoopGenerator(const GenParams &params, uint64_t blocks)
-    : params_(params), blocks_(blocks)
+    : params_(params), gaps_(params.meanGap), blocks_(blocks)
 {
     GIPPR_CHECK(blocks_ >= 1);
 }
@@ -86,14 +87,14 @@ LoopGenerator::next(Rng &rng)
     // Two PCs: one for the bulk of the loop, one for the row tail,
     // so signature policies see a non-trivial PC distribution.
     uint64_t pc = params_.pcBase + (cursor_ % 64 == 0 ? 8 : 0);
-    return makeRecord(block, pc, sampleGap(rng, params_.meanGap),
+    return makeRecord(block, pc, gaps_.sample(rng),
                       rng.nextBool(params_.writeFrac));
 }
 
 PointerChaseGenerator::PointerChaseGenerator(const GenParams &params,
                                              uint64_t blocks,
                                              uint64_t seed)
-    : params_(params)
+    : params_(params), gaps_(params.meanGap)
 {
     GIPPR_CHECK(blocks >= 2);
     GIPPR_CHECK(blocks <= UINT32_MAX);
@@ -116,13 +117,14 @@ PointerChaseGenerator::next(Rng &rng)
     uint64_t block = params_.regionBase + current_;
     current_ = nextNode_[current_];
     return makeRecord(block, params_.pcBase,
-                      sampleGap(rng, params_.meanGap),
+                      gaps_.sample(rng),
                       rng.nextBool(params_.writeFrac));
 }
 
 ZipfGenerator::ZipfGenerator(const GenParams &params, uint64_t blocks,
                              double theta, uint64_t seed)
-    : params_(params), sampler_(blocks, theta), seed_(seed)
+    : params_(params), gaps_(params.meanGap), sampler_(blocks, theta),
+      seed_(seed)
 {
 }
 
@@ -135,15 +137,15 @@ ZipfGenerator::next(Rng &rng)
     uint64_t block =
         params_.regionBase + mix64(rank ^ seed_) % sampler_.n();
     uint64_t pc = params_.pcBase + (rank % 8) * 4;
-    return makeRecord(block, pc, sampleGap(rng, params_.meanGap),
+    return makeRecord(block, pc, gaps_.sample(rng),
                       rng.nextBool(params_.writeFrac));
 }
 
 HotColdGenerator::HotColdGenerator(const GenParams &params,
                                    uint64_t hot_blocks, double hot_frac,
                                    uint64_t cold_wrap)
-    : params_(params), hotBlocks_(hot_blocks), hotFrac_(hot_frac),
-      coldWrap_(cold_wrap)
+    : params_(params), gaps_(params.meanGap), hotBlocks_(hot_blocks),
+      hotFrac_(hot_frac), coldWrap_(cold_wrap)
 {
     GIPPR_CHECK(hotBlocks_ >= 1);
     GIPPR_CHECK(coldWrap_ >= 1);
@@ -156,20 +158,21 @@ HotColdGenerator::next(Rng &rng)
     if (rng.nextBool(hotFrac_)) {
         uint64_t block = params_.regionBase + rng.nextBounded(hotBlocks_);
         return makeRecord(block, params_.pcBase,
-                          sampleGap(rng, params_.meanGap),
+                          gaps_.sample(rng),
                           rng.nextBool(params_.writeFrac));
     }
     uint64_t block = params_.regionBase + hotBlocks_ + coldCursor_;
     coldCursor_ = (coldCursor_ + 1) % coldWrap_;
     // The cold stream has its own PC, the classic zero-reuse signature.
     return makeRecord(block, params_.pcBase + 64,
-                      sampleGap(rng, params_.meanGap),
+                      gaps_.sample(rng),
                       rng.nextBool(params_.writeFrac));
 }
 
 StencilGenerator::StencilGenerator(const GenParams &params,
                                    uint64_t row_blocks, uint64_t rows)
-    : params_(params), rowBlocks_(row_blocks), rows_(rows)
+    : params_(params), gaps_(params.meanGap), rowBlocks_(row_blocks),
+      rows_(rows)
 {
     GIPPR_CHECK(rowBlocks_ >= 1);
     GIPPR_CHECK(rows_ >= 3);
@@ -205,13 +208,14 @@ StencilGenerator::next(Rng &rng)
     uint64_t block = params_.regionBase + row * rowBlocks_ + c;
     // The center access writes (Jacobi-style update).
     bool write = phase_ == 2 && rng.nextBool(0.5);
-    return makeRecord(block, pc, sampleGap(rng, params_.meanGap), write);
+    return makeRecord(block, pc, gaps_.sample(rng), write);
 }
 
 SdProfileGenerator::SdProfileGenerator(const GenParams &params,
                                        std::vector<Band> bands,
                                        double new_weight)
-    : params_(params), bands_(std::move(bands)), newWeight_(new_weight)
+    : params_(params), gaps_(params.meanGap), bands_(std::move(bands)),
+      newWeight_(new_weight)
 {
     GIPPR_CHECK(newWeight_ >= 0.0);
     totalWeight_ = newWeight_;
@@ -246,7 +250,8 @@ SdProfileGenerator::next(Rng &rng)
     }
     if (chosen == nullptr || emitted_ == 0) {
         // Compulsory reference to a brand-new block.
-        block = params_.regionBase + nextNew_++;
+        block = params_.regionBase + lastEmit_.size();
+        lastEmit_.push_back(emitted_);
     } else {
         // Re-touch the block emitted `dist` references ago (dist == 1
         // is the immediately preceding reference).  A chosen ring slot
@@ -264,28 +269,18 @@ SdProfileGenerator::next(Rng &rng)
                           (lo + rng.nextBounded(hi - lo + 1))) %
                          history_.size()];
         for (int attempt = 0;
-             attempt < 8 && emitted_ - lastEmit_[block] < lo;
+             attempt < 8 &&
+             emitted_ - lastEmit_[block - params_.regionBase] < lo;
              ++attempt) {
             block = history_[(emitted_ -
                               (lo + rng.nextBounded(hi - lo + 1))) %
                              history_.size()];
         }
+        lastEmit_[block - params_.regionBase] = emitted_;
     }
     history_[emitted_ % history_.size()] = block;
-    lastEmit_[block] = emitted_;
-    // Prune the last-emission map once it far exceeds the ring.
-    if (lastEmit_.size() > 4 * history_.size()) {
-        std::unordered_map<uint64_t, uint64_t> kept;
-        kept.reserve(history_.size() * 2);
-        for (uint64_t b : history_) {
-            auto it = lastEmit_.find(b);
-            if (it != lastEmit_.end())
-                kept.emplace(it->first, it->second);
-        }
-        lastEmit_ = std::move(kept);
-    }
     ++emitted_;
-    return makeRecord(block, pc, sampleGap(rng, params_.meanGap),
+    return makeRecord(block, pc, gaps_.sample(rng),
                       rng.nextBool(params_.writeFrac));
 }
 
@@ -313,7 +308,8 @@ PhasedGenerator::next(Rng &rng)
 KvCacheGenerator::KvCacheGenerator(const GenParams &params,
                                    std::vector<Tenant> tenants,
                                    uint64_t seed, uint64_t churn_every)
-    : params_(params), seed_(seed), churnEvery_(churn_every)
+    : params_(params), gaps_(params.meanGap), seed_(seed),
+      churnEvery_(churn_every)
 {
     GIPPR_CHECK(!tenants.empty());
     double cum = 0.0;
@@ -351,7 +347,7 @@ KvCacheGenerator::next(Rng &rng)
     // Stable per-tenant PCs, split by hot/cold rank band so signature
     // policies can tell tenants and popularity classes apart.
     uint64_t pc = params_.pcBase + t * 64 + (rank % 8) * 4;
-    return makeRecord(block, pc, sampleGap(rng, params_.meanGap),
+    return makeRecord(block, pc, gaps_.sample(rng),
                       rng.nextBool(ts.writeFrac));
 }
 

@@ -31,9 +31,9 @@
 #ifndef GIPPR_WORKLOADS_GENERATORS_HH_
 #define GIPPR_WORKLOADS_GENERATORS_HH_
 
+#include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/record.hh"
@@ -62,6 +62,23 @@ class AccessGenerator
     /** Helper: finish a record with common fields. */
     static MemRecord makeRecord(uint64_t block, uint64_t pc,
                                 uint32_t gap, bool write);
+
+    /**
+     * Instruction gaps with mean roughly @p mean_gap: 1 plus a
+     * geometric draw of mean (mean_gap - 1), capped so the CPU model
+     * sees bounded gaps.  A mean of at most 1 gives gaps of 1 and
+     * draws nothing.
+     */
+    class GapSampler
+    {
+      public:
+        explicit GapSampler(uint32_t mean_gap);
+
+        uint32_t sample(Rng &rng) const;
+
+      private:
+        GeometricDist extra_;
+    };
 };
 
 /** Common knobs shared by generators. */
@@ -95,6 +112,7 @@ class StreamGenerator : public AccessGenerator
 
   private:
     GenParams params_;
+    GapSampler gaps_;
     uint64_t stride_;
     uint64_t wrap_;
     uint64_t cursor_ = 0;
@@ -112,6 +130,7 @@ class LoopGenerator : public AccessGenerator
 
   private:
     GenParams params_;
+    GapSampler gaps_;
     uint64_t blocks_;
     uint64_t cursor_ = 0;
 };
@@ -132,6 +151,7 @@ class PointerChaseGenerator : public AccessGenerator
 
   private:
     GenParams params_;
+    GapSampler gaps_;
     std::vector<uint32_t> nextNode_;
     uint64_t current_ = 0;
 };
@@ -153,6 +173,7 @@ class ZipfGenerator : public AccessGenerator
 
   private:
     GenParams params_;
+    GapSampler gaps_;
     ZipfSampler sampler_;
     uint64_t seed_;
 };
@@ -174,6 +195,7 @@ class HotColdGenerator : public AccessGenerator
 
   private:
     GenParams params_;
+    GapSampler gaps_;
     uint64_t hotBlocks_;
     double hotFrac_;
     uint64_t coldWrap_;
@@ -196,6 +218,7 @@ class StencilGenerator : public AccessGenerator
 
   private:
     GenParams params_;
+    GapSampler gaps_;
     uint64_t rowBlocks_;
     uint64_t rows_;
     uint64_t cursor_ = 0; // linear position in the pass
@@ -240,14 +263,20 @@ class SdProfileGenerator : public AccessGenerator
 
   private:
     GenParams params_;
+    GapSampler gaps_;
     std::vector<Band> bands_;
     double newWeight_;
     double totalWeight_;
     std::vector<uint64_t> history_; // ring of recent blocks
-    /** Latest emission index per block (pruned periodically). */
-    std::unordered_map<uint64_t, uint64_t> lastEmit_;
+    /**
+     * Latest emission index of block regionBase + i at [i], one slot
+     * per block so far: new blocks are allocated densely, as
+     * regionBase + lastEmit_.size().  Only blocks still in the ring
+     * are ever looked up.  A deque grows in small fixed blocks, with
+     * no reallocation and no large transient buffer.
+     */
+    std::deque<uint64_t> lastEmit_;
     uint64_t emitted_ = 0; // total references so far
-    uint64_t nextNew_ = 0;
 };
 
 /** Deterministic phase multiplexer over child generators. */
@@ -320,6 +349,7 @@ class KvCacheGenerator : public AccessGenerator
     };
 
     GenParams params_;
+    GapSampler gaps_;
     std::vector<TenantState> tenants_;
     std::vector<double> cumWeight_; ///< running arrival-weight sums
     uint64_t seed_;

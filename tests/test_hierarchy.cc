@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "cache/cache.hh"
+#include "cache/replay.hh"
 #include "policies/lru.hh"
 #include "sim/fastpath/hierarchy.hh"
 #include "util/rng.hh"
@@ -406,6 +407,84 @@ TEST(HierarchyFilter, DeterministicForSameInput)
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i)
         EXPECT_TRUE(a[i] == b[i]) << i;
+}
+
+/** One access that reaches the LLC, with the CPU gap before it. */
+struct GapCall
+{
+    uint32_t gap;
+    uint64_t addr;
+    AccessType type;
+    uint64_t pc;
+};
+
+/** Replay @p calls into a recorder; returns what it recorded. */
+Trace
+recordCalls(const std::vector<GapCall> &calls, bool keep_writebacks)
+{
+    Trace out;
+    LlcRecorder record(out, keep_writebacks);
+    for (const GapCall &c : calls) {
+        record.addGap(c.gap);
+        record(c.addr, c.type, c.pc);
+    }
+    return out;
+}
+
+TEST(LlcRecorder, DroppingWritebacksMatchesDemandOnlyTrace)
+{
+    // Random streams of demands, pc-0 writebacks and pc-0 demand
+    // stores (which the replay convention also counts as writebacks).
+    Rng rng(71);
+    for (int round = 0; round < 50; ++round) {
+        std::vector<GapCall> calls;
+        for (int i = 0; i < 400; ++i) {
+            const uint64_t pick = rng.nextBounded(4);
+            const AccessType type = pick == 0   ? AccessType::Writeback
+                                    : pick == 1 ? AccessType::Store
+                                                : AccessType::Load;
+            const uint64_t pc =
+                pick == 0 || rng.nextBool(0.05) ? 0 : 0x400000 + pick;
+            calls.push_back({static_cast<uint32_t>(rng.nextBounded(50)),
+                             rng.nextBounded(1 << 20) * 64, type, pc});
+        }
+        const Trace full = recordCalls(calls, true);
+        const Trace streamed = recordCalls(calls, false);
+        const Trace stripped = demandOnlyTrace(full);
+        ASSERT_EQ(full.size(), calls.size());
+        EXPECT_EQ(streamed.records(), stripped.records());
+        EXPECT_EQ(streamed.instructions(), stripped.instructions());
+    }
+}
+
+TEST(LlcRecorder, DroppingWritebacksIsFatalWhereStrippingIs)
+{
+    constexpr uint32_t kMax = 0xFFFFFFFFu;
+    const GapCall wb{kMax, 0x40, AccessType::Writeback, 0};
+    const GapCall load{kMax, 0x80, AccessType::Load, 0x400000};
+
+    // Each gap fits, but the dropped writeback's gap carried into the
+    // next demand does not: only stripping the full stream overflows.
+    const std::vector<GapCall> carried = {wb, load};
+    const Trace full = recordCalls(carried, true);
+    EXPECT_DEATH(([&]() noexcept { demandOnlyTrace(full); })(),
+                 "instruction gap 8589934590 at LLC record 1 overflows");
+    EXPECT_DEATH(([&]() noexcept { recordCalls(carried, false); })(),
+                 "instruction gap 8589934590 at CPU record 1 overflows");
+
+    // A writeback whose own gap overflows, with no record after it:
+    // recording the full stream is fatal, so dropping it must be too.
+    for (bool keep : {true, false}) {
+        EXPECT_DEATH(([&]() noexcept {
+                         Trace out;
+                         LlcRecorder record(out, keep);
+                         record.addGap(kMax); // an L1 hit
+                         record.addGap(1);
+                         record(0x40, AccessType::Writeback, 0);
+                     })(),
+                     "instruction gap 4294967296 at CPU record 1 "
+                     "overflows");
+    }
 }
 
 } // namespace

@@ -153,6 +153,31 @@ TEST(Rng, GeometricPOneIsZero)
     Rng rng(37);
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(rng.nextGeometric(1.0), 0u);
+    // A certain success consumes no draw.
+    Rng fresh(37);
+    EXPECT_EQ(rng.next(), fresh.next());
+}
+
+TEST(Rng, GeometricMatchesClosedForm)
+{
+    // GeometricDist computes log1p(-p) once; every draw must still be
+    // floor(log(u) / log1p(-p)) bit for bit, as nextGeometric(p) gave
+    // when it recomputed the denominator per draw.  The p values span
+    // the generators' 1/6 and both ends of (0, 1).
+    for (double p : {1.0 / 6.0, 1e-9, 1e-6, 0x1.0p-20, 0.5, 0.999,
+                     1.0 - 1e-9, std::nextafter(1.0, 0.0)}) {
+        const GeometricDist dist(p);
+        Rng held(53), per_call(53), reference(53);
+        for (int i = 0; i < 20000; ++i) {
+            double u = reference.nextDouble();
+            if (u <= 0.0)
+                u = 0x1.0p-53;
+            const auto expected = static_cast<uint64_t>(
+                std::floor(std::log(u) / std::log1p(-p)));
+            ASSERT_EQ(dist.sample(held), expected) << "p=" << p;
+            ASSERT_EQ(per_call.nextGeometric(p), expected) << "p=" << p;
+        }
+    }
 }
 
 TEST(Rng, ShufflePreservesElements)

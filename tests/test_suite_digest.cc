@@ -13,6 +13,7 @@
  */
 
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "sim/multicore/engine.hh"
 #include "sim/policy_zoo.hh"
 #include "sim/system.hh"
+#include "util/parallel.hh"
 
 namespace gippr
 {
@@ -95,6 +97,18 @@ suiteDigest(const SuiteParams &params)
         h = digestOf(SyntheticSuite::materialize(spec), h);
     }
     return h;
+}
+
+/** Every suite, KV and phase-shift member at @p params. */
+std::vector<WorkloadSpec>
+allMembers(const SuiteParams &params)
+{
+    std::vector<WorkloadSpec> specs = SyntheticSuite(params).specs();
+    for (std::vector<WorkloadSpec> family :
+         {kvCacheFamily(params), phaseShiftFamily(params)})
+        for (WorkloadSpec &spec : family)
+            specs.push_back(std::move(spec));
+    return specs;
 }
 
 HierarchyConfig
@@ -180,6 +194,27 @@ TEST(SuiteDigest, GoldenDigestPinned)
     // silently changed.
     constexpr uint64_t kGolden = 0x9358339984f6f65full;
     EXPECT_EQ(suiteDigest(pinnedParams()), kGolden);
+}
+
+TEST(SuiteDigest, LongStreamDigestPinned)
+{
+    // Every suite, KV and phase-shift member at 20000 references.
+    // SdProfileGenerator once kept its last-emission indices in a
+    // hash map pruned above four times its history ring; 2000
+    // references never reach that point, 20000 do for sd_lrufriendly
+    // (first at ~2.2k references), sd_midrange, sd_uniform,
+    // sd_bimodal and sd_nearcap.  The value was recorded with that
+    // pruned map, so it pins that the block-indexed table emits the
+    // same references.
+    SuiteParams params = pinnedParams();
+    params.accessesPerSimpoint = 20000;
+    uint64_t h = kFnvOffset;
+    for (const WorkloadSpec &spec : allMembers(params)) {
+        h = fnv1a(h, spec.name.data(), spec.name.size());
+        h = digestOf(SyntheticSuite::materialize(spec), h);
+    }
+    constexpr uint64_t kGolden = 0x75e18b73c5a48908ull;
+    EXPECT_EQ(h, kGolden) << std::hex << h;
 }
 
 TEST(SuiteDigest, FilteredLlcStreamPinned)
@@ -342,6 +377,113 @@ TEST(SuiteDigest, SharedCacheLeavesExperimentRowsUnchanged)
     EXPECT_GT(shared.hits(), 0u);
     for (size_t i = 0; i < plain.rows.size(); ++i)
         EXPECT_EQ(plain.rows[i].values, again.rows[i].values);
+}
+
+TEST(SuiteDigest, StreamedTraceCacheMatchesTwoStepFilter)
+{
+    // LlcTraceCache streams each simpoint's generator through the
+    // L1/L2 in chunks; its entries must be what materializing, then
+    // filtering, then stripping writebacks gives.  8000 references
+    // span several chunks and a partial last one.  The entries are
+    // fetched on two threads so sanitizer builds see the streamed
+    // path run concurrently.
+    SuiteParams small = pinnedParams();
+    small.accessesPerSimpoint = 8000;
+    SuiteParams paper = small;
+    paper.llcBlocks = 4096; // working sets that spill the paper L2
+    const std::vector<std::pair<SuiteParams, HierarchyConfig>> cases = {
+        {small, tinyHier()}, {paper, HierarchyConfig{}}};
+    for (const auto &[params, hier] : cases) {
+        const std::vector<WorkloadSpec> specs = allMembers(params);
+        LlcTraceCache cache;
+        telemetry::PhaseTimings timings;
+        std::vector<std::shared_ptr<const LlcTraceCache::Entries>> got(
+            specs.size());
+        parallelFor(specs.size(), 2, [&](size_t i) {
+            got[i] = cache.get(specs[i], hier, &timings);
+        });
+
+        size_t simpoints = 0;
+        for (size_t i = 0; i < specs.size(); ++i) {
+            const Workload w = SyntheticSuite::materialize(specs[i]);
+            ASSERT_EQ(got[i]->size(), w.simpoints().size()) << specs[i].name;
+            for (size_t s = 0; s < w.simpoints().size(); ++s) {
+                const Simpoint &sp = w.simpoints()[s];
+                const LlcTraceCache::Entry &e = (*got[i])[s];
+                const Trace two_step =
+                    demandOnlyTrace(Hierarchy::filterToLlc(*sp.trace, hier));
+                EXPECT_EQ(e.demandTrace->records(), two_step.records())
+                    << specs[i].name << '/' << s;
+                EXPECT_EQ(e.demandTrace->instructions(),
+                          two_step.instructions());
+                EXPECT_EQ(e.instructions, sp.trace->instructions());
+                EXPECT_EQ(e.weight, sp.weight);
+                ++simpoints;
+            }
+        }
+        // One "materialize" per build and one "llc_filter" per
+        // simpoint, as when the build materialized first.
+        std::map<std::string, uint64_t> counts;
+        for (const telemetry::PhaseStat &p : timings.phases())
+            counts[p.name] = p.count;
+        EXPECT_EQ(counts["materialize"], specs.size());
+        EXPECT_EQ(counts["llc_filter"], simpoints);
+    }
+}
+
+/** A CPU stream of L1 hits with maximal gaps, then one cold block. */
+class MaxGapGenerator : public AccessGenerator
+{
+  public:
+    MemRecord
+    next(Rng &) override
+    {
+        const bool cold = emitted_++ == 3;
+        return makeRecord(cold ? 2 : 1, 0x400000,
+                          cold ? 1 : 0xFFFFFFFFu, false);
+    }
+    std::string name() const override { return "max_gap"; }
+
+  private:
+    uint64_t emitted_ = 0;
+};
+
+TEST(SuiteDigest, StreamedTraceCacheGapOverflowIsFatal)
+{
+    // Two L1 hits of 2^32 - 1 instructions each leave a gap that the
+    // cold block's record cannot carry.  Both builds must refuse it.
+    WorkloadSpec spec;
+    spec.name = "max_gap";
+    spec.capacityBlocks = 256;
+    SimpointSpec sp;
+    sp.make = [] { return std::make_unique<MaxGapGenerator>(); };
+    sp.accesses = 6;
+    spec.simpoints.push_back(sp);
+    const char *message =
+        "instruction gap 8589934591 at CPU record 3 overflows";
+    EXPECT_DEATH(([&]() noexcept {
+                     const Workload w = SyntheticSuite::materialize(spec);
+                     demandOnlyTrace(Hierarchy::filterToLlc(
+                         *w.simpoints()[0].trace, tinyHier()));
+                 })(),
+                 message);
+    EXPECT_DEATH(([&]() noexcept {
+                     LlcTraceCache cache;
+                     cache.get(spec, tinyHier(), nullptr);
+                 })(),
+                 message);
+
+    // Without the cold block the gap is never recorded, and both
+    // builds accept the stream.
+    sp.accesses = 3;
+    spec.simpoints = {sp};
+    const Workload w = SyntheticSuite::materialize(spec);
+    const Trace two_step = demandOnlyTrace(
+        Hierarchy::filterToLlc(*w.simpoints()[0].trace, tinyHier()));
+    LlcTraceCache cache;
+    const auto entries = cache.get(spec, tinyHier(), nullptr);
+    EXPECT_EQ(entries->front().demandTrace->records(), two_step.records());
+    EXPECT_EQ(two_step.size(), 1u);
 }
 
 TEST(SuiteDigest, SharedLlcRunsPinned)
