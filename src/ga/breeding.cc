@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared GA breeding primitives.
+ * GA breeding primitives.
  */
 
 #include "ga/breeding.hh"

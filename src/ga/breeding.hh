@@ -1,15 +1,13 @@
 /**
  * @file
- * Shared GA breeding primitives (paper, Section 4.2).
+ * GA breeding primitives (paper, Section 4.2).
  *
- * evolveIpv and the island-model workers (src/island) must apply the
- * *same* operators in the *same* RNG-consumption order — the island
- * service's kill/resume bit-identity guarantee depends on a resumed
- * worker replaying exactly the stream an undisturbed one would have
- * drawn.  These free functions are that single definition: tournament
- * selection, single-point crossover, one-element mutation, and the
- * batched population evaluation, each consuming the Rng precisely as
- * the original in-process GA did.
+ * evolveIpv's GA operators: tournament selection, single-point
+ * crossover, one-element mutation, and the batched population
+ * evaluation.  Each consumes the Rng in a fixed order, which is what
+ * lets a run resumed from a GaCheckpoint (ga/ga_checkpoint.hh) draw
+ * exactly the stream an uninterrupted run would have drawn and so
+ * finish bit-identical to it.
  */
 
 #ifndef GIPPR_GA_BREEDING_HH_
@@ -41,9 +39,9 @@ double evaluatePopulation(const FitnessEvaluator &fitness,
                           unsigned threads,
                           telemetry::PhaseTimings *timings);
 
-/** Sort best-first (stable order for equal fitness is not needed by
-    evolveIpv, which never compares across runs; the island merge has
-    its own deterministic tie-break). */
+/** Sort best-first.  Not stable: equal-fitness order is whatever
+    std::sort leaves, which is the same for the same input, so a
+    resumed run still sorts exactly as an uninterrupted one. */
 void sortByFitnessDesc(std::vector<SampledIpv> &pop);
 
 /** Tournament selection: best of @p t random individuals. */

@@ -22,11 +22,6 @@ constexpr const char *kHillKind = "ga-hillclimb";
 constexpr uint32_t kHillVersion = 1;
 constexpr const char *kWn1Kind = "ga-wn1";
 constexpr uint32_t kWn1Version = 1;
-constexpr const char *kMigrantsKind = "island-migrants";
-constexpr uint32_t kMigrantsVersion = 1;
-constexpr const char *kIslandKind = "island-state";
-constexpr const char *kIslandFinalKind = "island-final";
-constexpr uint32_t kIslandVersion = 1;
 
 /**
  * Digest checks shared by every loader: reject a checkpoint written
@@ -246,136 +241,6 @@ loadWn1Checkpoint(const std::string &path, uint64_t configDigest)
         }
         ck.folds.emplace_back(std::move(name), std::move(vectors));
     }
-    r.expectEnd();
-    return ck;
-}
-
-namespace
-{
-
-/** Shared by migrant and island-state payloads. */
-void
-writePopulation(robust::ByteWriter &w,
-                const std::vector<SampledIpv> &pop)
-{
-    w.u32(static_cast<uint32_t>(pop.size()));
-    for (const SampledIpv &s : pop) {
-        w.bytes(s.ipv.entries());
-        w.f64(s.fitness);
-    }
-}
-
-std::vector<SampledIpv>
-readPopulation(robust::ByteReader &r, const std::string &path,
-               const std::string &what)
-{
-    const uint32_t n = r.u32();
-    std::vector<SampledIpv> pop;
-    pop.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-        std::vector<uint8_t> entries = r.bytes();
-        const double fitness = r.f64();
-        if (!Ipv::isValidVector(entries))
-            fatal(what + " " + path +
-                  " holds an invalid IPV at index " +
-                  std::to_string(i));
-        pop.push_back({Ipv(std::move(entries)), fitness});
-    }
-    return pop;
-}
-
-} // namespace
-
-void
-saveIslandMigrants(const std::string &path, const IslandMigrants &m)
-{
-    robust::ByteWriter w;
-    w.u64(m.configDigest);
-    w.u32(m.island);
-    w.u64(m.round);
-    writePopulation(w, m.migrants);
-    robust::writeCheckpointFile(path, kMigrantsKind, kMigrantsVersion,
-                                w.data());
-}
-
-bool
-tryLoadIslandMigrants(const std::string &path, uint64_t configDigest,
-                      IslandMigrants &out)
-{
-    // A missing, torn, truncated, or mis-kinded file all surface as
-    // readCheckpointFile/ByteReader runtime_errors; a skipped migrant
-    // set is graceful degradation, so swallow them all here.
-    try {
-        const std::string payload = robust::readCheckpointFile(
-            path, kMigrantsKind, kMigrantsVersion);
-        robust::ByteReader r(payload, path);
-        IslandMigrants m;
-        m.configDigest = r.u64();
-        if (m.configDigest != configDigest)
-            return false;
-        m.island = r.u32();
-        m.round = r.u64();
-        m.migrants = readPopulation(r, path, "island migrant file");
-        r.expectEnd();
-        out = std::move(m);
-        return true;
-    } catch (const std::runtime_error &) {
-        return false;
-    }
-}
-
-void
-saveIslandCheckpoint(const std::string &path,
-                     const IslandCheckpoint &ck, bool final)
-{
-    robust::ByteWriter w;
-    w.u64(ck.configDigest);
-    w.u64(ck.suiteDigest);
-    w.u32(ck.island);
-    for (uint64_t word : ck.rngState)
-        w.u64(word);
-    w.u64(ck.generation);
-    w.u64(ck.exchangesDone);
-    w.u64(ck.exchangesMissed);
-    writePopulation(w, ck.population);
-    w.u32(static_cast<uint32_t>(ck.history.size()));
-    for (double h : ck.history)
-        w.f64(h);
-    w.u32(static_cast<uint32_t>(ck.generationSeconds.size()));
-    for (double s : ck.generationSeconds)
-        w.f64(s);
-    robust::writeCheckpointFile(
-        path, final ? kIslandFinalKind : kIslandKind, kIslandVersion,
-        w.data());
-}
-
-IslandCheckpoint
-loadIslandCheckpoint(const std::string &path, uint64_t configDigest,
-                     uint64_t suiteDigest, bool final)
-{
-    const std::string payload = robust::readCheckpointFile(
-        path, final ? kIslandFinalKind : kIslandKind, kIslandVersion);
-    robust::ByteReader r(payload, path);
-    IslandCheckpoint ck;
-    ck.configDigest = r.u64();
-    ck.suiteDigest = r.u64();
-    validateDigests(path, "island", ck.suiteDigest, suiteDigest,
-                    ck.configDigest, configDigest);
-    ck.island = r.u32();
-    for (uint64_t &word : ck.rngState)
-        word = r.u64();
-    ck.generation = r.u64();
-    ck.exchangesDone = r.u64();
-    ck.exchangesMissed = r.u64();
-    ck.population = readPopulation(r, path, "island checkpoint");
-    const uint32_t hist = r.u32();
-    ck.history.reserve(hist);
-    for (uint32_t i = 0; i < hist; ++i)
-        ck.history.push_back(r.f64());
-    const uint32_t secs = r.u32();
-    ck.generationSeconds.reserve(secs);
-    for (uint32_t i = 0; i < secs; ++i)
-        ck.generationSeconds.push_back(r.f64());
     r.expectEnd();
     return ck;
 }

@@ -115,64 +115,6 @@ void saveWn1Checkpoint(const std::string &path, const Wn1Checkpoint &ck);
 Wn1Checkpoint loadWn1Checkpoint(const std::string &path,
                                 uint64_t configDigest);
 
-/**
- * One island's top-k emigrants at an exchange round, published into
- * the coordination directory for every peer to incorporate.
- */
-struct IslandMigrants
-{
-    uint64_t configDigest = 0;
-    /** Sending island. */
-    uint32_t island = 0;
-    /** Exchange round (1-based; round r fires after generation r*E). */
-    uint64_t round = 0;
-    /** Top-k individuals, best first, with carried fitness. */
-    std::vector<SampledIpv> migrants;
-};
-
-void saveIslandMigrants(const std::string &path,
-                        const IslandMigrants &m);
-
-/**
- * Non-throwing migrant load: returns false — leaving @p out alone —
- * when the file is missing, torn (envelope CRC), the wrong kind, or
- * was written under a different configuration.  A failed load is a
- * *skipped* migrant set, never an aborted exchange round: the
- * receiving island simply continues without that peer's genes.
- */
-bool tryLoadIslandMigrants(const std::string &path,
-                           uint64_t configDigest, IslandMigrants &out);
-
-/**
- * State of one island worker at a generation boundary.  Saved under
- * kind "island-state" while running and "island-final" once the
- * island finishes all generations (the merge step refuses to fold
- * non-final islands).
- */
-struct IslandCheckpoint
-{
-    uint64_t configDigest = 0;
-    uint64_t suiteDigest = 0;
-    uint32_t island = 0;
-    std::array<uint64_t, 4> rngState{};
-    /** Generations completed after generation zero. */
-    uint64_t generation = 0;
-    /** Exchange rounds fully incorporated. */
-    uint64_t exchangesDone = 0;
-    /** Peer migrant sets missed (deadline/torn) across all rounds. */
-    uint64_t exchangesMissed = 0;
-    /** Population, sorted best-first, with carried fitness. */
-    std::vector<SampledIpv> population;
-    std::vector<double> history;
-    std::vector<double> generationSeconds;
-};
-
-void saveIslandCheckpoint(const std::string &path,
-                          const IslandCheckpoint &ck, bool final);
-IslandCheckpoint loadIslandCheckpoint(const std::string &path,
-                                      uint64_t configDigest,
-                                      uint64_t suiteDigest, bool final);
-
 } // namespace gippr
 
 #endif // GIPPR_GA_GA_CHECKPOINT_HH_

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -270,116 +269,36 @@ writeFileAtomic(const std::string &path, std::string_view payload)
     syncParentDir(path);
 }
 
-namespace
+std::string
+readFileBytes(const std::string &path)
 {
-
-/**
- * Shared read loop: fills @p out from @p path, reporting failure via
- * @p error (empty on success).  Open and read both route through the
- * fault injector so the CI read-side sweep can fail either.
- */
-bool
-readFileBytesImpl(const std::string &path, std::string &out,
-                  std::string &error)
-{
+    // Open and read both route through the fault injector so the CI
+    // read-side sweep can fail either.
     const int fd = fiOpen(path, O_RDONLY, 0);
-    if (fd < 0) {
-        error = "cannot open " + path + " for reading: " + errnoText();
-        return false;
-    }
+    if (fd < 0)
+        fatal("cannot open " + path + " for reading: " + errnoText());
     std::string bytes;
     char buf[1 << 16];
     for (;;) {
         if (FaultInjector::instance().check(FaultOp::Read) !=
             FaultKind::None) {
             (void)::close(fd);
-            error = "read of " + path + " failed: " +
-                    std::strerror(EIO);
-            return false;
+            fatal("read of " + path + " failed: " + std::strerror(EIO));
         }
         const ssize_t got = ::read(fd, buf, sizeof(buf));
         if (got < 0) {
             if (errno == EINTR)
                 continue;
-            error = "read of " + path + " failed: " + errnoText();
+            const std::string err = errnoText();
             (void)::close(fd);
-            return false;
+            fatal("read of " + path + " failed: " + err);
         }
         if (got == 0)
             break;
         bytes.append(buf, static_cast<size_t>(got));
     }
     (void)::close(fd);
-    out = std::move(bytes);
-    return true;
-}
-
-} // namespace
-
-std::string
-readFileBytes(const std::string &path)
-{
-    std::string out;
-    std::string error;
-    if (!readFileBytesImpl(path, out, error))
-        fatal(error);
-    return out;
-}
-
-bool
-tryReadFileBytes(const std::string &path, std::string &out)
-{
-    std::string error;
-    return readFileBytesImpl(path, out, error);
-}
-
-bool
-publishFileExclusive(const std::string &path, std::string_view payload)
-{
-    // Stage like writeFileAtomic, but publish with link(2): link
-    // fails with EEXIST when the destination already exists, which is
-    // the atomic exactly-one-wins arbitration a reclaim needs (a
-    // rename would silently crown every contender in turn).  The temp
-    // name must be unique per *call*, not per process: same-process
-    // threads (the in-process island harness) race here too, and a
-    // shared temp would let one contender unlink another's staging
-    // file between its close and link.
-    static std::atomic<uint64_t> publish_counter{0};
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid()) + "." +
-        std::to_string(++publish_counter);
-    const int fd = fiOpen(tmp, O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0)
-        fatal("cannot open temp file for exclusive publish of " +
-              path + ": " + errnoText());
-    auto fail = [&](const std::string &step) {
-        const std::string err = errnoText();
-        (void)::close(fd);
-        (void)::unlink(tmp.c_str());
-        fatal(step + " failed during exclusive publish of " + path +
-              ": " + err);
-    };
-    if (!fiWriteAll(fd, payload.data(), payload.size()))
-        fail("write");
-    if (!fiFsync(fd))
-        fail("fsync");
-    if (!fiClose(fd)) {
-        const std::string err = errnoText();
-        (void)::unlink(tmp.c_str());
-        fatal("close failed during exclusive publish of " + path +
-              ": " + err);
-    }
-    const bool won = ::link(tmp.c_str(), path.c_str()) == 0;
-    if (!won && errno != EEXIST) {
-        const std::string err = errnoText();
-        (void)::unlink(tmp.c_str());
-        fatal("link failed during exclusive publish of " + path +
-              ": " + err);
-    }
-    (void)::unlink(tmp.c_str());
-    if (won)
-        syncParentDir(path);
-    return won;
+    return bytes;
 }
 
 } // namespace gippr::robust

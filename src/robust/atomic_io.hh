@@ -52,8 +52,8 @@ struct RetryPolicy
     unsigned baseDelayMs = 10;
     /**
      * Cap on any single backoff delay (ms); 0 leaves the exponential
-     * schedule uncapped.  Long waits (a peer process republishing a
-     * file) want steady polling, not minute-long doubled sleeps.
+     * schedule uncapped.  Long waits want steady polling, not
+     * minute-long doubled sleeps.
      */
     unsigned maxDelayMs = 0;
     /**
@@ -103,25 +103,6 @@ void writeFileAtomic(const std::string &path, std::string_view payload);
  * fatal() on open/read failure.
  */
 std::string readFileBytes(const std::string &path);
-
-/**
- * Non-throwing readFileBytes: returns false on open/read failure
- * (leaving @p out untouched) instead of fatal().  Cross-process
- * readers — lease monitors, migrant polls — treat a failed read as
- * "not there yet", never as a run-ending error.
- */
-bool tryReadFileBytes(const std::string &path, std::string &out);
-
-/**
- * Atomically publish @p payload at @p path ONLY if nothing exists
- * there yet: the payload is staged to a synced temp file and
- * hard-linked into place, so concurrent contenders race on the
- * link(2) — exactly one wins, everyone else gets false, and the file
- * is never observable torn.  (rename(2) silently replaces, which is
- * why claims use link.)  fatal() on non-contention I/O errors.
- */
-bool publishFileExclusive(const std::string &path,
-                          std::string_view payload);
 
 } // namespace gippr::robust
 

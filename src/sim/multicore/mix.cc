@@ -156,10 +156,15 @@ buildCoreStreams(const MixSpec &mix, const SyntheticSuite &suite,
         if (spec == nullptr)
             fatal("unknown workload in mix: " + t.workload);
 
-        auto entries = tc.get(*spec, hier, nullptr);
-        GIPPR_CHECK(!entries->empty());
         // First simpoint only, matching the historical bench mixes:
         // multi-programmed runs want one contiguous stream per core.
+        // Cutting the spec down keeps the cache from building the
+        // simpoints no core replays; the key hashes every simpoint,
+        // so the cut spec has its own entry with the same trace.
+        GIPPR_CHECK(!spec->simpoints.empty());
+        WorkloadSpec first = *spec;
+        first.simpoints.resize(1);
+        auto entries = tc.get(first, hier, nullptr);
         const LlcTraceCache::Entry &e = entries->front();
         CoreStream cs;
         cs.workload = t.workload;

@@ -14,7 +14,7 @@
  *    multi-tenant family (workloads/suite.hh's kvCacheFamily) or of
  *    the phase-shift family (phaseShiftFamily).
  *
- * buildCoreStreams() materializes each member workload, filters it
+ * buildCoreStreams() streams each member workload's first simpoint
  * through the private L1+L2 (true LRU, as everywhere) and returns the
  * demand-only LLC trace every core feeds into the shared LLC —
  * exactly the stream the single-core miss experiments replay, which
@@ -73,11 +73,12 @@ struct CoreStream
 };
 
 /**
- * Materialize + L1/L2-filter the mix's workloads (first simpoint of
- * each, like the bench mixes) into per-core LLC streams.  Workload
- * names resolve against @p suite first, then against the KV-cache and
- * phase-shift families built from the suite's params.  @p cache, when
- * non-null, memoizes the filtered traces across calls.
+ * Stream the first simpoint of each of the mix's workloads (like the
+ * bench mixes) through the L1/L2 into per-core LLC streams; the other
+ * simpoints are never generated.  Workload names resolve against
+ * @p suite first, then against the KV-cache and phase-shift families
+ * built from the suite's params.  @p cache, when non-null, memoizes
+ * the filtered traces across calls, keyed by the one-simpoint spec.
  */
 std::vector<CoreStream> buildCoreStreams(const MixSpec &mix,
                                          const SyntheticSuite &suite,

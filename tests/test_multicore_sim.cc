@@ -265,6 +265,38 @@ TEST(MulticoreMix, ResolvesSuiteAndKvFamily)
     }
 }
 
+TEST(MulticoreMix, BuildsOnlyTheFirstSimpoint)
+{
+    const WorkloadSpec &full = testSuite().spec("zipf_twophase");
+    ASSERT_GT(full.simpoints.size(), 1u);
+    HierarchyConfig hier;
+    hier.llc = CacheConfig::benchLlc();
+
+    LlcTraceCache cache;
+    const std::vector<CoreStream> streams = buildCoreStreams(
+        parseMixSpec("zipf_twophase", 1), testSuite(), hier, &cache);
+    ASSERT_EQ(streams.size(), 1u);
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.hits(), 0u);
+
+    // The build was keyed by the one-simpoint spec ...
+    WorkloadSpec first = full;
+    first.simpoints.resize(1);
+    const auto entries = cache.get(first, hier, nullptr);
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(entries->size(), 1u);
+    EXPECT_EQ(entries->front().demandTrace, streams[0].trace);
+
+    // ... and its stream is the full spec's first simpoint.
+    LlcTraceCache whole;
+    const auto all = whole.get(full, hier, nullptr);
+    ASSERT_EQ(all->size(), full.simpoints.size());
+    EXPECT_EQ(all->front().demandTrace->records(),
+              streams[0].trace->records());
+    EXPECT_EQ(all->front().instructions, streams[0].instructions);
+}
+
 TEST(MulticorePartition, MasksFromCountsAreContiguousAndDisjoint)
 {
     const std::vector<uint64_t> masks = masksFromCounts({8, 4, 2, 2}, 16);

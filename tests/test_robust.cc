@@ -7,20 +7,17 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "robust/atomic_io.hh"
 #include "robust/checkpoint.hh"
 #include "robust/fault_inject.hh"
-#include "robust/lease.hh"
 #include "robust/shutdown.hh"
 
 namespace gippr::robust
@@ -296,146 +293,6 @@ TEST(FaultInjection, ReadFaultFiresAndFileSurvives)
     FaultInjector::instance().reset();
     // The injected EIO is a read-side fault: the file itself is whole.
     EXPECT_EQ(readFileBytes(path), "payload");
-
-    // The non-throwing reader reports the same fault as false.
-    FaultInjector::instance().configure("read=1");
-    std::string out = "untouched";
-    EXPECT_FALSE(tryReadFileBytes(path, out));
-    EXPECT_EQ(out, "untouched");
-    FaultInjector::instance().reset();
-    EXPECT_TRUE(tryReadFileBytes(path, out));
-    EXPECT_EQ(out, "payload");
-}
-
-TEST(TryReadFileBytes, MissingFileIsFalseNotFatal)
-{
-    std::string out = "untouched";
-    EXPECT_FALSE(
-        tryReadFileBytes("/nonexistent-gippr-dir/nope.bin", out));
-    EXPECT_EQ(out, "untouched");
-}
-
-TEST(PublishExclusive, FirstWinsSecondLosesContentsKept)
-{
-    fs::path dir = scratchDir("publish_excl");
-    const std::string path = (dir / "claim").string();
-    EXPECT_TRUE(publishFileExclusive(path, "winner"));
-    EXPECT_FALSE(publishFileExclusive(path, "loser"));
-    EXPECT_EQ(readFileBytes(path), "winner");
-    EXPECT_FALSE(hasTempFiles(dir));
-}
-
-TEST(PublishExclusive, ConcurrentRaceHasExactlyOneWinner)
-{
-    fs::path dir = scratchDir("publish_race");
-    const std::string path = (dir / "claim").string();
-    constexpr int kContenders = 8;
-    std::atomic<int> winners{0};
-    std::vector<std::thread> threads;
-    threads.reserve(kContenders);
-    for (int t = 0; t < kContenders; ++t)
-        threads.emplace_back([&, t]() {
-            if (publishFileExclusive(path,
-                                     "contender " + std::to_string(t)))
-                ++winners;
-        });
-    for (std::thread &t : threads)
-        t.join();
-    EXPECT_EQ(winners.load(), 1);
-    // The surviving contents are one whole payload, never a mix.
-    const std::string body = readFileBytes(path);
-    EXPECT_EQ(body.rfind("contender ", 0), 0u);
-    EXPECT_FALSE(hasTempFiles(dir));
-}
-
-TEST(Lease, CodecRoundTripAndCorruptionRejected)
-{
-    LeaseInfo info;
-    info.island = 3;
-    info.pid = 12345;
-    info.incarnation = 2;
-    info.seq = 99;
-    const std::string line = encodeLease(info);
-
-    LeaseInfo out;
-    ASSERT_TRUE(decodeLease(line, out));
-    EXPECT_EQ(out.island, 3u);
-    EXPECT_EQ(out.pid, 12345);
-    EXPECT_EQ(out.incarnation, 2u);
-    EXPECT_EQ(out.seq, 99u);
-
-    // Any single-character damage trips the CRC (or the grammar).
-    for (size_t i = 0; i < line.size() - 1; ++i) {
-        std::string bad = line;
-        bad[i] = bad[i] == 'x' ? 'y' : 'x';
-        LeaseInfo ignored;
-        EXPECT_FALSE(decodeLease(bad, ignored)) << "flip at " << i;
-    }
-    EXPECT_FALSE(decodeLease("", out));
-    EXPECT_FALSE(decodeLease("gippr-lease v1 island=1", out));
-}
-
-TEST(Lease, WriterBeatsAdvanceSeqDurably)
-{
-    fs::path dir = scratchDir("lease_writer");
-    const std::string path = (dir / "lease.0").string();
-    LeaseWriter writer(path, 0, 4242, 1);
-    writer.beat();
-    writer.beat();
-
-    LeaseInfo info;
-    std::string body;
-    ASSERT_TRUE(tryReadFileBytes(path, body));
-    ASSERT_TRUE(decodeLease(body, info));
-    EXPECT_EQ(info.seq, 2u);
-    EXPECT_EQ(info.pid, 4242);
-    EXPECT_EQ(info.incarnation, 1u);
-    EXPECT_FALSE(hasTempFiles(dir));
-}
-
-TEST(LeaseMonitor, StalenessIsObserverClockOnly)
-{
-    // All times below are the OBSERVER's fake clock; the lease itself
-    // carries no timestamp, so arbitrary worker clock skew is
-    // irrelevant by construction.
-    LeaseMonitor monitor(100);
-
-    // Never-observed islands are not stale.
-    EXPECT_FALSE(monitor.stale(0, 1000000));
-
-    // A worker that has not yet managed a first beat (slow startup)
-    // is not stale either — process death is waitpid's job.
-    monitor.observe(0, false, 0, 0, 0);
-    EXPECT_FALSE(monitor.stale(0, 1000000));
-
-    // Heartbeats advancing: never stale.
-    monitor.observe(0, true, 1, 0, 10);
-    monitor.observe(0, true, 2, 0, 80);
-    monitor.observe(0, true, 3, 0, 150);
-    EXPECT_FALSE(monitor.stale(0, 220));
-
-    // Counter frozen at 3: stale once 100 ms of observer time pass.
-    monitor.observe(0, true, 3, 0, 200);
-    EXPECT_FALSE(monitor.stale(0, 249));
-    EXPECT_TRUE(monitor.stale(0, 250));
-
-    // A fresh beat un-stales.
-    monitor.observe(0, true, 4, 0, 260);
-    EXPECT_FALSE(monitor.stale(0, 300));
-
-    // A vanished lease file keeps the silence clock running.
-    monitor.observe(0, false, 0, 0, 320);
-    EXPECT_TRUE(monitor.stale(0, 360));
-
-    // Same seq but a new incarnation is a change (replacement worker).
-    monitor.observe(0, true, 4, 1, 365);
-    EXPECT_FALSE(monitor.stale(0, 400));
-
-    // forget() wipes history: the island needs a fresh first lease.
-    monitor.forget(0);
-    EXPECT_FALSE(monitor.stale(0, 1000000));
-    monitor.observe(0, false, 0, 0, 1000001);
-    EXPECT_FALSE(monitor.stale(0, 2000000));
 }
 
 TEST(Shutdown, FlagLifecycle)
