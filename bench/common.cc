@@ -12,6 +12,7 @@
 
 #include "ga/fitness.hh"
 #include "util/log.hh"
+#include "util/parallel.hh"
 
 namespace gippr::bench
 {
@@ -79,8 +80,8 @@ resolveScale()
         s.ga.population = 128;
         s.ga.generations = 30;
     }
-    s.ga.threads = 8;
-    s.threads = 8;
+    s.threads = resolveThreads(0);
+    s.ga.threads = s.threads;
     return s;
 }
 

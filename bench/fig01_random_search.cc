@@ -64,7 +64,7 @@ main(int argc, char **argv)
                 scale.randomSamples);
     auto samples = randomSearch(fitness, IpvFamily::Gippr,
                                 scale.randomSamples, 0xF16001,
-                                scale.threads ? scale.threads : 8);
+                                scale.threads);
 
     Table table({"percentile", "speedup over LRU"});
     for (int pct : {0, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 95, 99,

@@ -61,6 +61,8 @@ main(int argc, char **argv)
 
     SyntheticSuite suite(suiteParams(scale));
     SystemParams sys = systemParams();
+    // Every timed evaluateAll below runs on one thread.
+    scale.threads = scale.ga.threads = 1;
     session.recordScale(scale);
 
     // The GA's training set: every workload's simpoints filtered to

@@ -47,17 +47,7 @@ run(int argc, char **argv)
     if (source.size() > 5 &&
         source.substr(source.size() - 5) == ".gptr") {
         std::printf("loading trace file %s...\n", source.c_str());
-        MappedTrace mapped(source);
-        std::printf("loader:        %s\n",
-                    mapped.mapped() ? "mmap (zero-copy)"
-                                    : "buffered fallback");
-        if (mapped.mapped()) {
-            trace.reserve(mapped.size());
-            for (size_t i = 0; i < mapped.size(); ++i)
-                trace.append(mapped[i]);
-        } else {
-            trace = mapped.fallbackTrace();
-        }
+        trace = readTrace(source);
     } else {
         std::printf("generating workload '%s' (first simpoint)...\n",
                     source.c_str());

@@ -190,26 +190,18 @@ retryWithBackoff(const RetryPolicy &policy,
 {
     Rng jitter(policy.jitterSeed);
     const unsigned attempts = policy.attempts > 0 ? policy.attempts : 1;
-    uint64_t scheduled_ms = 0;
     for (unsigned attempt = 1;; ++attempt) {
         if (op())
             return true;
         if (attempt >= attempts)
             return false;
         const double scale = 0.5 + jitter.nextDouble() / 2.0;
-        // Clamp the exponent so the shift cannot overflow on long
-        // deadline-bounded polls (2^31 ms is already ~25 days).
+        // Clamp the exponent so the shift cannot overflow when a
+        // policy asks for more than 32 attempts.
         const unsigned exponent = std::min(attempt - 1, 31u);
-        double raw = static_cast<double>(policy.baseDelayMs) *
-                     static_cast<double>(1ull << exponent) * scale;
-        if (policy.maxDelayMs > 0)
-            raw = std::min(raw, static_cast<double>(policy.maxDelayMs));
-        const unsigned delay = static_cast<unsigned>(raw);
-        if (policy.deadlineMs > 0 &&
-            scheduled_ms + delay > policy.deadlineMs) {
-            return false; // backoff budget exhausted
-        }
-        scheduled_ms += delay;
+        const unsigned delay = static_cast<unsigned>(
+            static_cast<double>(policy.baseDelayMs) *
+            static_cast<double>(1ull << exponent) * scale);
         if (policy.sleeper)
             policy.sleeper(delay);
         else if (delay > 0)

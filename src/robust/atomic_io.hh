@@ -50,20 +50,6 @@ struct RetryPolicy
      * by a Rng seeded with jitterSeed — deterministic per policy.
      */
     unsigned baseDelayMs = 10;
-    /**
-     * Cap on any single backoff delay (ms); 0 leaves the exponential
-     * schedule uncapped.  Long waits want steady polling, not
-     * minute-long doubled sleeps.
-     */
-    unsigned maxDelayMs = 0;
-    /**
-     * Total backoff budget (ms); 0 means unlimited.  Retrying stops —
-     * returning false — once the next scheduled delay would push the
-     * cumulative backoff past this deadline.  The budget counts the
-     * deterministic scheduled delays, not wall-clock time spent in
-     * @p op, so the retry schedule stays replayable in tests.
-     */
-    unsigned deadlineMs = 0;
     uint64_t jitterSeed = 0x9e3779b97f4a7c15ULL;
     /**
      * Sleep hook (milliseconds); null means really sleep.  Tests
@@ -74,18 +60,18 @@ struct RetryPolicy
 };
 
 /**
- * Run @p op until it returns true, @p policy.attempts are exhausted,
- * or the deadline budget runs out, backing off between attempts.
- * Returns whether @p op eventually succeeded.
+ * Run @p op until it returns true or @p policy.attempts are
+ * exhausted, backing off between attempts.  Returns whether @p op
+ * eventually succeeded.
  */
 bool retryWithBackoff(const RetryPolicy &policy,
                       const std::function<bool()> &op);
 
 /**
- * The repo-wide default retry policy: 3 attempts with a base delay
- * from GIPPR_IO_RETRY_BASE_MS (default 10 ms; the env knob paces CI
- * fault-injection sweeps; a malformed value is fatal).  The env is
- * re-read per call so tests can vary it.
+ * The repo-wide default retry policy, used by readTrace()'s open: 3
+ * attempts with a base delay from GIPPR_IO_RETRY_BASE_MS (default
+ * 10 ms; a malformed value is fatal).  The env is re-read per call so
+ * tests can vary it.
  */
 RetryPolicy defaultRetryPolicy();
 

@@ -43,9 +43,6 @@ parseFaultName(const std::string &name, FaultOp &op, FaultKind &kind)
     } else if (name == "read") {
         op = FaultOp::Read;
         kind = FaultKind::Fail;
-    } else if (name == "mmap") {
-        op = FaultOp::Mmap;
-        kind = FaultKind::Fail;
     } else {
         return false;
     }
@@ -83,7 +80,7 @@ FaultInjector::configure(const std::string &spec)
             !parseFaultName(token.substr(0, eq), op, kind)) {
             fatal("GIPPR_FAULT_INJECT: malformed term \"" + token +
                   "\" (want <open|write|short_write|enospc|rename|"
-                  "fsync|close|read|mmap>=<N>)");
+                  "fsync|close|read>=<N>)");
         }
         const std::string count_text = token.substr(eq + 1);
         char *end = nullptr;

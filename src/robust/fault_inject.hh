@@ -26,7 +26,6 @@
  *   fsync=N        Nth fsync() fails
  *   close=N        Nth close() fails (buffered-data flush failure)
  *   read=N         Nth read()/fread() fails (EIO)
- *   mmap=N         Nth mmap() fails (caller must fall back or err)
  *
  * Counters are global and thread-safe; each armed fault fires once.
  */
@@ -53,11 +52,10 @@ enum class FaultOp : unsigned
     Fsync,
     Close,
     Read,
-    Mmap,
 };
 
 /** Number of FaultOp classes (array sizing). */
-constexpr unsigned kFaultOpCount = 7;
+constexpr unsigned kFaultOpCount = 6;
 
 /** What an armed fault does when it fires. */
 enum class FaultKind : uint8_t

@@ -206,7 +206,7 @@ runChunk32Quad(SoaCacheModel &ma, SoaCacheModel &mb, SoaCacheModel &mc,
  * boundary the per-spec replay() uses.
  */
 void
-replayBatch(std::vector<SoaCacheModel> &models, const TraceSource &trace,
+replayBatch(std::vector<SoaCacheModel> &models, const Trace &trace,
             size_t warmup, size_t shard, size_t shards, uint64_t sets)
 {
     const SoaCacheModel &geo = models.front();
@@ -337,7 +337,7 @@ activeReplayKernel()
 
 std::vector<ReplayStats>
 ReplayEngine::replayMany(std::span<const ReplaySpec> specs,
-                         const CacheConfig &config, const TraceSource &trace,
+                         const CacheConfig &config, const Trace &trace,
                          size_t warmup) const
 {
     std::vector<ReplayStats> out;
@@ -349,7 +349,7 @@ ReplayEngine::replayMany(std::span<const ReplaySpec> specs,
 
 ReplayStats
 ScalarReplayEngine::replay(const ReplaySpec &spec,
-                           const CacheConfig &config, const TraceSource &trace,
+                           const CacheConfig &config, const Trace &trace,
                            size_t warmup) const
 {
     GIPPR_CHECK(warmup <= trace.size());
@@ -385,7 +385,7 @@ FastReplayEngine::supports(const ReplaySpec &spec,
 
 ReplayStats
 FastReplayEngine::replay(const ReplaySpec &spec,
-                         const CacheConfig &config, const TraceSource &trace,
+                         const CacheConfig &config, const Trace &trace,
                          size_t warmup) const
 {
     if (!supports(spec, config))
@@ -445,7 +445,7 @@ FastReplayEngine::replay(const ReplaySpec &spec,
 std::vector<ReplayStats>
 FastReplayEngine::replayMany(std::span<const ReplaySpec> specs,
                              const CacheConfig &config,
-                             const TraceSource &trace, size_t warmup) const
+                             const Trace &trace, size_t warmup) const
 {
     GIPPR_CHECK(warmup <= trace.size());
     std::vector<ReplayStats> out(specs.size());

@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "sim/fastpath/replay_spec.hh"
-#include "trace/trace_io.hh"
+#include "trace/trace.hh"
 
 namespace gippr::fastpath
 {
@@ -71,7 +71,7 @@ class ReplayEngine
      */
     virtual ReplayStats replay(const ReplaySpec &spec,
                                const CacheConfig &config,
-                               const TraceSource &trace,
+                               const Trace &trace,
                                size_t warmup) const = 0;
 
     /**
@@ -83,7 +83,7 @@ class ReplayEngine
      */
     virtual std::vector<ReplayStats>
     replayMany(std::span<const ReplaySpec> specs,
-               const CacheConfig &config, const TraceSource &trace,
+               const CacheConfig &config, const Trace &trace,
                size_t warmup) const;
 
     /** Backend name ("scalar" or "fast"). */
@@ -95,7 +95,7 @@ class ScalarReplayEngine : public ReplayEngine
 {
   public:
     ReplayStats replay(const ReplaySpec &spec, const CacheConfig &config,
-                       const TraceSource &trace,
+                       const Trace &trace,
                        size_t warmup) const override;
     std::string name() const override { return "scalar"; }
 };
@@ -111,7 +111,7 @@ class FastReplayEngine : public ReplayEngine
     explicit FastReplayEngine(unsigned shards = 1);
 
     ReplayStats replay(const ReplaySpec &spec, const CacheConfig &config,
-                       const TraceSource &trace,
+                       const Trace &trace,
                        size_t warmup) const override;
 
     /**
@@ -129,7 +129,7 @@ class FastReplayEngine : public ReplayEngine
      */
     std::vector<ReplayStats>
     replayMany(std::span<const ReplaySpec> specs,
-               const CacheConfig &config, const TraceSource &trace,
+               const CacheConfig &config, const Trace &trace,
                size_t warmup) const override;
 
     std::string name() const override { return "fast"; }

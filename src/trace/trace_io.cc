@@ -7,24 +7,12 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <utility>
 
 #include "robust/atomic_io.hh"
 #include "robust/fault_inject.hh"
-#include "util/env.hh"
 #include "util/log.hh"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define GIPPR_TRACE_HAVE_MMAP 1
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#else
-#define GIPPR_TRACE_HAVE_MMAP 0
-#endif
 
 namespace gippr
 {
@@ -89,7 +77,7 @@ appendScalar(std::string &buf, T v)
 
 /**
  * fread with read-side fault injection: an armed read=N fault makes
- * the Nth call report a short read, so the trace loaders' truncation
+ * the Nth call report a short read, so the trace reader's truncation
  * and I/O-error paths get the same scripted coverage as the writers.
  */
 size_t
@@ -120,8 +108,10 @@ readScalar(std::FILE *f, uint32_t &crc, const std::string &path,
     return v;
 }
 
-/** On-disk bytes of one MemRecord (fields are written unpadded). */
-constexpr uint64_t kRecordBytes = kGptrRecordBytes;
+/** On-disk bytes of one MemRecord: instGap, addr, pc, flags
+ *  (fields are written unpadded). */
+constexpr uint64_t kRecordBytes = sizeof(uint32_t) + sizeof(uint64_t) +
+                                  sizeof(uint64_t) + sizeof(uint8_t);
 
 /** Header bytes: magic + version + record count. */
 constexpr uint64_t kHeaderBytes =
@@ -138,15 +128,6 @@ fileSize(std::FILE *f, const std::string &path)
     if (end < 0 || std::fseek(f, pos, SEEK_SET) != 0)
         fatal("cannot determine size of trace file: " + path);
     return static_cast<uint64_t>(end);
-}
-
-/** mmap streaming enabled?  GIPPR_TRACE_MMAP=0 forces buffered;
- *  any value other than 0 or 1 is fatal. */
-bool
-mmapEnabled()
-{
-    const char *env = std::getenv("GIPPR_TRACE_MMAP");
-    return !env || parseEnvUnsigned("GIPPR_TRACE_MMAP", env, 1) != 0;
 }
 
 } // namespace
@@ -238,146 +219,6 @@ readTrace(const std::string &path)
                   path);
     }
     return trace;
-}
-
-MappedTrace::MappedTrace(const std::string &path)
-{
-#if GIPPR_TRACE_HAVE_MMAP
-    if (mmapEnabled()) {
-        FilePtr f = openWithRetry(path, "rb");
-        if (!f)
-            fatal("cannot open trace file for reading: " + path);
-        struct stat st;
-        if (fstat(fileno(f.get()), &st) != 0)
-            fatal("cannot determine size of trace file: " + path);
-        const uint64_t len = static_cast<uint64_t>(st.st_size);
-        if (len >= kHeaderBytes) {
-            // An armed mmap=N fault models MAP_FAILED (exotic
-            // filesystem): the reader must degrade to the buffered
-            // loader with identical results.
-            const bool injected =
-                robust::FaultInjector::instance().check(
-                    robust::FaultOp::Mmap) != robust::FaultKind::None;
-            void *map =
-                injected ? MAP_FAILED
-                         : mmap(nullptr, static_cast<size_t>(len),
-                                PROT_READ, MAP_PRIVATE,
-                                fileno(f.get()), 0);
-            if (map != MAP_FAILED) {
-                // The mapping must be released if validation throws
-                // (a throwing constructor never runs the destructor).
-                const auto *data =
-                    static_cast<const unsigned char *>(map);
-                const auto fail = [&](const std::string &msg) {
-                    munmap(map, static_cast<size_t>(len));
-                    fatal(msg);
-                };
-
-                // Validate exactly like the buffered reader: magic,
-                // version, promised count vs actual size, CRC footer.
-                if (std::memcmp(data, kMagic, 4) != 0)
-                    fail("not a GPTR trace file: " + path);
-                uint32_t version;
-                std::memcpy(&version, data + 4, sizeof(version));
-                if (version != kVersion && version != kVersionNoCrc)
-                    fail("unsupported trace version in " + path);
-                uint64_t count;
-                std::memcpy(&count, data + 8, sizeof(count));
-                const uint64_t footer = version == kVersion ? 4 : 0;
-                if (count > (UINT64_MAX - kHeaderBytes - footer) /
-                                kRecordBytes)
-                    fail("trace file header corrupt: record count " +
-                         std::to_string(count) +
-                         " overflows the file size: " + path);
-                const uint64_t expected =
-                    kHeaderBytes + count * kRecordBytes + footer;
-                if (len < expected)
-                    fail("trace file truncated: header promises " +
-                         std::to_string(count) + " records (" +
-                         std::to_string(expected) + " bytes) but " +
-                         path + " is only " + std::to_string(len) +
-                         " bytes");
-                if (len > expected)
-                    fail("trace file corrupt: " +
-                         std::to_string(len - expected) +
-                         " trailing bytes after " +
-                         std::to_string(count) + " records: " + path);
-                if (version == kVersion) {
-                    uint32_t stored;
-                    std::memcpy(&stored, data + len - 4,
-                                sizeof(stored));
-                    if (robust::crc32(data, len - 4) != stored)
-                        fail("trace file checksum mismatch (corrupt "
-                             "contents): " +
-                             path);
-                }
-#ifdef POSIX_MADV_SEQUENTIAL
-                // Replay streams the records front to back (several
-                // times for multi-genome batches): tell the kernel.
-                posix_madvise(map, static_cast<size_t>(len),
-                              POSIX_MADV_SEQUENTIAL);
-#endif
-                map_ = map;
-                mapLen_ = static_cast<size_t>(len);
-                records_ = data + kHeaderBytes;
-                count_ = static_cast<size_t>(count);
-                return;
-            }
-        }
-        // Too small to even map a header, or mmap itself failed
-        // (exotic filesystem): the buffered loader below reproduces
-        // the exact legacy behaviour, including rejection messages.
-    }
-#endif
-    fallback_ = readTrace(path);
-    count_ = fallback_.size();
-}
-
-MappedTrace::~MappedTrace()
-{
-    unmap();
-}
-
-void
-MappedTrace::unmap() noexcept
-{
-#if GIPPR_TRACE_HAVE_MMAP
-    if (map_)
-        munmap(map_, mapLen_);
-#endif
-    map_ = nullptr;
-    mapLen_ = 0;
-    records_ = nullptr;
-    count_ = 0;
-}
-
-MappedTrace::MappedTrace(MappedTrace &&other) noexcept
-    : records_(other.records_), count_(other.count_),
-      map_(other.map_), mapLen_(other.mapLen_),
-      fallback_(std::move(other.fallback_))
-{
-    other.records_ = nullptr;
-    other.count_ = 0;
-    other.map_ = nullptr;
-    other.mapLen_ = 0;
-}
-
-MappedTrace &
-MappedTrace::operator=(MappedTrace &&other) noexcept
-{
-    if (this != &other) {
-        unmap();
-        records_ = other.records_;
-        count_ = other.count_;
-        map_ = other.map_;
-        mapLen_ = other.mapLen_;
-        fallback_ = std::move(other.fallback_);
-        other.records_ = nullptr;
-        other.count_ = 0;
-        other.map_ = nullptr;
-        other.mapLen_ = 0;
-    }
-    return *this;
 }
 
 } // namespace gippr

@@ -4,7 +4,7 @@
  *
  * A knob that is set but malformed must fail loudly: strtoul-style
  * parsing silently turns "abc" into 0, which changes the I/O retry
- * pacing or the trace loader without a word.  Callers keep their own
+ * pacing without a word.  Callers keep their own
  * getenv (the audited config-knob sites) and hand the value here.
  */
 

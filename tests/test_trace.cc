@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -123,6 +122,7 @@ TEST_F(TraceIoTest, RoundTrip)
     t.append(rec(0x1000, 3, false, 0x400100));
     t.append(rec(0x2040, 7, true, 0x400104));
     t.append(rec(0xdeadbeef00, 1, false, 0));
+    t.append(rec(UINT64_MAX, 2, true, UINT64_MAX));
     writeTrace(t, tempPath());
     Trace u = readTrace(tempPath());
     ASSERT_EQ(u.size(), t.size());
@@ -155,73 +155,7 @@ TEST_F(TraceIoTest, GarbageFileThrows)
     EXPECT_THROW(readTrace(tempPath()), std::runtime_error);
 }
 
-TEST_F(TraceIoTest, MappedMatchesBufferedRecordForRecord)
-{
-    Trace t;
-    t.append(rec(0x1000, 3, false, 0x400100));
-    t.append(rec(0x2040, 7, true, 0x400104));
-    t.append(rec(0xdeadbeef00, 1, false, 0));
-    t.append(rec(UINT64_MAX, 2, true, UINT64_MAX));
-    writeTrace(t, tempPath());
-
-    const Trace buffered = readTrace(tempPath());
-    const MappedTrace mapped(tempPath());
-    ASSERT_EQ(mapped.size(), buffered.size());
-    for (size_t i = 0; i < buffered.size(); ++i)
-        EXPECT_TRUE(mapped[i] == buffered[i]) << i;
-
-    // Both loaders feed replay through the same non-owning view.
-    const TraceSource from_buffered(buffered);
-    const TraceSource from_mapped(mapped);
-    ASSERT_EQ(from_mapped.size(), from_buffered.size());
-    for (size_t i = 0; i < from_buffered.size(); ++i)
-        EXPECT_TRUE(from_mapped[i] == from_buffered[i]) << i;
-}
-
-TEST_F(TraceIoTest, MappedHonoursBufferedFallbackKnob)
-{
-    Trace t;
-    for (uint64_t i = 0; i < 32; ++i)
-        t.append(rec(i * 64, 1, (i & 3) == 0));
-    writeTrace(t, tempPath());
-
-    setenv("GIPPR_TRACE_MMAP", "0", 1);
-    const MappedTrace forced(tempPath());
-    unsetenv("GIPPR_TRACE_MMAP");
-    EXPECT_FALSE(forced.mapped());
-
-    const MappedTrace mapped(tempPath());
-    ASSERT_EQ(forced.size(), t.size());
-    ASSERT_EQ(mapped.size(), t.size());
-    for (size_t i = 0; i < t.size(); ++i) {
-        EXPECT_TRUE(forced[i] == t[i]) << i;
-        EXPECT_TRUE(mapped[i] == t[i]) << i;
-    }
-}
-
-// GIPPR_TRACE_MMAP takes 0 or 1: "false" used to leave mmap on.  The
-// noexcept lambda ends the child process the way fatal() ends the
-// binaries.
-TEST(EnvKnobDeathTest, MalformedTraceMmapIsFatal)
-{
-    const std::string path =
-        ::testing::TempDir() + "gippr_trace_test_mmap_knob.bin";
-    Trace t;
-    t.append(rec(64));
-    writeTrace(t, path);
-    for (const char *bad : {"", "false", "2", "-1", "1x"}) {
-        EXPECT_DEATH(
-            ([&]() noexcept {
-                setenv("GIPPR_TRACE_MMAP", bad, 1);
-                const MappedTrace mapped(path);
-            })(),
-            "GIPPR_TRACE_MMAP='" + std::string(bad) + "'")
-            << "value '" << bad << "'";
-    }
-    std::remove(path.c_str());
-}
-
-TEST_F(TraceIoTest, MappedReadsLegacyV1Files)
+TEST_F(TraceIoTest, ReadsLegacyV1Files)
 {
     Trace t;
     t.append(rec(0x100, 2));
@@ -229,7 +163,7 @@ TEST_F(TraceIoTest, MappedReadsLegacyV1Files)
     writeTrace(t, tempPath());
 
     // Rewrite the v2 file as its v1 equivalent: version byte 1, no
-    // CRC footer.  Both loaders must still accept it identically.
+    // CRC footer.  The reader must still accept it.
     std::ifstream in(tempPath(), std::ios::binary);
     std::vector<char> bytes(std::istreambuf_iterator<char>(in),
                             std::istreambuf_iterator<char>{});
@@ -243,14 +177,10 @@ TEST_F(TraceIoTest, MappedReadsLegacyV1Files)
               static_cast<std::streamsize>(bytes.size()));
     out.close();
 
-    const Trace buffered = readTrace(tempPath());
-    const MappedTrace mapped(tempPath());
-    ASSERT_EQ(buffered.size(), t.size());
-    ASSERT_EQ(mapped.size(), t.size());
-    for (size_t i = 0; i < t.size(); ++i) {
-        EXPECT_TRUE(buffered[i] == t[i]) << i;
-        EXPECT_TRUE(mapped[i] == t[i]) << i;
-    }
+    const Trace u = readTrace(tempPath());
+    ASSERT_EQ(u.size(), t.size());
+    for (size_t i = 0; i < t.size(); ++i)
+        EXPECT_TRUE(u[i] == t[i]) << i;
 }
 
 TEST(Workload, AddAndCombine)

@@ -180,109 +180,10 @@ TEST(TraceFuzz, MissingFileRejected)
                  std::runtime_error);
 }
 
-// The zero-copy loader shares the buffered reader's rejection
-// contract: the mapped validation path reproduces the same checks
-// (and sub-header files fall back to the buffered reader), so every
-// malformed input throws from the MappedTrace constructor too and a
-// partially-validated mapping is never handed to replay.
-
-TEST(TraceFuzz, MappedEveryTruncationPrefixErrorsCleanly)
-{
-    const std::string path = tempPath("mmap_trunc.gptr");
-    writeTrace(sampleTrace(12), path);
-    const std::vector<char> bytes = readAll(path);
-
-    EXPECT_EQ(MappedTrace(path).size(), 12u);
-
-    const std::string cut = tempPath("mmap_trunc_cut.gptr");
-    for (size_t len = 0; len < bytes.size(); ++len) {
-        writeAll(cut,
-                 std::vector<char>(bytes.begin(),
-                                   bytes.begin() +
-                                       static_cast<ptrdiff_t>(len)));
-        EXPECT_THROW(MappedTrace m(cut), std::runtime_error)
-            << "prefix of " << len << " bytes was accepted";
-    }
-    std::remove(path.c_str());
-    std::remove(cut.c_str());
-}
-
-TEST(TraceFuzz, MappedPayloadBitFlipCaughtByChecksum)
-{
-    const std::string path = tempPath("mmap_bitflip.gptr");
-    writeTrace(sampleTrace(16), path);
-    const std::vector<char> good = readAll(path);
-    ASSERT_GT(good.size(), 24u);
-
-    for (size_t offset : {size_t(16), size_t(24), good.size() / 2,
-                          good.size() - 5}) {
-        std::vector<char> corrupt = good;
-        corrupt[offset] = static_cast<char>(corrupt[offset] ^ 0x10);
-        writeAll(path, corrupt);
-        EXPECT_THROW(MappedTrace m(path), std::runtime_error)
-            << "flip at offset " << offset << " was accepted";
-    }
-
-    writeAll(path, good);
-    EXPECT_EQ(MappedTrace(path).size(), 16u);
-    std::remove(path.c_str());
-}
-
-TEST(TraceFuzz, MappedRejectsBadHeadersAndTrailingGarbage)
-{
-    const std::string path = tempPath("mmap_header.gptr");
-    writeTrace(sampleTrace(3), path);
-    const std::vector<char> good = readAll(path);
-
-    std::vector<char> bad_magic = good;
-    bad_magic[0] = 'X';
-    writeAll(path, bad_magic);
-    EXPECT_THROW(MappedTrace m(path), std::runtime_error);
-
-    std::vector<char> bad_version = good;
-    bad_version[4] = 99;
-    writeAll(path, bad_version);
-    EXPECT_THROW(MappedTrace m(path), std::runtime_error);
-
-    std::vector<char> bad_count = good;
-    for (size_t i = 8; i < 16; ++i)
-        bad_count[i] = static_cast<char>(0xff);
-    writeAll(path, bad_count);
-    EXPECT_THROW(MappedTrace m(path), std::runtime_error);
-
-    std::vector<char> trailing = good;
-    trailing.push_back('\0');
-    writeAll(path, trailing);
-    EXPECT_THROW(MappedTrace m(path), std::runtime_error);
-
-    EXPECT_THROW(MappedTrace m(tempPath("mmap_missing.gptr")),
-                 std::runtime_error);
-    std::remove(path.c_str());
-}
-
-TEST(TraceFuzz, MappedZeroLengthTraceStreamsZeroRecords)
-{
-    // An empty trace still carries a full header + CRC footer, so the
-    // zero-copy path maps it rather than falling back.
-    const std::string path = tempPath("mmap_empty.gptr");
-    writeTrace(Trace(), path);
-    const MappedTrace m(path);
-    EXPECT_TRUE(m.empty());
-    EXPECT_EQ(m.size(), 0u);
-
-    const CacheConfig cfg = tinyLlc();
-    const fastpath::FastReplayEngine fast(2);
-    const fastpath::ReplayStats stats =
-        fast.replay(fastpath::gipprSpec(local_vectors::gippr()), cfg,
-                    m, 0);
-    EXPECT_EQ(stats.total.accesses, 0u);
-    std::remove(path.c_str());
-}
-
 TEST(TraceFuzz, InjectedReadFaultErrorsCleanly)
 {
     // A mid-file read(2)/fread(3) failure (flaky NFS, dying disk) must
-    // surface as a clean runtime_error from the buffered reader, never
+    // surface as a clean runtime_error from the reader, never
     // a partial trace.
     const std::string path = tempPath("readfault.gptr");
     writeTrace(sampleTrace(8), path);
@@ -294,29 +195,6 @@ TEST(TraceFuzz, InjectedReadFaultErrorsCleanly)
         robust::FaultInjector::instance().reset();
     }
     EXPECT_EQ(readTrace(path).size(), 8u);
-    std::remove(path.c_str());
-}
-
-TEST(TraceFuzz, InjectedMmapFailureFallsBackToBufferedRead)
-{
-    // When mmap(2) fails (address-space pressure, filesystem without
-    // mmap support), MappedTrace must degrade to the buffered reader
-    // and stream the identical records.
-    const std::string path = tempPath("mmapfault.gptr");
-    const Trace reference = sampleTrace(32);
-    writeTrace(reference, path);
-
-    robust::FaultInjector::instance().configure("mmap=1");
-    const MappedTrace fallback(path);
-    robust::FaultInjector::instance().reset();
-    const MappedTrace mapped(path);
-
-    ASSERT_EQ(fallback.size(), reference.size());
-    ASSERT_EQ(mapped.size(), reference.size());
-    for (size_t i = 0; i < reference.size(); ++i) {
-        EXPECT_EQ(fallback[i], reference[i]) << "record " << i;
-        EXPECT_EQ(mapped[i], reference[i]) << "record " << i;
-    }
     std::remove(path.c_str());
 }
 

@@ -53,10 +53,9 @@ DETERMINISM_ALLOW = {
 }
 
 # getenv is legal only at these audited config-knob sites: they steer
-# the trace loader, I/O retry pacing and fault injection — never a
-# seed, an ordering, or a reported result.
+# I/O retry pacing and fault injection — never a seed, an ordering, or
+# a reported result.
 GETENV_ALLOW = {
-    "src/trace/trace_io.cc",        # GIPPR_TRACE_MMAP loader switch
     "src/robust/fault_inject.cc",   # GIPPR_FAULT_INJECT test hook
     "src/robust/atomic_io.cc",      # GIPPR_IO_RETRY_BASE_MS pacing
 }
