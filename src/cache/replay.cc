@@ -19,14 +19,15 @@ void
 replayTrace(SetAssocCache &cache, const Trace &trace, size_t warmup)
 {
     GIPPR_CHECK(warmup <= trace.size());
-    if (warmup == 0)
-        cache.clearStats();
     for (size_t i = 0; i < trace.size(); ++i) {
-        if (i == warmup && warmup != 0)
+        if (i == warmup)
             cache.clearStats();
         const MemRecord &r = trace[i];
         cache.access(r.addr, recordType(r), r.pc);
     }
+    // A warmup covering the whole trace leaves nothing measured.
+    if (warmup == trace.size())
+        cache.clearStats();
 }
 
 Trace

@@ -11,14 +11,15 @@
  * Usage contract: construct from the exact LLC-level trace that will
  * then be replayed, one SetAssocCache::access() per record, against a
  * freshly constructed cache, so that AccessInfo::sequence lines up
- * with trace indices.  runMinMisses() packages that protocol.
+ * with trace indices.  runMinMisses() computes the same misses
+ * without the cache object.
  */
 
 #ifndef GIPPR_POLICIES_BELADY_HH_
 #define GIPPR_POLICIES_BELADY_HH_
 
+#include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -28,6 +29,18 @@
 
 namespace gippr
 {
+
+/** Next-use index of a record whose block is never referenced again. */
+constexpr uint32_t kNoNextUse = std::numeric_limits<uint32_t>::max();
+
+/**
+ * For each record i of @p trace, the index of the next record touching
+ * the same block (address >> @p block_shift), or kNoNextUse: one
+ * backward scan over a flat block map.  Fatal when the trace has
+ * kNoNextUse or more records, whose indices a uint32 cannot hold.
+ */
+std::vector<uint32_t> nextUseIndices(const Trace &trace,
+                                     unsigned block_shift);
 
 /** Offline MIN replacement over a fixed, known trace. */
 class BeladyPolicy : public ReplacementPolicy
@@ -52,22 +65,23 @@ class BeladyPolicy : public ReplacementPolicy
      */
     size_t stateBitsPerSet() const override { return 0; }
 
-    /** Sentinel meaning "never referenced again". */
-    static constexpr uint64_t kNever =
-        std::numeric_limits<uint64_t>::max();
-
   private:
+    /** Record @p info's next use as (set, way)'s. */
+    void setNextUse(unsigned way, const AccessInfo &info);
+
     unsigned ways_;
     /** For trace index i, the index of the next access to that block. */
-    std::vector<uint64_t> nextUse_;
+    std::vector<uint32_t> nextUse_;
     /** Per (set, way): next-use index of the resident block. */
-    std::vector<uint64_t> lineNextUse_;
+    std::vector<uint32_t> lineNextUse_;
 };
 
 /**
- * Convenience harness: replay @p trace against a cache of geometry
- * @p config under MIN and return the resulting demand-miss count
- * (records with indices below @p warmup are replayed but not counted).
+ * Replay @p trace against a cache of geometry @p config under MIN and
+ * return the resulting demand-miss count (records with indices below
+ * @p warmup are replayed but not counted).  Runs on flat per-line
+ * arrays, not a SetAssocCache, with BeladyPolicy's exact transitions;
+ * tests hold the two equal.
  */
 uint64_t runMinMisses(const CacheConfig &config, const Trace &trace,
                       size_t warmup = 0);

@@ -4,85 +4,52 @@
  */
 
 #include "policies/pdp.hh"
+
+#include <algorithm>
+
 #include "util/check.hh"
 
 namespace gippr
 {
 
-PdpPolicy::PdpPolicy(const CacheConfig &config, PdpParams params)
-    : ways_(config.assoc), params_(params), dp_(params.initialDp),
-      prot_(config.sets() * config.assoc, 0),
-      reused_(config.sets() * config.assoc, 0),
-      setState_(config.sets()), rdHist_(params.maxDistance)
+PdpController::PdpController(PdpParams params)
+    : params_(params),
+      sampleMask_((uint64_t{1} << params.sampleShift) - 1),
+      dp_(params.initialDp), rdHist_(params.maxDistance),
+      // 2^17 slots: the kSamplerEntries + 1 entries the sampler can
+      // hold before it clears fill them to half load.
+      lastUse_(17)
 {
     GIPPR_CHECK(params_.counterBits >= 2 && params_.counterBits <= 8);
     GIPPR_CHECK(params_.initialDp >= 1);
-    decrementPeriod_ =
-        std::max(1U, dp_ / ((1U << params_.counterBits) - 1));
+    derive();
 }
 
-uint8_t &
-PdpPolicy::prot(uint64_t set, unsigned way)
-{
-    return prot_[set * ways_ + way];
-}
-
-uint8_t &
-PdpPolicy::reused(uint64_t set, unsigned way)
-{
-    return reused_[set * ways_ + way];
-}
-
-bool
-PdpPolicy::sampledSet(uint64_t set) const
-{
-    return (set & ((uint64_t{1} << params_.sampleShift) - 1)) == 0;
-}
-
-uint8_t
-PdpPolicy::protectedValue() const
+void
+PdpController::derive()
 {
     const unsigned max_val = (1U << params_.counterBits) - 1;
-    unsigned v = (dp_ + decrementPeriod_ - 1) / decrementPeriod_;
-    return static_cast<uint8_t>(std::min(v, max_val));
+    decrementPeriod_ = std::max(1U, dp_ / max_val);
+    const unsigned v = (dp_ + decrementPeriod_ - 1) / decrementPeriod_;
+    protectedValue_ = static_cast<uint8_t>(std::min(v, max_val));
 }
 
 void
-PdpPolicy::sampleAccess(const AccessInfo &info)
+PdpController::sample(uint64_t block, uint32_t set_count)
 {
-    if (!sampledSet(info.set))
-        return;
-    SetState &st = setState_[info.set];
-    auto it = lastUse_.find(info.blockAddr);
-    if (it != lastUse_.end()) {
-        uint32_t dist = st.accessCount - it->second;
+    if (uint32_t *last = lastUse_.find(block)) {
+        const uint32_t dist = set_count - *last;
         rdHist_.add(dist);
-        it->second = st.accessCount;
+        *last = set_count;
     } else {
-        // Bound the sampler footprint: this is a hardware structure.
-        if (lastUse_.size() > 65536)
+        if (lastUse_.size() > kSamplerEntries)
             lastUse_.clear();
-        lastUse_.emplace(info.blockAddr, st.accessCount);
-    }
-}
-
-void
-PdpPolicy::tickSet(uint64_t set)
-{
-    SetState &st = setState_[set];
-    ++st.accessCount;
-    if (++st.tick < decrementPeriod_)
-        return;
-    st.tick = 0;
-    for (unsigned w = 0; w < ways_; ++w) {
-        uint8_t &p = prot(set, w);
-        if (p > 0)
-            --p;
+        lastUse_.put(block, set_count);
     }
 }
 
 unsigned
-PdpPolicy::solveDp(const Histogram &rd, unsigned max_distance)
+PdpController::solveDp(const Histogram &rd, unsigned max_distance)
 {
     const uint64_t total = rd.total();
     if (total == 0)
@@ -108,12 +75,46 @@ PdpPolicy::solveDp(const Histogram &rd, unsigned max_distance)
 }
 
 void
-PdpPolicy::endEpoch()
+PdpController::endEpoch()
 {
     dp_ = solveDp(rdHist_, params_.maxDistance);
-    decrementPeriod_ =
-        std::max(1U, dp_ / ((1U << params_.counterBits) - 1));
+    derive();
     rdHist_.decay();
+}
+
+PdpPolicy::PdpPolicy(const CacheConfig &config, PdpParams params)
+    : ways_(config.assoc), control_(params),
+      prot_(config.sets() * config.assoc, 0),
+      reused_(config.sets() * config.assoc, 0),
+      setState_(config.sets())
+{
+}
+
+uint8_t &
+PdpPolicy::prot(uint64_t set, unsigned way)
+{
+    return prot_[set * ways_ + way];
+}
+
+void
+PdpPolicy::touch(unsigned way, const AccessInfo &info, bool reused)
+{
+    SetState &st = setState_[info.set];
+    if (control_.sampled(info.set))
+        control_.sample(info.blockAddr, st.accessCount);
+    // Advance the per-set decrement cadence.
+    ++st.accessCount;
+    if (++st.tick >= control_.decrementPeriod()) {
+        st.tick = 0;
+        for (unsigned w = 0; w < ways_; ++w) {
+            uint8_t &p = prot(info.set, w);
+            if (p > 0)
+                --p;
+        }
+    }
+    prot(info.set, way) = control_.protectedValue();
+    reused_[info.set * ways_ + way] = reused ? 1 : 0;
+    control_.endAccess();
 }
 
 unsigned
@@ -135,7 +136,7 @@ PdpPolicy::victim(const AccessInfo &info)
         uint8_t p = prot(info.set, w);
         if (p == 0)
             return w;
-        if (!reused(info.set, w) &&
+        if (!reusedAt(info.set, w) &&
             (best_way == ways_ || p > best_prot)) {
             best_prot = p;
             best_way = w;
@@ -149,22 +150,9 @@ PdpPolicy::victim(const AccessInfo &info)
 }
 
 void
-PdpPolicy::onMiss(const AccessInfo &info)
-{
-    (void)info;
-}
-
-void
 PdpPolicy::onInsert(unsigned way, const AccessInfo &info)
 {
-    sampleAccess(info);
-    tickSet(info.set);
-    prot(info.set, way) = protectedValue();
-    reused(info.set, way) = 0;
-    if (++accessesThisEpoch_ >= params_.epochAccesses) {
-        accessesThisEpoch_ = 0;
-        endEpoch();
-    }
+    touch(way, info, false);
 }
 
 void
@@ -172,21 +160,14 @@ PdpPolicy::onHit(unsigned way, const AccessInfo &info)
 {
     if (info.type == AccessType::Writeback)
         return;
-    sampleAccess(info);
-    tickSet(info.set);
-    prot(info.set, way) = protectedValue();
-    reused(info.set, way) = 1;
-    if (++accessesThisEpoch_ >= params_.epochAccesses) {
-        accessesThisEpoch_ = 0;
-        endEpoch();
-    }
+    touch(way, info, true);
 }
 
 void
 PdpPolicy::onInvalidate(uint64_t set, unsigned way)
 {
     prot(set, way) = 0;
-    reused(set, way) = 0;
+    reused_[set * ways_ + way] = 0;
 }
 
 size_t
@@ -194,7 +175,7 @@ PdpPolicy::globalStateBits() const
 {
     // Reuse-distance histogram registers plus the dp/period registers;
     // stands in for the paper's "specialized microcontroller" storage.
-    return (params_.maxDistance + 1) * 16 + 2 * 16;
+    return (control_.params().maxDistance + 1) * 16 + 2 * 16;
 }
 
 } // namespace gippr

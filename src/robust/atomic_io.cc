@@ -199,9 +199,16 @@ retryWithBackoff(const RetryPolicy &policy,
         // Clamp the exponent so the shift cannot overflow when a
         // policy asks for more than 32 attempts.
         const unsigned exponent = std::min(attempt - 1, 31u);
-        const unsigned delay = static_cast<unsigned>(
-            static_cast<double>(policy.baseDelayMs) *
-            static_cast<double>(1ull << exponent) * scale);
+        // Saturate before converting: a double past UINT_MAX has no
+        // unsigned value (the conversion is undefined).
+        const double want = static_cast<double>(policy.baseDelayMs) *
+                            static_cast<double>(1ull << exponent) *
+                            scale;
+        constexpr double kMaxDelay =
+            static_cast<double>(std::numeric_limits<unsigned>::max());
+        const unsigned delay = want >= kMaxDelay
+                                   ? std::numeric_limits<unsigned>::max()
+                                   : static_cast<unsigned>(want);
         if (policy.sleeper)
             policy.sleeper(delay);
         else if (delay > 0)

@@ -185,20 +185,21 @@ runChunk32Quad(SoaCacheModel &ma, SoaCacheModel &mb, SoaCacheModel &mc,
  * each chunk is decoded a single time and then replayed genome-major,
  * with the next few set rows prefetched ahead of the access cursor.
  *
- * On 16-way geometries with the Batch32 kernel active, each group
- * replays in genome quads, then pairs, through the paired AVX2 scan;
- * the odd leftover model, and every model otherwise, runs the generic
+ * On 16-way geometries with the Batch32 kernel active, each group's
+ * pairable models (the recency and tree families) replay in genome
+ * quads, then pairs, through the paired AVX2 scan; the odd leftover,
+ * the RRIP and PDP models, and every model otherwise, run the generic
  * accessBatched() loop.
  *
- * Non-duel models replay each chunk bucket-ordered: a stable counting
- * sort groups the decoded accesses by contiguous set range, so one
- * (genome, range) pass works in an L1-resident slice of the model.
- * Accesses to different sets commute for every non-duel policy (the
- * engine's set sharding already relies on this), and the sort is
+ * Models whose sets are independent replay each chunk bucket-ordered:
+ * a stable counting sort groups the decoded accesses by contiguous set
+ * range, so one (genome, range) pass works in an L1-resident slice of
+ * the model.  Accesses to different sets commute for those policies
+ * (the engine's set sharding already relies on this), and the sort is
  * stable per set, so the per-set access sequences — and therefore the
  * final state and every counter — are bit-identical to trace order.
- * Dgippr models keep trace order: the shared tournament selector
- * couples leader updates to follower reads across sets.
+ * Models that couple their sets (SoaCacheModel::couplesSets: a duel,
+ * BRRIP's throttle RNG, PDP's sampler) keep trace order.
  *
  * @p shards > 1 filters to @p shard's contiguous slice of the set
  * space (the engine's usual sharding).  Chunks never straddle
@@ -213,19 +214,27 @@ replayBatch(std::vector<SoaCacheModel> &models, const Trace &trace,
     const size_t chunk = std::min<size_t>(kBatchChunk, trace.size());
     bool any_ordered = false;
     for (const SoaCacheModel &m : models)
-        any_ordered |= !m.isDuel();
+        any_ordered |= !m.couplesSets();
 
-    // Models split by chunk access order: non-duel models replay the
-    // bucket-sorted stream, Dgippr models keep trace order.  The
-    // paired kernel pairs adjacent models inside one group so both
-    // lanes of a pass consume the identical access stream.
+    // Models split by chunk access order: independent-set models
+    // replay the bucket-sorted stream, set-coupled models keep trace
+    // order.  The paired kernel pairs adjacent pairable models inside
+    // one group (they lead it) so both lanes of a pass consume the
+    // identical access stream.
     std::vector<SoaCacheModel *> groups[2];
     for (SoaCacheModel &m : models)
-        groups[m.isDuel() ? 1 : 0].push_back(&m);
+        groups[m.couplesSets() ? 1 : 0].push_back(&m);
+    size_t pairable[2];
+    for (int g = 0; g < 2; ++g)
+        pairable[g] = static_cast<size_t>(
+            std::stable_partition(
+                groups[g].begin(), groups[g].end(),
+                [](const SoaCacheModel *m) { return m->pairable(); }) -
+            groups[g].begin());
     const bool batch32 =
         geo.assoc() == 16 && activeReplayKernel() == ReplayKernel::Batch32;
-    const bool pairing = batch32 && groups[0].size() >= 2;
-    const bool quads = pairing && groups[0].size() >= 4;
+    const bool pairing = batch32 && pairable[0] >= 2;
+    const bool quads = pairing && pairable[0] >= 4;
     const size_t buckets = localityBuckets(sets, geo.assoc(),
                                            quads ? 4 : pairing ? 2 : 1);
     std::vector<DecodedAccess> buf(chunk);
@@ -281,13 +290,13 @@ replayBatch(std::vector<SoaCacheModel> &models, const Trace &trace,
             size_t m = 0;
 #if GIPPR_BATCH_KERNELS
             if (batch32) {
-                for (; m + 3 < grp.size(); m += 4) {
+                for (; m + 3 < pairable[g]; m += 4) {
                     runChunk32Quad(*grp[m], *grp[m + 1], *grp[m + 2],
                                    *grp[m + 3], a, n);
                     for (int q = 0; q < 4; ++q)
                         grp[m + q]->addStreamCounters(n, demand);
                 }
-                for (; m + 1 < grp.size(); m += 2) {
+                for (; m + 1 < pairable[g]; m += 2) {
                     runChunk32(*grp[m], *grp[m + 1], a, n);
                     grp[m]->addStreamCounters(n, demand);
                     grp[m + 1]->addStreamCounters(n, demand);
@@ -395,10 +404,11 @@ FastReplayEngine::replay(const ReplaySpec &spec,
     const uint64_t sets = config.sets();
     const size_t shards = std::min<uint64_t>(shards_, sets);
 
-    if (shards == 1 || spec.kind == FastPolicyKind::Dgippr) {
-        // One model replays the whole trace in order.  Dgippr always
-        // does: its shared tournament couples leader updates to
-        // follower reads across sets, exactly like the scalar engine.
+    if (shards == 1 || couplesSets(spec)) {
+        // One model replays the whole trace in order.  Set-coupled
+        // specs always do: a shared tournament, throttle RNG or PDP
+        // sampler makes one set's transition depend on every earlier
+        // access, exactly like the scalar engine.
         SoaCacheModel model(spec, config);
         for (size_t i = 0; i < trace.size(); ++i) {
             if (i == warmup)
@@ -453,15 +463,15 @@ FastReplayEngine::replayMany(std::span<const ReplaySpec> specs,
     const size_t shards = std::min<uint64_t>(shards_, sets);
 
     // Batch everything the packed model covers.  Unsupported specs
-    // fall back to the scalar reference and multi-shard Dgippr specs
-    // (whose sets cannot be split) take replay()'s single pass, both
-    // per spec, so any mix of specs yields the same results as
+    // fall back to the scalar reference and multi-shard set-coupled
+    // specs (whose sets cannot be split) take replay()'s single pass,
+    // both per spec, so any mix of specs yields the same results as
     // per-spec replay().
     std::vector<size_t> batch;
     batch.reserve(specs.size());
     for (size_t s = 0; s < specs.size(); ++s) {
-        const bool duel = specs[s].kind == FastPolicyKind::Dgippr;
-        if (supports(specs[s], config) && !(duel && shards > 1))
+        if (supports(specs[s], config) &&
+            !(couplesSets(specs[s]) && shards > 1))
             batch.push_back(s);
         else
             out[s] = replay(specs[s], config, trace, warmup);

@@ -47,6 +47,24 @@ addStep(fastpath::CounterBank &bank, const fastpath::SoaCacheModel::Step &st,
 }
 
 /**
+ * SetAssocCache's way-mask precondition, checked for both backends
+ * before any access fills within @p masks: a partial mask needs a
+ * total recency order per set, which RRIP and PDP do not keep.
+ */
+void
+checkMasks(const std::vector<uint64_t> &masks, const RunParams &params)
+{
+    if (fastpath::keepsRecencyOrder(params.policy))
+        return;
+    const uint64_t all = lowMask(params.llc.assoc);
+    for (uint64_t mask : masks)
+        if (mask != all)
+            fatal(params.llc.name + ": " + params.policy.name() +
+                  " keeps no recency order, so it cannot fill within "
+                  "a way mask");
+}
+
+/**
  * The shared replay loop, templated over the two model backends
  * (identical shared-access interface, disjoint implementations).  The
  * loop owns everything per core — counter bank, warmup snapshot, duel
@@ -96,6 +114,7 @@ runLoop(Model &model, const std::vector<CoreStream> &streams,
                 const std::vector<unsigned> counts =
                     monitor->allocate();
                 masks = masksFromCounts(counts, model.assoc());
+                checkMasks(masks, params);
                 monitor->decay();
                 result.wayCounts = counts;
                 ++result.repartitions;
@@ -146,6 +165,7 @@ runBackend(Model &model, const std::vector<CoreStream> &streams,
       }
     }
 
+    checkMasks(masks, params);
     runLoop(model, streams, params, warmups, masks, active, result);
 }
 

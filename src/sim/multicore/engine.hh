@@ -132,7 +132,7 @@ class ScalarLlc
     Step access(uint64_t set, uint64_t tag, AccessType type,
                 unsigned domain, uint64_t mask);
 
-    /** Domain @p domain's duel state into @p out (Dgippr only). */
+    /** Domain @p domain's duel state into @p out (Dgippr, DRRIP). */
     void duelStats(unsigned domain, fastpath::ReplayStats &out) const;
 
     uint64_t sets() const { return cache_.config().sets(); }

@@ -13,7 +13,6 @@
 #include "core/vectors.hh"
 #include "policies/dip.hh"
 #include "policies/fifo.hh"
-#include "policies/pdp.hh"
 #include "policies/random.hh"
 #include "policies/rrip.hh"
 #include "policies/ship.hh"
@@ -29,7 +28,9 @@ namespace
  * Mirror a packed replay into the registry the same way a
  * telemetry-attached SetAssocCache (and DgipprPolicy) would: live
  * counters cover the whole trace, warmup included, and the duel
- * winner gauge holds the final winner.
+ * winner gauge holds the final winner.  Duel keys follow the leader
+ * misses, which only Dgippr stats carry: RripPolicy exports no duel
+ * instruments, so a packed DRRIP writes none either.
  */
 void
 mirrorTelemetry(telemetry::MetricRegistry &registry,
@@ -114,41 +115,27 @@ dipDef(uint64_t seed)
 PolicyDef
 srripDef()
 {
-    return {"SRRIP", [](const CacheConfig &cfg) {
-                return std::unique_ptr<ReplacementPolicy>(
-                    makeSrrip(cfg));
-            },
-            std::nullopt};
+    return specDef("SRRIP", fastpath::rripSpec(RripPolicy::Mode::Static));
 }
 
 PolicyDef
 brripDef(uint64_t seed)
 {
-    return {"BRRIP", [seed](const CacheConfig &cfg) {
-                return std::unique_ptr<ReplacementPolicy>(
-                    makeBrrip(cfg, 2, seed));
-            },
-            std::nullopt};
+    return specDef("BRRIP", fastpath::rripSpec(RripPolicy::Mode::Bimodal,
+                                               2, 32, 32, seed));
 }
 
 PolicyDef
 drripDef(uint64_t seed)
 {
-    return {"DRRIP", [seed](const CacheConfig &cfg) {
-                return std::unique_ptr<ReplacementPolicy>(
-                    makeDrrip(cfg, 2, 32, seed));
-            },
-            std::nullopt};
+    return specDef("DRRIP", fastpath::rripSpec(RripPolicy::Mode::Dynamic,
+                                               2, 32, 32, seed));
 }
 
 PolicyDef
 pdpDef()
 {
-    return {"PDP", [](const CacheConfig &cfg) {
-                return std::unique_ptr<ReplacementPolicy>(
-                    std::make_unique<PdpPolicy>(cfg));
-            },
-            std::nullopt};
+    return specDef("PDP", fastpath::pdpSpec());
 }
 
 PolicyDef
@@ -194,11 +181,7 @@ bypassGipprDef(const std::string &name, const Ipv &ipv, uint64_t seed)
 PolicyDef
 rripIpvDef(const std::string &name, const Ipv &ipv)
 {
-    return {name, [ipv](const CacheConfig &cfg) {
-                return std::unique_ptr<ReplacementPolicy>(
-                    std::make_unique<RripIpvPolicy>(cfg, ipv, 2));
-            },
-            std::nullopt};
+    return specDef(name, fastpath::rripIpvSpec(ipv, 2));
 }
 
 PolicyDef

@@ -30,8 +30,9 @@ struct PolicyDef
     PolicyFactory make;
     /**
      * Value description for the replay engines; @c make then builds
-     * this spec's scalar object.  Policies without one (RRIP family,
-     * PDP, SHiP, ...) always replay on the scalar simulator; see
+     * this spec's scalar object.  The recency, tree and RRIP
+     * families and PDP have one; policies without one (Random, FIFO,
+     * DIP, SHiP, B-GIPPR) always replay on the scalar simulator; see
      * replayPolicy().
      */
     std::optional<fastpath::ReplaySpec> fastSpec;

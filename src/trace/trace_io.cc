@@ -47,12 +47,13 @@ transientOpenError(int err)
 }
 
 /**
- * fopen with bounded, jittered retry on transient failures (fault-
- * injector aware, so tests can script the Nth open failing).
+ * fopen(path, "rb") with bounded, jittered retry on transient
+ * failures (fault-injector aware, so tests can script the Nth open
+ * failing).
  * Permanent errors (ENOENT, EACCES, ...) return immediately.
  */
 FilePtr
-openWithRetry(const std::string &path, const char *mode)
+openWithRetry(const std::string &path)
 {
     std::FILE *f = nullptr;
     const robust::RetryPolicy policy = robust::defaultRetryPolicy();
@@ -62,7 +63,7 @@ openWithRetry(const std::string &path, const char *mode)
             errno = EIO;
             return false; // injected failures count as transient
         }
-        f = std::fopen(path.c_str(), mode);
+        f = std::fopen(path.c_str(), "rb");
         return f != nullptr || !transientOpenError(errno);
     });
     return FilePtr(f);
@@ -157,7 +158,7 @@ writeTrace(const Trace &trace, const std::string &path)
 Trace
 readTrace(const std::string &path)
 {
-    FilePtr f = openWithRetry(path, "rb");
+    FilePtr f = openWithRetry(path);
     if (!f)
         fatal("cannot open trace file for reading: " + path);
     uint32_t crc = 0;

@@ -8,7 +8,9 @@
 #include <sstream>
 
 #include "cache/replay.hh"
-#include "core/dgippr.hh"
+#include "core/rrip_ipv.hh"
+#include "policies/pdp.hh"
+#include "policies/rrip.hh"
 #include "util/check.hh"
 #include "verify/differential.hh"
 
@@ -41,17 +43,51 @@ FastpathOracle::FastpathOracle(const fastpath::ReplaySpec &spec,
 }
 
 std::vector<unsigned>
-FastpathOracle::scalarPositions(uint64_t set) const
+FastpathOracle::scalarLineState(uint64_t set) const
 {
-    return recencyProbe(config_.assoc)(scalar_.policy(), set);
+    // makeScalarPolicy fixes the policy class of every spec kind.
+    const ReplacementPolicy &policy = scalar_.policy();
+    std::vector<unsigned> out(config_.assoc);
+    switch (spec_.kind) {
+      case FastPolicyKind::Rrip:
+        for (unsigned w = 0; w < config_.assoc; ++w)
+            out[w] = spec_.ipvs.empty()
+                         ? static_cast<const RripPolicy &>(policy)
+                               .rrpv(set, w)
+                         : static_cast<const RripIpvPolicy &>(policy)
+                               .rrpv(set, w);
+        return out;
+      case FastPolicyKind::Pdp: {
+        const auto &pdp = static_cast<const PdpPolicy &>(policy);
+        for (unsigned w = 0; w < config_.assoc; ++w)
+            out[w] = pdp.protection(set, w) +
+                     (pdp.reusedAt(set, w) ? 256u : 0u);
+        return out;
+      }
+      default:
+        return recencyProbe(config_.assoc)(policy, set);
+    }
+}
+
+std::string
+FastpathOracle::duelMismatch() const
+{
+    fastpath::ReplayStats want;
+    fastpath::ReplayStats got;
+    fastpath::scalarDuelStats(spec_, scalar_.policy(), 0, want);
+    model_.duelStats(0, got);
+    if (want == got) // only the duel fields were written
+        return "";
+    return "scalar duel {" + want.toString() + "} vs fast {" +
+           got.toString() + "}";
 }
 
 std::string
 FastpathOracle::dumpBoth(uint64_t set) const
 {
     std::ostringstream os;
-    os << "scalar positions [";
-    for (unsigned p : scalarPositions(set))
+    os << "scalar state [";
+    for (unsigned p : scalarLineState(set))
         os << ' ' << p;
     os << " ] blocks [";
     for (unsigned w = 0; w < config_.assoc; ++w) {
@@ -62,11 +98,10 @@ FastpathOracle::dumpBoth(uint64_t set) const
             os << " -";
     }
     os << " ]";
-    if (spec_.kind == FastPolicyKind::Dgippr) {
-        os << " winner="
-           << dynamic_cast<const DgipprPolicy &>(scalar_.policy())
-                  .currentWinner();
-    }
+    fastpath::ReplayStats duel;
+    fastpath::scalarDuelStats(spec_, scalar_.policy(), 0, duel);
+    if (!duel.duelCounters.empty())
+        os << " winner=" << duel.finalWinner;
     os << " | fast " << model_.dumpSet(set);
     return os.str();
 }
@@ -93,10 +128,10 @@ FastpathOracle::compareState(FastpathResult &result, uint64_t index,
     if (result.divergence)
         return;
     ++result.comparisons;
-    const std::vector<unsigned> want = scalarPositions(set);
-    const std::vector<unsigned> got = model_.positionsOf(set);
+    const std::vector<unsigned> want = scalarLineState(set);
+    const std::vector<unsigned> got = model_.lineState(set);
     if (got != want) {
-        record(result, index, set, "positions", dumpBoth(set));
+        record(result, index, set, "line-state", dumpBoth(set));
         return;
     }
     // Valid bits must agree way-for-way; tag contents are already
@@ -108,13 +143,8 @@ FastpathOracle::compareState(FastpathResult &result, uint64_t index,
             return;
         }
     }
-    if (spec_.kind == FastPolicyKind::Dgippr) {
-        const unsigned want_winner =
-            dynamic_cast<const DgipprPolicy &>(scalar_.policy())
-                .currentWinner();
-        if (want_winner != model_.winner())
-            record(result, index, set, "winner", dumpBoth(set));
-    }
+    if (const std::string duel = duelMismatch(); !duel.empty())
+        record(result, index, set, "duel", duel + "; " + dumpBoth(set));
 }
 
 FastpathResult

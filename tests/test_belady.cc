@@ -18,6 +18,8 @@
 #include "policies/lru.hh"
 #include "policies/random.hh"
 #include "policies/rrip.hh"
+#include "util/bitops.hh"
+#include "util/block_map.hh"
 #include "util/rng.hh"
 
 namespace gippr
@@ -176,6 +178,114 @@ TEST(Belady, SequenceContractEnforced)
     cache.access(64, AccessType::Load);
     cache.access(128, AccessType::Load);
     EXPECT_DEATH(cache.access(192, AccessType::Load), "beyond");
+}
+
+/** Random LLC stream over @p c: hot blocks, a cold sweep, colliding
+ *  tag signatures and writebacks (stores with pc 0). */
+Trace
+mixedStream(const CacheConfig &c, uint64_t n, uint64_t seed)
+{
+    Rng rng(seed);
+    const uint64_t lines = c.sets() * c.assoc;
+    Trace t;
+    uint64_t sweep = 0;
+    for (uint64_t i = 0; i < n; ++i) {
+        uint64_t block;
+        switch (rng.nextBounded(4)) {
+          case 0:
+            block = rng.nextBounded(lines); // fits: hits
+            break;
+          case 1:
+            block = lines + sweep++ % (4 * lines); // thrash
+            break;
+          case 2:
+            // Tags equal in their low byte: the row scan must verify.
+            block = (rng.nextBounded(8) << 8 << floorLog2(c.sets())) |
+                    rng.nextBounded(c.sets());
+            break;
+          default:
+            block = rng.nextBounded(64 * lines); // cold, mostly
+        }
+        MemRecord r;
+        r.addr = block * 64 + rng.nextBounded(64);
+        if (rng.nextBool(0.1)) {
+            r.isWrite = true; // writeback: store with pc 0
+            r.pc = 0;
+        } else {
+            r.isWrite = rng.nextBool(0.3);
+            r.pc = 0x400000;
+        }
+        t.append(r);
+    }
+    return t;
+}
+
+TEST(Belady, FlatReplayMatchesScalarMin)
+{
+    // runMinMisses replays on flat arrays; SetAssocCache + BeladyPolicy
+    // is the reference, at every row width (the SSE-scanned 8 and 16
+    // and the generic loops) and warmup at the start, mid-trace and
+    // the end.
+    for (unsigned ways : {2u, 4u, 8u, 16u, 32u}) {
+        const CacheConfig c = cfg(32, ways);
+        const Trace t = mixedStream(c, 12'000, 0xbe1ad1 + ways);
+        for (size_t warmup : {size_t{0}, t.size() / 2, t.size()}) {
+            SetAssocCache cache(c, std::make_unique<BeladyPolicy>(c, t));
+            replayTrace(cache, t, warmup);
+            EXPECT_EQ(runMinMisses(c, t, warmup),
+                      cache.stats().demandMisses)
+                << ways << " ways, warmup " << warmup;
+        }
+    }
+}
+
+TEST(Belady, NextUseIndicesMatchReferenceScan)
+{
+    // Enough distinct blocks to grow the map several times.
+    const CacheConfig c = cfg(32, 16);
+    const Trace t = mixedStream(c, 20'000, 0x9e27);
+    const std::vector<uint32_t> next = nextUseIndices(t, c.blockShift());
+    ASSERT_EQ(next.size(), t.size());
+    for (size_t i = 0; i < t.size(); ++i) {
+        uint32_t want = kNoNextUse;
+        for (size_t j = i + 1; j < t.size() && j < i + 4000; ++j) {
+            if (t[j].addr >> 6 == t[i].addr >> 6) {
+                want = static_cast<uint32_t>(j);
+                break;
+            }
+        }
+        // Beyond the scan window only "no nearer use" is checked.
+        if (want != kNoNextUse || next[i] < i + 4000) {
+            ASSERT_EQ(next[i], want) << i;
+        }
+    }
+}
+
+TEST(BlockMap, PutFindClearAndGrow)
+{
+    BlockMap map(4);
+    EXPECT_EQ(map.find(7), nullptr);
+    for (uint64_t k = 0; k < 12; ++k) {
+        ASSERT_FALSE(map.full()) << k;
+        map.put(k << 40, static_cast<uint32_t>(k));
+    }
+    EXPECT_TRUE(map.full()); // 13 entries would pass 3/4 of 16
+    map.grow();
+    for (uint64_t k = 12; k < 20; ++k)
+        map.put(k << 40, static_cast<uint32_t>(k));
+    EXPECT_EQ(map.size(), 20u);
+    for (uint64_t k = 0; k < 20; ++k) {
+        ASSERT_NE(map.find(k << 40), nullptr) << k;
+        EXPECT_EQ(*map.find(k << 40), k);
+    }
+    *map.find(3ULL << 40) = 99;
+    EXPECT_EQ(*map.find(3ULL << 40), 99u);
+    map.clear();
+    EXPECT_EQ(map.size(), 0u);
+    EXPECT_EQ(map.find(3ULL << 40), nullptr);
+    map.put(3ULL << 40, 5);
+    EXPECT_EQ(*map.find(3ULL << 40), 5u);
+    EXPECT_EQ(map.find(4ULL << 40), nullptr);
 }
 
 TEST(Belady, MuchBetterThanLruOnThrash)

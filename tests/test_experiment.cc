@@ -204,6 +204,32 @@ TEST(MissExperiment, PackedReplayMirrorsScalarTelemetry)
     ASSERT_EQ(a.rows.size(), b.rows.size());
     for (size_t i = 0; i < a.rows.size(); ++i)
         EXPECT_EQ(a.rows[i].values, b.rows[i].values) << a.rows[i].workload;
+
+    // DRRIP and PDP: same counters both ways, and no duel keys, which
+    // the scalar RripPolicy never exported.
+    for (const char *name : {"DRRIP", "PDP"}) {
+        const PolicyDef spec_def = policyByName(name);
+        ASSERT_TRUE(spec_def.fastSpec.has_value()) << name;
+        PolicyDef plain = spec_def;
+        plain.fastSpec.reset();
+        telemetry::MetricRegistry spec_reg;
+        cfg.registry = &spec_reg;
+        const ExperimentResult c =
+            runMissExperiment(suite, {spec_def}, cfg);
+        telemetry::MetricRegistry plain_reg;
+        cfg.registry = &plain_reg;
+        const ExperimentResult d = runMissExperiment(suite, {plain}, cfg);
+        const telemetry::JsonValue got = spec_reg.snapshot();
+        const std::string prefix = std::string("llc.") + name + ".";
+        EXPECT_GT(got.at(prefix + "hits").asNumber(), 0.0) << name;
+        EXPECT_FALSE(got.has(prefix + "duel.winner")) << name;
+        EXPECT_FALSE(got.has(prefix + "duel.leader_misses.0")) << name;
+        EXPECT_EQ(got.dump(), plain_reg.snapshot().dump()) << name;
+        ASSERT_EQ(c.rows.size(), d.rows.size());
+        for (size_t i = 0; i < c.rows.size(); ++i)
+            EXPECT_EQ(c.rows[i].values, d.rows[i].values)
+                << name << " " << c.rows[i].workload;
+    }
 }
 
 TEST(PerfExperiment, SpeedupOrderingSanity)

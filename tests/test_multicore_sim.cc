@@ -534,15 +534,24 @@ TEST(MulticoreOracle, SharedAccessStepsMatch)
     // victim that differs mid-run and later heals still fails here.
     // Four cores; each switch period picks a way split — none (full
     // masks), even, or lopsided — so masks flip under live lines.
+    // RRIP and PDP keep no recency order, so they take full masks
+    // only; their domains share DRRIP's one duel.
     constexpr unsigned kCores = 4;
-    for (const auto &[llc, specs] :
+    for (auto [llc, specs] :
          {std::pair{smallLlc(), allSpecs()},
           std::pair{smallLlc8(), specs8()}}) {
+        specs.push_back(
+            {"BRRIP", fastpath::rripSpec(RripPolicy::Mode::Bimodal)});
+        specs.push_back(
+            {"DRRIP", fastpath::rripSpec(RripPolicy::Mode::Dynamic)});
+        specs.push_back({"PDP", fastpath::pdpSpec()});
         const std::vector<std::vector<uint64_t>> splits = {
             std::vector<uint64_t>(kCores, lowMask(llc.assoc)),
             masksFromCounts(evenSplit(kCores, llc.assoc), llc.assoc),
             masksFromCounts({llc.assoc - 3, 1, 1, 1}, llc.assoc)};
         for (const auto &[name, spec] : specs) {
+            const size_t usable =
+                fastpath::keepsRecencyOrder(spec) ? splits.size() : 1;
             const std::string label =
                 name + "/" + std::to_string(llc.assoc) + "w";
             fastpath::SoaCacheModel fast(spec, llc, kCores);
@@ -551,7 +560,7 @@ TEST(MulticoreOracle, SharedAccessStepsMatch)
             const std::vector<uint64_t> *masks = &splits[0];
             for (int i = 0; i < 100'000; ++i) {
                 if (i % 5000 == 0)
-                    masks = &splits[rng.nextBounded(splits.size())];
+                    masks = &splits[rng.nextBounded(usable)];
                 const auto core =
                     static_cast<unsigned>(rng.nextBounded(kCores));
                 const uint64_t set = rng.nextBounded(llc.sets());
@@ -657,6 +666,27 @@ TEST(Multicore, BadRunInputIsFatal)
                      runSharedLlc({}, baseParams(fastpath::lruSpec()));
                  })(),
                  "shared LLC: no core streams");
+}
+
+TEST(Multicore, PartialWayMaskWithoutRecencyOrderIsFatal)
+{
+    // SetAssocCache's message, on both backends: RRIP and PDP have no
+    // way closest to eviction within a mask.
+    for (const auto &spec : {fastpath::rripSpec(RripPolicy::Mode::Dynamic),
+                             fastpath::pdpSpec()}) {
+        for (const Backend backend : {Backend::Fast, Backend::Scalar}) {
+            RunParams params = baseParams(spec);
+            params.backend = backend;
+            params.partition.mode = PartitionMode::Static;
+            params.partition.staticWays = {12, 4};
+            EXPECT_DEATH(([&]() noexcept {
+                             runSharedLlc(contendedLoops(), params);
+                         })(),
+                         "llc: " + spec.name() +
+                             " keeps no recency order, so it cannot "
+                             "fill within a way mask");
+        }
+    }
 }
 
 TEST(Multicore, SharedLlcContentionHurts)

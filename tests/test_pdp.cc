@@ -34,7 +34,7 @@ TEST(PdpSolver, PicksDistanceCoveringReuseMass)
     // longer only wastes occupancy, any shorter forfeits all hits.
     Histogram rd(64);
     rd.add(10, 1000);
-    unsigned dp = PdpPolicy::solveDp(rd, 64);
+    unsigned dp = PdpController::solveDp(rd, 64);
     EXPECT_EQ(dp, 10u);
 }
 
@@ -45,7 +45,7 @@ TEST(PdpSolver, IgnoresUnreachableTail)
     Histogram rd(32);
     rd.add(4, 500);
     rd.add(100, 400); // overflow
-    EXPECT_EQ(PdpPolicy::solveDp(rd, 32), 4u);
+    EXPECT_EQ(PdpController::solveDp(rd, 32), 4u);
 }
 
 TEST(PdpSolver, BalancesTwoModes)
@@ -55,19 +55,19 @@ TEST(PdpSolver, BalancesTwoModes)
     Histogram rd(64);
     rd.add(3, 900);
     rd.add(60, 10);
-    EXPECT_EQ(PdpPolicy::solveDp(rd, 64), 3u);
+    EXPECT_EQ(PdpController::solveDp(rd, 64), 3u);
     // When the far mode dominates overwhelmingly, protecting to it
     // pays despite the occupancy cost.
     Histogram rd2(64);
     rd2.add(3, 10);
     rd2.add(60, 990);
-    EXPECT_EQ(PdpPolicy::solveDp(rd2, 64), 60u);
+    EXPECT_EQ(PdpController::solveDp(rd2, 64), 60u);
 }
 
 TEST(PdpSolver, EmptyHistogramGivesDefault)
 {
     Histogram rd(64);
-    unsigned dp = PdpPolicy::solveDp(rd, 64);
+    unsigned dp = PdpController::solveDp(rd, 64);
     EXPECT_GE(dp, 1u);
     EXPECT_LE(dp, 64u);
 }

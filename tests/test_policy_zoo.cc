@@ -98,7 +98,18 @@ TEST(PolicyZoo, SpecOfMatchesFastSpec)
         EXPECT_EQ(spec->ipvs, def.fastSpec->ipvs) << name;
         EXPECT_EQ(spec->leaders, def.fastSpec->leaders) << name;
         EXPECT_EQ(spec->counterBits, def.fastSpec->counterBits) << name;
+        EXPECT_EQ(spec->rrpvBits, def.fastSpec->rrpvBits) << name;
+        EXPECT_EQ(spec->rripMode, def.fastSpec->rripMode) << name;
+        EXPECT_EQ(spec->epsilonInv, def.fastSpec->epsilonInv) << name;
+        EXPECT_EQ(spec->seed, def.fastSpec->seed) << name;
+        EXPECT_EQ(spec->pdp, def.fastSpec->pdp) << name;
+        EXPECT_EQ(*spec, *def.fastSpec) << name;
     }
+    // The RRIP family and PDP carry specs; the rest stay scalar.
+    for (const char *name : {"SRRIP", "BRRIP", "DRRIP", "PDP", "RRIPIPV"})
+        EXPECT_TRUE(policyByName(name).fastSpec.has_value()) << name;
+    for (const char *name : {"Random", "FIFO", "DIP", "SHiP", "BGIPPR"})
+        EXPECT_FALSE(policyByName(name).fastSpec.has_value()) << name;
     // A lambda around a spec's factory hides the spec.
     const PolicyFactory make = policyByName("LRU").make;
     const PolicyFactory wrapped = [make](const CacheConfig &cfg) {

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -178,6 +179,30 @@ TEST(Retry, DeterministicJitterSchedule)
     EXPECT_EQ(delaysFor(99).size(), 2u);
     // Immediate success never sleeps.
     EXPECT_TRUE(delaysFor(0).empty());
+
+    // Delays past UINT_MAX saturate instead of wrapping: a maximal
+    // base from the second retry on, and the 10 ms base's doubling
+    // from about the 30th.  The recording sleeper never sleeps.
+    const auto longSchedule = [](unsigned base_ms) {
+        std::vector<unsigned> delays;
+        RetryPolicy policy;
+        policy.attempts = 40;
+        policy.baseDelayMs = base_ms;
+        policy.sleeper = [&](unsigned ms) { delays.push_back(ms); };
+        EXPECT_FALSE(retryWithBackoff(policy, [] { return false; }));
+        return delays;
+    };
+    constexpr unsigned kMax = std::numeric_limits<unsigned>::max();
+    const std::vector<unsigned> huge = longSchedule(kMax);
+    ASSERT_EQ(huge.size(), 39u);
+    EXPECT_GE(huge[0], kMax / 2);
+    for (size_t k = 1; k < huge.size(); ++k)
+        EXPECT_EQ(huge[k], kMax) << k;
+    const std::vector<unsigned> doubling = longSchedule(10);
+    ASSERT_EQ(doubling.size(), 39u);
+    for (size_t k = 1; k < doubling.size(); ++k)
+        EXPECT_GE(doubling[k], doubling[k - 1]) << k;
+    EXPECT_EQ(doubling.back(), kMax);
 }
 
 TEST(Retry, DefaultPolicyReadsEnvKnobDeterministically)

@@ -197,6 +197,35 @@ TEST(SelectFastpathEquiv, ScalarVsFastLockStep)
     }
 }
 
+TEST(SelectFastpathEquiv, RripPdpLibraryRunsPackedAndMatchesScalar)
+{
+    // RRIP and PDP arms carry specs, so the library resolves to the
+    // packed backend; both backends must still agree exactly.
+    const CacheConfig llc = llcCfg();
+    const std::vector<PolicyDef> lib =
+        select::parseLibrary("LRU,DRRIP,PDP");
+    ASSERT_EQ(select::resolveBackend(lib, llc, Backend::Fast),
+              Backend::Fast);
+    for (const std::string &name : phaseShiftNames()) {
+        const auto trace = rawTrace(name);
+        const size_t warmup = warmupOf(*trace);
+        const SelectConfig cfg = testConfig();
+        const SelectResult fast = select::runSelect(
+            lib, cfg, llc, *trace, warmup, Backend::Fast);
+        const SelectResult scalar = select::runSelect(
+            lib, cfg, llc, *trace, warmup, Backend::Scalar);
+        EXPECT_EQ(fast, scalar) << name;
+        const auto oracle_fast = select::staticOracle(
+            lib, llc, *trace, warmup, Backend::Fast);
+        const auto oracle_scalar = select::staticOracle(
+            lib, llc, *trace, warmup, Backend::Scalar);
+        ASSERT_EQ(oracle_fast.size(), oracle_scalar.size());
+        for (size_t a = 0; a < oracle_fast.size(); ++a)
+            EXPECT_EQ(oracle_fast[a].measured, oracle_scalar[a].measured)
+                << name << " " << oracle_fast[a].name;
+    }
+}
+
 TEST(SelectFastpathEquiv, ReportByteIdentityAcrossBackends)
 {
     const CacheConfig llc = llcCfg();

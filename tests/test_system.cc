@@ -45,7 +45,7 @@ specless(const PolicyFactory &make)
     return [make](const CacheConfig &cfg) { return make(cfg); };
 }
 
-/** The seven packable core policies at 8 ways, own 8-way vectors. */
+/** The packable policies at 8 ways, own 8-way vectors. */
 std::vector<PolicyDef>
 defs8()
 {
@@ -58,7 +58,9 @@ defs8()
             gipprDef("GIPPR", b),
             dgipprDef("2-DGIPPR", {Ipv::lru(8), Ipv::lruInsertion(8)}),
             dgipprDef("4-DGIPPR",
-                      {Ipv::lru(8), Ipv::lruInsertion(8), a, b})};
+                      {Ipv::lru(8), Ipv::lruInsertion(8), a, b}),
+            drripDef(),
+            pdpDef()};
 }
 
 /** Run @p def on @p llc through its own factory and a spec-less
@@ -93,8 +95,11 @@ expectSameResults(const PolicyDef &def, const CacheConfig &llc,
 TEST(System, PackedLlcMatchesScalarLlc)
 {
     const std::vector<Trace> traces = cpuTraces();
+    // The LLC sees writebacks here (expectSameResults asserts some),
+    // so RRIP and PDP writeback fills and hits are covered too.
     for (const char *name : {"LRU", "LIP", "GIPLR", "PLRU", "GIPPR",
-                             "DGIPPR2", "DGIPPR4"})
+                             "DGIPPR2", "DGIPPR4", "SRRIP", "BRRIP",
+                             "DRRIP", "PDP", "RRIPIPV"})
         expectSameResults(policyByName(name), CacheConfig::benchLlc(),
                           traces, true);
 
@@ -105,7 +110,7 @@ TEST(System, PackedLlcMatchesScalarLlc)
     // Wider than the packed model's 64 ways: the spec'd factory falls
     // back to the scalar LLC.
     const CacheConfig llc128{"LLC", 1024 * 1024, 128, 64};
-    for (const PolicyDef &def : {lruDef(), plruDef()})
+    for (const PolicyDef &def : {lruDef(), plruDef(), drripDef(), pdpDef()})
         expectSameResults(def, llc128, traces, false);
 }
 
