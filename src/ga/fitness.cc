@@ -5,9 +5,6 @@
 
 #include "ga/fitness.hh"
 
-#include "cache/cache.hh"
-#include "cache/replay.hh"
-#include "core/rrip_ipv.hh"
 #include "util/check.hh"
 #include "util/log.hh"
 #include "util/parallel.hh"
@@ -57,13 +54,19 @@ digestTrace(const FitnessTrace &t)
     return h;
 }
 
-/** Fast-path spec for the stack/tree families. */
+/** Replay spec of @p ipv under @p family. */
 fastpath::ReplaySpec
 specFor(const Ipv &ipv, IpvFamily family)
 {
-    GIPPR_CHECK(family != IpvFamily::RripIpv);
-    return family == IpvFamily::Giplr ? fastpath::giplrSpec(ipv)
-                                      : fastpath::gipprSpec(ipv);
+    switch (family) {
+      case IpvFamily::Giplr:
+        return fastpath::giplrSpec(ipv);
+      case IpvFamily::Gippr:
+        return fastpath::gipprSpec(ipv);
+      case IpvFamily::RripIpv:
+        return fastpath::rripIpvSpec(ipv, 2);
+    }
+    fatal("specFor: unknown IPV family");
 }
 
 } // namespace
@@ -154,30 +157,10 @@ FitnessEvaluator::missesOn(size_t idx, const Ipv &ipv,
     GIPPR_CHECK(idx < traces_.size());
     if (replays_)
         replays_->increment();
-    switch (family) {
-      case IpvFamily::Giplr:
-        return engine_
-            ->replay(fastpath::giplrSpec(ipv), llc_,
-                     *traces_[idx].llcTrace, warmupOf(idx))
-            .measured.demandMisses;
-      case IpvFamily::Gippr:
-        return engine_
-            ->replay(fastpath::gipprSpec(ipv), llc_,
-                     *traces_[idx].llcTrace, warmupOf(idx))
-            .measured.demandMisses;
-      case IpvFamily::RripIpv:
-        break; // no fast-path description; scalar below
-    }
-    return scalarRripMisses(idx, ipv);
-}
-
-uint64_t
-FitnessEvaluator::scalarRripMisses(size_t idx, const Ipv &ipv) const
-{
-    SetAssocCache cache(llc_,
-                        std::make_unique<RripIpvPolicy>(llc_, ipv, 2));
-    replayTrace(cache, *traces_[idx].llcTrace, warmupOf(idx));
-    return cache.stats().demandMisses;
+    return engine_
+        ->replay(specFor(ipv, family), llc_, *traces_[idx].llcTrace,
+                 warmupOf(idx))
+        .measured.demandMisses;
 }
 
 std::vector<std::vector<uint64_t>>
@@ -221,44 +204,32 @@ FitnessEvaluator::missesForAll(std::span<const Ipv> ipvs,
     if (work.empty())
         return out;
 
-    // Replay the unique vectors: batched genome-major streams for the
-    // fast-path families, scalar (genome, trace) items for RripIpv.
+    // Replay the unique vectors: batched genome-major streams, up to
+    // batchWidth_ genomes per (group, trace) work item.
     std::vector<std::vector<uint64_t>> computed(
         work.size(), std::vector<uint64_t>(n_traces, 0));
-    if (family == IpvFamily::RripIpv) {
-        parallelFor(work.size() * n_traces, resolveThreads(threads),
-                    [&](size_t item) {
-                        const size_t u = item / n_traces;
-                        const size_t t = item % n_traces;
-                        computed[u][t] =
-                            scalarRripMisses(t, ipvs[work[u]]);
-                    });
-    } else {
-        const size_t width = std::max(1u, batchWidth_);
-        const size_t groups = (work.size() + width - 1) / width;
-        parallelFor(
-            groups * n_traces, resolveThreads(threads),
-            [&](size_t item) {
-                const size_t g = item / n_traces;
-                const size_t t = item % n_traces;
-                const size_t lo = g * width;
-                const size_t hi = std::min(work.size(), lo + width);
-                std::vector<fastpath::ReplaySpec> specs;
-                specs.reserve(hi - lo);
-                for (size_t u = lo; u < hi; ++u)
-                    specs.push_back(specFor(ipvs[work[u]], family));
-                const std::vector<fastpath::ReplayStats> stats =
-                    engine_->replayMany(specs, llc_,
-                                        *traces_[t].llcTrace,
-                                        warmupOf(t));
-                for (size_t u = lo; u < hi; ++u)
-                    computed[u][t] = stats[u - lo].measured.demandMisses;
-                // replayMany sends a lone spec to replay(): only
-                // groups of two or more count as batched.
-                if (batchReplays_ && hi - lo > 1)
-                    batchReplays_->increment(hi - lo);
-            });
-    }
+    const size_t width = std::max(1u, batchWidth_);
+    const size_t groups = (work.size() + width - 1) / width;
+    parallelFor(
+        groups * n_traces, resolveThreads(threads), [&](size_t item) {
+            const size_t g = item / n_traces;
+            const size_t t = item % n_traces;
+            const size_t lo = g * width;
+            const size_t hi = std::min(work.size(), lo + width);
+            std::vector<fastpath::ReplaySpec> specs;
+            specs.reserve(hi - lo);
+            for (size_t u = lo; u < hi; ++u)
+                specs.push_back(specFor(ipvs[work[u]], family));
+            const std::vector<fastpath::ReplayStats> stats =
+                engine_->replayMany(specs, llc_, *traces_[t].llcTrace,
+                                    warmupOf(t));
+            for (size_t u = lo; u < hi; ++u)
+                computed[u][t] = stats[u - lo].measured.demandMisses;
+            // replayMany sends a lone spec to replay(): only groups
+            // of two or more count as batched.
+            if (batchReplays_ && hi - lo > 1)
+                batchReplays_->increment(hi - lo);
+        });
     if (replays_)
         replays_->increment(work.size() * n_traces);
 

@@ -79,9 +79,9 @@ class FitnessEvaluator
      *                 here, in parallel over the traces
      * @param model    linear CPI model
      * @param timings  optional sink for the "fitness_baseline" phase
-     * @param engine   replay engine for the LRU/GIPLR/GIPPR families
-     *                 (RripIpv always replays on the scalar
-     *                 simulator); null means defaultReplayEngine()
+     * @param engine   replay engine for the LRU baseline and every
+     *                 family (GIPLR, GIPPR and RripIpv all replay
+     *                 through it); null means defaultReplayEngine()
      */
     FitnessEvaluator(const CacheConfig &llc,
                      std::vector<FitnessTrace> traces,
@@ -181,8 +181,6 @@ class FitnessEvaluator
     size_t warmupOf(size_t idx) const;
     /** Memo key: family byte + trace-set digest + IPV bytes. */
     std::string memoKey(const Ipv &ipv, IpvFamily family) const;
-    /** Scalar RripIpv replay of trace @p idx (no fast path). */
-    uint64_t scalarRripMisses(size_t idx, const Ipv &ipv) const;
     /** CPI-model speedups from one per-trace miss row. */
     std::vector<double>
     speedupsFromMisses(const std::vector<uint64_t> &misses) const;

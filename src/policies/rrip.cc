@@ -18,11 +18,13 @@ RripPolicy::RripPolicy(const CacheConfig &config, Mode mode,
       rrpvMax_((1U << rrpv_bits) - 1), epsilonInv_(epsilon_inv),
       rrpv_(config.sets() * config.assoc,
             static_cast<uint8_t>((1U << rrpv_bits) - 1)),
-      leaders_(config.sets(), 2,
-               clampLeaders(config.sets(), 2, leaders)),
       selector_(2), rng_(seed)
 {
     GIPPR_CHECK(rrpv_bits >= 1 && rrpv_bits <= 8);
+    // Only DRRIP duels; SRRIP and BRRIP run on any set count.
+    if (mode == Mode::Dynamic)
+        leaders_.emplace(config.sets(), 2,
+                         clampLeaders(config.sets(), 2, leaders));
 }
 
 uint8_t &
@@ -57,7 +59,7 @@ RripPolicy::onMiss(const AccessInfo &info)
 {
     if (mode_ != Mode::Dynamic || info.type == AccessType::Writeback)
         return;
-    int owner = leaders_.owner(info.set);
+    int owner = leaders_->owner(info.set);
     if (owner != LeaderSets::kFollower)
         selector_.recordMiss(static_cast<unsigned>(owner));
 }
@@ -90,7 +92,7 @@ RripPolicy::onInsert(unsigned way, const AccessInfo &info)
         break;
     }
     // DRRIP: leaders use their own member, followers the winner.
-    int owner = leaders_.owner(info.set);
+    int owner = leaders_->owner(info.set);
     unsigned policy = owner != LeaderSets::kFollower
                           ? static_cast<unsigned>(owner)
                           : selector_.winner();

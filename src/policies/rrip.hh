@@ -18,6 +18,7 @@
 #define GIPPR_POLICIES_RRIP_HH_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cache/config.hh"
@@ -83,7 +84,8 @@ class RripPolicy : public ReplacementPolicy
     unsigned rrpvMax_;
     unsigned epsilonInv_;
     std::vector<uint8_t> rrpv_;
-    LeaderSets leaders_;
+    /** DRRIP's leader sets (Dynamic mode only). */
+    std::optional<LeaderSets> leaders_;
     TournamentSelector selector_;
     Rng rng_;
 };

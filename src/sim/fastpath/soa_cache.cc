@@ -118,10 +118,13 @@ SoaCacheModel::supports(const ReplaySpec &spec, const CacheConfig &config)
         }
         return true;
       case FastPolicyKind::Rrip:
-        // RripPolicy builds its leader sets even for SRRIP/BRRIP, and
-        // they need two sets; its PSEL has the default width.
+        // DRRIP's leader sets need two sets; its PSEL has the default
+        // width.
         if (spec.rrpvBits < 1 || spec.rrpvBits > 8 ||
-            config.sets() < 2 || spec.counterBits != 11)
+            spec.counterBits != 11)
+            return false;
+        if (spec.rripMode == RripPolicy::Mode::Dynamic &&
+            config.sets() < 2)
             return false;
         if (spec.ipvs.empty())
             return spec.epsilonInv >= 1;

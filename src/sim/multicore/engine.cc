@@ -6,7 +6,6 @@
 #include "sim/multicore/engine.hh"
 
 #include "cache/replay.hh"
-#include "sim/fastpath/engine.hh"
 #include "util/bitops.hh"
 #include "util/check.hh"
 #include "util/log.hh"
@@ -218,6 +217,14 @@ backendName(Backend backend)
     return backend == Backend::Scalar ? "scalar" : "fast";
 }
 
+const fastpath::ReplayEngine &
+replayEngineFor(Backend backend)
+{
+    static const fastpath::ScalarReplayEngine scalar;
+    return backend == Backend::Fast ? fastpath::defaultReplayEngine()
+                                    : scalar;
+}
+
 DuelScope
 parseDuelScope(const std::string &text)
 {
@@ -294,13 +301,8 @@ runSharedLlc(const std::vector<CoreStream> &streams,
         // Solo baselines: the identical trace and warmup boundary
         // through the existing single-core engines, using the same
         // backend family so oracle runs stay backend-pure.
-        const fastpath::FastReplayEngine fast_engine(1);
-        const fastpath::ScalarReplayEngine scalar_engine;
         const fastpath::ReplayEngine &engine =
-            params.backend == Backend::Fast
-                ? static_cast<const fastpath::ReplayEngine &>(
-                      fast_engine)
-                : scalar_engine;
+            replayEngineFor(params.backend);
         std::vector<uint64_t> instructions(cores);
         std::vector<fastpath::CounterBank> shared_banks(cores);
         std::vector<fastpath::CounterBank> solo_banks(cores);
@@ -339,14 +341,9 @@ runSingleCoreReference(const CoreStream &stream,
     cr.measuredInstructions =
         measuredInstructionsOf(stream.instructions, length, warmup);
 
-    const fastpath::FastReplayEngine fast_engine(1);
-    const fastpath::ScalarReplayEngine scalar_engine;
-    const fastpath::ReplayEngine &engine =
-        params.backend == Backend::Fast
-            ? static_cast<const fastpath::ReplayEngine &>(fast_engine)
-            : scalar_engine;
-    cr.stats = engine.replay(params.policy, params.llc, *stream.trace,
-                             warmup);
+    cr.stats = replayEngineFor(params.backend)
+                   .replay(params.policy, params.llc, *stream.trace,
+                           warmup);
     cr.solo = cr.stats;
     result.measured += cr.stats.measured;
     result.total += cr.stats.total;

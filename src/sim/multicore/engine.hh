@@ -33,6 +33,7 @@
 
 #include "cache/cache.hh"
 #include "cache/config.hh"
+#include "sim/fastpath/engine.hh"
 #include "sim/fastpath/replay_spec.hh"
 #include "sim/fastpath/soa_cache.hh"
 #include "sim/multicore/fairness.hh"
@@ -55,6 +56,12 @@ Backend parseBackend(const std::string &text);
 
 /** Stable display name. */
 const char *backendName(Backend backend);
+
+/**
+ * The single-core replay engine of @p backend: defaultReplayEngine()
+ * for Fast, the scalar reference for Scalar.
+ */
+const fastpath::ReplayEngine &replayEngineFor(Backend backend);
 
 /** Where DGIPPR duel bookkeeping lives in a shared cache. */
 enum class DuelScope

@@ -52,8 +52,59 @@ appendRecs(std::vector<Rec> &out, const MemRecord &r, uint32_t core,
     out.push_back(rec);
 }
 
-/** Everything one epoch chunk mutates, as raw views so the fast
- *  chunk loop stays allocation-free. */
+/**
+ * An arm's cache on the packed backend.  access() calls
+ * SoaCacheModel::access directly (no virtual dispatch), and is its
+ * own GIPPR_HOT root.
+ */
+struct PackedArm
+{
+    fastpath::SoaCacheModel model;
+
+    PackedArm(const PolicyDef &def, const CacheConfig &llc)
+        : model(*def.fastSpec, llc)
+    {
+    }
+
+    GIPPR_HOT fastpath::SoaCacheModel::Step
+    access(const Rec &r)
+    {
+        // Qualified: an unqualified call would bind, in the
+        // analyzer's call graph, to this same-named member instead of
+        // the packed model's.
+        return model.fastpath::SoaCacheModel::access(r.set, r.tag,
+                                                     r.type);
+    }
+};
+
+/**
+ * An arm's cache on the scalar backend: SetAssocCache running
+ * PolicyDef::make, so arms without a fast spec (SHiP, DIP, FIFO,
+ * Random, B-GIPPR) run too, and see each record's pc.
+ */
+struct ScalarArm
+{
+    SetAssocCache cache;
+
+    ScalarArm(const PolicyDef &def, const CacheConfig &llc)
+        : cache(llc, def.make(llc))
+    {
+    }
+
+    fastpath::SoaCacheModel::Step
+    access(const Rec &r)
+    {
+        const AccessResult res = cache.access(r.addr, r.type, r.pc);
+        fastpath::SoaCacheModel::Step st;
+        st.hit = res.hit;
+        st.evicted = res.evictedBlock.has_value();
+        st.evictedDirty = res.evictedDirty;
+        return st;
+    }
+};
+
+/** Everything one epoch chunk mutates, as raw views so the chunk
+ *  loop stays allocation-free. */
 struct ChunkSinks
 {
     fastpath::CounterBank *coreBank = nullptr;
@@ -66,8 +117,8 @@ struct ChunkSinks
 };
 
 /**
- * The selector's per-access hot path (fast backend): route each
- * record through the chosen arm's packed model, mirror the sampled
+ * The selector's per-access hot path, over either arm model: route
+ * each record through the chosen arm's main model, mirror the sampled
  * subset into EVERY arm's shadow model, and fold outcome counters
  * into the chunk sinks.  All arms shadow the SAME sampled sets —
  * identical traffic per arm — so their per-epoch rewards compare
@@ -76,23 +127,22 @@ struct ChunkSinks
  * structure is fixed for the whole chunk — the bandit only acts
  * between chunks.
  */
+template <class Model>
 GIPPR_HOT void
-replayChunkFast(const Rec *recs, size_t count,
-                fastpath::SoaCacheModel &main,
-                fastpath::SoaCacheModel *shadows, unsigned shadow_arms,
-                const int8_t *owners, DriftDetector *drift,
-                ChunkSinks &s)
+replayChunk(const Rec *recs, size_t count, Model &main, Model *shadows,
+            unsigned shadow_arms, const int8_t *owners,
+            DriftDetector *drift, ChunkSinks &s)
 {
     for (size_t i = 0; i < count; ++i) {
         const Rec &r = recs[i];
         const uint32_t core = r.core;
         if (s.issued[core]++ == s.warmups[core])
             s.coreWarm[core] = s.coreBank[core];
-        // Qualified call: binds statically to the packed model's
-        // access(), keeping the scalar twin (whose access() can
-        // panic) out of this function's hot-path purity closure.
-        const fastpath::SoaCacheModel::Step st =
-            main.fastpath::SoaCacheModel::access(r.set, r.tag, r.type);
+        // Qualified calls bind statically to the arm model's own
+        // access(): ScalarArm's (virtual policy dispatch, a victim
+        // lookup that can panic) stays out of this function's purity
+        // closure, and PackedArm::access is checked as its own root.
+        const fastpath::SoaCacheModel::Step st = main.Model::access(r);
         fastpath::CounterBank &b = s.coreBank[core];
         b.accesses += 1;
         b.demandAccesses += r.demand;
@@ -112,8 +162,7 @@ replayChunkFast(const Rec *recs, size_t count,
         if (owners != nullptr && owners[r.set] >= 0) {
             for (unsigned a = 0; a < shadow_arms; ++a) {
                 const fastpath::SoaCacheModel::Step ss =
-                    shadows[a].fastpath::SoaCacheModel::access(
-                        r.set, r.tag, r.type);
+                    shadows[a].Model::access(r);
                 if (r.demand != 0) {
                     s.shadowDemand[a] += 1;
                     s.shadowMiss[a] += ss.hit ? 0 : 1;
@@ -125,68 +174,15 @@ replayChunkFast(const Rec *recs, size_t count,
     }
 }
 
-/**
- * Scalar twin of replayChunkFast: same routing, same counter
- * derivation, over SetAssocCache + policy objects (virtual dispatch
- * keeps it off the GIPPR_HOT purity roots).
- */
-void
-replayChunkScalar(const Rec *recs, size_t count, SetAssocCache &main,
-                  std::vector<SetAssocCache> &shadows,
-                  unsigned shadow_arms, const int8_t *owners,
-                  DriftDetector *drift, ChunkSinks &s)
-{
-    for (size_t i = 0; i < count; ++i) {
-        const Rec &r = recs[i];
-        const uint32_t core = r.core;
-        if (s.issued[core]++ == s.warmups[core])
-            s.coreWarm[core] = s.coreBank[core];
-        const AccessResult res = main.access(r.addr, r.type, r.pc);
-        fastpath::CounterBank &b = s.coreBank[core];
-        b.accesses += 1;
-        b.demandAccesses += r.demand;
-        s.epoch->accesses += 1;
-        s.epoch->demandAccesses += r.demand;
-        if (res.hit) {
-            b.hits += 1;
-        } else {
-            b.misses += 1;
-            b.demandMisses += r.demand;
-            s.epoch->demandMisses += r.demand;
-            if (res.evictedBlock.has_value()) {
-                b.evictions += 1;
-                b.writebacks += res.evictedDirty ? 1 : 0;
-            }
-        }
-        if (owners != nullptr && owners[r.set] >= 0) {
-            for (unsigned a = 0; a < shadow_arms; ++a) {
-                const AccessResult sres =
-                    shadows[a].access(r.addr, r.type, r.pc);
-                if (r.demand != 0) {
-                    s.shadowDemand[a] += 1;
-                    s.shadowMiss[a] += sres.hit ? 0 : 1;
-                }
-            }
-        }
-        if (drift != nullptr && r.demand != 0)
-            drift->observeBlock(r.block);
-    }
-}
-
-/** The backend-shared selector loop over a decoded merged stream. */
+/** The selector loop over a decoded merged stream, on @p Model arms. */
+template <class Model>
 SelectResult
-runStream(const std::vector<PolicyDef> &library, const SelectConfig &cfg,
-          const CacheConfig &llc, const std::vector<Rec> &recs,
-          unsigned cores, const std::vector<uint64_t> &warmups,
-          Backend requested)
+replayStream(const std::vector<PolicyDef> &library,
+             const SelectConfig &cfg, const CacheConfig &llc,
+             const std::vector<Rec> &recs, unsigned cores,
+             const std::vector<uint64_t> &warmups)
 {
-    llc.validate();
-    GIPPR_CHECK(!library.empty());
-    GIPPR_CHECK(cfg.epochLength > 0);
-    GIPPR_CHECK(cores >= 1 && warmups.size() == cores);
-
     const auto arms = static_cast<unsigned>(library.size());
-    const Backend backend = resolveBackend(library, llc, requested);
 
     SelectResult result;
     result.arms.reserve(arms);
@@ -221,28 +217,15 @@ runStream(const std::vector<PolicyDef> &library, const SelectConfig &cfg,
             owners[set] = static_cast<int8_t>(leaders.owner(set));
     }
 
-    std::vector<fastpath::SoaCacheModel> fast_mains;
-    std::vector<fastpath::SoaCacheModel> fast_shadows;
-    std::vector<SetAssocCache> scalar_mains;
-    std::vector<SetAssocCache> scalar_shadows;
-    if (backend == Backend::Fast) {
-        fast_mains.reserve(arms);
+    std::vector<Model> mains;
+    std::vector<Model> shadows;
+    mains.reserve(arms);
+    for (const PolicyDef &def : library)
+        mains.emplace_back(def, llc);
+    if (duel) {
+        shadows.reserve(arms);
         for (const PolicyDef &def : library)
-            fast_mains.emplace_back(*def.fastSpec, llc);
-        if (duel) {
-            fast_shadows.reserve(arms);
-            for (const PolicyDef &def : library)
-                fast_shadows.emplace_back(*def.fastSpec, llc);
-        }
-    } else {
-        scalar_mains.reserve(arms);
-        for (const PolicyDef &def : library)
-            scalar_mains.emplace_back(llc, def.make(llc));
-        if (duel) {
-            scalar_shadows.reserve(arms);
-            for (const PolicyDef &def : library)
-                scalar_shadows.emplace_back(llc, def.make(llc));
-        }
+            shadows.emplace_back(def, llc);
     }
 
     BanditSelector bandit(cfg, arms);
@@ -284,17 +267,9 @@ runStream(const std::vector<PolicyDef> &library, const SelectConfig &cfg,
         const int8_t *owner_view = duel ? owners.data() : nullptr;
         DriftDetector *drift_view = use_drift ? &drift : nullptr;
         const unsigned shadow_arms = duel ? arms : 0;
-        if (backend == Backend::Fast) {
-            replayChunkFast(recs.data() + pos, count,
-                            fast_mains[current], fast_shadows.data(),
-                            shadow_arms, owner_view, drift_view,
-                            sinks);
-        } else {
-            replayChunkScalar(recs.data() + pos, count,
-                              scalar_mains[current], scalar_shadows,
-                              shadow_arms, owner_view, drift_view,
-                              sinks);
-        }
+        replayChunk(recs.data() + pos, count, mains[current],
+                    shadows.data(), shadow_arms, owner_view, drift_view,
+                    sinks);
         pos += count;
 
         // Boundary: score the epoch's shadow traffic, test for
@@ -359,6 +334,24 @@ runStream(const std::vector<PolicyDef> &library, const SelectConfig &cfg,
         result.total += core_bank[c];
     }
     return result;
+}
+
+/** replayStream on the backend resolveBackend() picks. */
+SelectResult
+runStream(const std::vector<PolicyDef> &library, const SelectConfig &cfg,
+          const CacheConfig &llc, const std::vector<Rec> &recs,
+          unsigned cores, const std::vector<uint64_t> &warmups,
+          Backend requested)
+{
+    llc.validate();
+    GIPPR_CHECK(!library.empty());
+    GIPPR_CHECK(cfg.epochLength > 0);
+    GIPPR_CHECK(cores >= 1 && warmups.size() == cores);
+    if (resolveBackend(library, llc, requested) == Backend::Fast)
+        return replayStream<PackedArm>(library, cfg, llc, recs, cores,
+                                       warmups);
+    return replayStream<ScalarArm>(library, cfg, llc, recs, cores,
+                                   warmups);
 }
 
 } // namespace
@@ -465,10 +458,8 @@ staticOracle(const std::vector<PolicyDef> &library,
     // Arms without a fast spec replay on the scalar simulator under
     // either backend (identical by definition, so reports stay
     // byte-comparable).
-    const fastpath::ScalarReplayEngine scalar_engine;
     const fastpath::ReplayEngine &engine =
-        backend == Backend::Fast ? fastpath::defaultReplayEngine()
-                                 : scalar_engine;
+        multicore::replayEngineFor(backend);
     std::vector<StaticOracleRow> rows;
     rows.reserve(library.size());
     for (const PolicyDef &def : library)

@@ -11,14 +11,16 @@
  * merge code but must produce bit-identical SelectResults — the
  * 1-core gate mirrored from the multicore engine.
  *
- * Backends: every reported counter is accumulated in the selector
- * loop from per-access outcomes (Step / AccessResult), never read
- * from model internals, and the routing/bandit/drift code is shared;
- * scalar/fast bit-identity therefore follows inductively from the
- * per-model equivalence the fastpath oracle already proves.  Fast is
- * used only when every arm has a fast spec the packed model supports
- * at the geometry; otherwise the whole run silently falls back to
- * scalar (resolveBackend() reports the decision).
+ * Backends: one chunk loop, templated over the arm model, serves
+ * both — a packed SoaCacheModel per arm (Fast) or a SetAssocCache
+ * running PolicyDef::make per arm (Scalar, which also runs arms with
+ * no fast spec and hands them each record's pc).  Every reported
+ * counter is accumulated in that loop from per-access outcomes, never
+ * read from model internals, so scalar/fast bit-identity follows
+ * inductively from the per-model equivalence the fastpath oracle
+ * already proves.  Fast serves only when every arm has a fast spec
+ * the packed model supports at the geometry; otherwise the whole run
+ * uses Scalar, and resolveBackend() reports which one served.
  */
 
 #ifndef GIPPR_SIM_SELECT_ENGINE_HH_

@@ -283,9 +283,10 @@ TEST(BatchedEquiv, BatchWidthsProduceIdenticalMissCounts)
     reference.setMemoCapacity(0);
 
     const size_t count = fullSweep() ? 48 : 32;
-    for (IpvFamily family : {IpvFamily::Giplr, IpvFamily::Gippr}) {
-        const std::vector<Ipv> pop =
-            randomPopulation(count, 16, 0x9a0 + count);
+    for (IpvFamily family :
+         {IpvFamily::Giplr, IpvFamily::Gippr, IpvFamily::RripIpv}) {
+        const std::vector<Ipv> pop = randomPopulation(
+            count, familyArity(family, smallLlc()), 0x9a0 + count);
         const std::vector<std::vector<uint64_t>> want =
             reference.missesForAll(pop, family);
         for (unsigned width : {1u, 2u, 7u, 32u}) {
@@ -297,7 +298,7 @@ TEST(BatchedEquiv, BatchWidthsProduceIdenticalMissCounts)
     }
 }
 
-TEST(BatchedEquiv, RripFamilyBatchesThroughScalarReplay)
+TEST(BatchedEquiv, RripFamilyEvaluateAllMatchesEvaluate)
 {
     FitnessEvaluator fe(smallLlc(), trainingTraces());
     const std::vector<Ipv> pop = randomPopulation(6, 4, 0x44);

@@ -84,6 +84,15 @@ smallLlc8()
     return cfg;
 }
 
+/** One 16-way set: a fully associative cache. */
+CacheConfig
+oneSetLlc()
+{
+    CacheConfig cfg = smallLlc();
+    cfg.sizeBytes = 16 * 64;
+    return cfg;
+}
+
 /**
  * The RRIP family and PDP, whose specs do not depend on the
  * associativity: SRRIP, BRRIP, DRRIP, an RRIP-IPV vector that
@@ -139,6 +148,16 @@ coreSpecs8()
     for (fastpath::ReplaySpec &spec : rripPdpSpecs())
         specs.push_back(std::move(spec));
     return specs;
+}
+
+/** The RRIP specs that never duel (SRRIP, BRRIP, RRIP-IPV), so they
+ *  run on a one-set cache. */
+std::vector<fastpath::ReplaySpec>
+oneSetSpecs()
+{
+    return {fastpath::rripSpec(RripPolicy::Mode::Static),
+            fastpath::rripSpec(RripPolicy::Mode::Bimodal, 2, 32, 32, 7),
+            fastpath::rripIpvSpec(Ipv({0, 0, 1, 2, 2}))};
 }
 
 /**
@@ -319,21 +338,36 @@ TEST(FastpathEquiv, RripPselWidthIsFixed)
                  "RRIP replay spec: the PSEL width is fixed at 11 bits");
 }
 
+TEST(FastpathEquiv, DrripNeedsTwoSets)
+{
+    // SRRIP, BRRIP and RRIP-IPV run on one set (the lock-step loop
+    // below); DRRIP's leader sets cannot be placed there.
+    const CacheConfig cfg = oneSetLlc();
+    const fastpath::ReplaySpec spec =
+        fastpath::rripSpec(RripPolicy::Mode::Dynamic);
+    EXPECT_FALSE(fastpath::SoaCacheModel::supports(spec, cfg));
+    EXPECT_DEATH(([&]() noexcept { fastpath::makeScalarPolicy(spec, cfg); })(),
+                 "too many dueling policies");
+}
+
 TEST(FastpathEquiv, LockStepOnRandomizedStreams)
 {
     // Both row widths the packed model scans in one SSE compare (16
-    // ways, and the paper L1D/L2's 8), each on the mixed stream with
-    // writebacks and on one whose signatures always collide; the
+    // ways, and the paper L1D/L2's 8), plus the non-dueling RRIP
+    // policies on one fully associative set, each on the mixed stream
+    // with writebacks and on one whose signatures always collide; the
     // oracle compares every access, and the line state (positions,
     // RRPVs, PDP protection and reuse bits) plus the duel state on a
     // cadence.
     const uint64_t n = equivAccesses();
     for (const auto &[cfg, specs] :
          {std::pair{smallLlc(), coreSpecs()},
-          std::pair{smallLlc8(), coreSpecs8()}}) {
+          std::pair{smallLlc8(), coreSpecs8()},
+          std::pair{oneSetLlc(), oneSetSpecs()}}) {
         for (const fastpath::ReplaySpec &spec : specs) {
             const std::string geometry =
-                spec.name() + "/" + std::to_string(cfg.assoc) + "w";
+                spec.name() + "/" + std::to_string(cfg.assoc) + "w" +
+                std::to_string(cfg.sets()) + "s";
             verify::FastpathOracle oracle(spec, cfg);
             const Trace trace =
                 randomStream(n, 0x1ee7 + spec.ipvs.size(), cfg);

@@ -156,6 +156,27 @@ TEST(Select, SingleArmBitIdenticalToStaticReplay)
     EXPECT_EQ(fast.total, replay.total);
 }
 
+TEST(Select, SpecLessArmRunsScalarAndSeesPcs)
+{
+    // SHiP has no fast spec, so any library holding it serves on the
+    // scalar backend; a single-arm run must still equal its static
+    // replay, which it only does if every record's pc reaches SHiP's
+    // signature table.
+    const auto trace = rawTrace("ps_quad");
+    const size_t warmup = warmupOf(*trace);
+    const CacheConfig llc = llcCfg();
+    EXPECT_EQ(select::resolveBackend(select::parseLibrary("LRU,SHiP"),
+                                     llc, Backend::Fast),
+              Backend::Scalar);
+    const std::vector<PolicyDef> lib = {shipDef()};
+    const SelectResult res = select::runSelect(lib, testConfig(), llc,
+                                               *trace, warmup);
+    const fastpath::ReplayEngine &engine = fastpath::defaultReplayEngine();
+    EXPECT_EQ(res.measured,
+              replayPolicy(lib[0], llc, *trace, warmup, engine));
+    EXPECT_EQ(res.total, replayPolicy(lib[0], llc, *trace, 0, engine));
+}
+
 TEST(Select, DeterministicSameSeedByteIdenticalReports)
 {
     const auto trace = rawTrace("ps_loop_zipf");
