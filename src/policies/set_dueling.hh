@@ -111,9 +111,8 @@ class TournamentSelector
     /**
      * Raw PSEL counter values, tournament level-major (level 0's
      * pair counters first, the meta counter last).  This is direct
-     * state access — unlike the telemetry mirror, it works in
-     * GIPPR_DISABLE_TELEMETRY builds, so backend-equivalence checks
-     * can compare duel outcomes exactly.
+     * state access, so backend-equivalence checks can compare duel
+     * outcomes exactly without a telemetry registry.
      */
     std::vector<uint64_t> counterValues() const;
 

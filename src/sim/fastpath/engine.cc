@@ -7,7 +7,7 @@
 
 #include <algorithm>
 
-#include "cache/replay.hh"
+#include "sim/fastpath/scalar_model.hh"
 #include "sim/fastpath/soa_cache.hh"
 #include "util/check.hh"
 #include "util/parallel.hh"
@@ -201,16 +201,15 @@ runChunk32Quad(SoaCacheModel &ma, SoaCacheModel &mb, SoaCacheModel &mc,
  * Models that couple their sets (SoaCacheModel::couplesSets: a duel,
  * BRRIP's throttle RNG, PDP's sampler) keep trace order.
  *
- * @p shards > 1 filters to @p shard's contiguous slice of the set
- * space (the engine's usual sharding).  Chunks never straddle
- * @p warmup, so every model snapshots its counters at exactly the
- * boundary the per-spec replay() uses.
+ * Chunks never straddle @p warmup, so every model snapshots its
+ * counters at exactly the boundary the per-spec replay() uses.
  */
 void
 replayBatch(std::vector<SoaCacheModel> &models, const Trace &trace,
-            size_t warmup, size_t shard, size_t shards, uint64_t sets)
+            size_t warmup)
 {
     const SoaCacheModel &geo = models.front();
+    const uint64_t sets = geo.sets();
     const size_t chunk = std::min<size_t>(kBatchChunk, trace.size());
     bool any_ordered = false;
     for (const SoaCacheModel &m : models)
@@ -260,8 +259,6 @@ replayBatch(std::vector<SoaCacheModel> &models, const Trace &trace,
         for (size_t j = i; j < end; ++j) {
             const MemRecord &r = trace[j];
             const uint64_t set = geo.setIndex(r.addr);
-            if (shards > 1 && shardOf(set, shards, sets) != shard)
-                continue;
             const AccessType type = recordType(r);
             demand += type != AccessType::Writeback;
             buf[n++] = {geo.tagOf(r.addr),
@@ -361,23 +358,8 @@ ScalarReplayEngine::replay(const ReplaySpec &spec,
                            const CacheConfig &config, const Trace &trace,
                            size_t warmup) const
 {
-    GIPPR_CHECK(warmup <= trace.size());
-    SetAssocCache cache(config, makeScalarPolicy(spec, config));
-    CacheStats at_warmup;
-    for (size_t i = 0; i < trace.size(); ++i) {
-        if (i == warmup)
-            at_warmup = cache.stats();
-        const MemRecord &r = trace[i];
-        cache.access(r.addr, recordType(r), r.pc);
-    }
-    if (warmup == trace.size())
-        at_warmup = cache.stats();
-
-    ReplayStats stats;
-    stats.total = toBank(cache.stats());
-    stats.measured = stats.total - toBank(at_warmup);
-    scalarDuelStats(spec, cache.policy(), 0, stats);
-    return stats;
+    ScalarModel model(spec, config);
+    return replayInOrder(model, trace, warmup);
 }
 
 FastReplayEngine::FastReplayEngine(unsigned shards)
@@ -410,15 +392,7 @@ FastReplayEngine::replay(const ReplaySpec &spec,
         // sampler makes one set's transition depend on every earlier
         // access, exactly like the scalar engine.
         SoaCacheModel model(spec, config);
-        for (size_t i = 0; i < trace.size(); ++i) {
-            if (i == warmup)
-                model.markWarmup();
-            const MemRecord &r = trace[i];
-            model.accessAddr(r.addr, recordType(r));
-        }
-        if (warmup == trace.size())
-            model.markWarmup();
-        return model.stats();
+        return replayInOrder(model, trace, warmup);
     }
 
     // Independent sets: each shard filter-scans the trace for its
@@ -459,22 +433,17 @@ FastReplayEngine::replayMany(std::span<const ReplaySpec> specs,
 {
     GIPPR_CHECK(warmup <= trace.size());
     std::vector<ReplayStats> out(specs.size());
-    const uint64_t sets = config.sets();
-    const size_t shards = std::min<uint64_t>(shards_, sets);
 
-    // Batch everything the packed model covers.  Unsupported specs
-    // fall back to the scalar reference and multi-shard set-coupled
-    // specs (whose sets cannot be split) take replay()'s single pass,
-    // both per spec, so any mix of specs yields the same results as
-    // per-spec replay().
+    // Batch everything the packed model covers; unsupported specs
+    // fall back to the scalar reference one at a time, so any mix of
+    // specs yields the same results as per-spec replay().
     std::vector<size_t> batch;
     batch.reserve(specs.size());
     for (size_t s = 0; s < specs.size(); ++s) {
-        if (supports(specs[s], config) &&
-            !(couplesSets(specs[s]) && shards > 1))
+        if (supports(specs[s], config))
             batch.push_back(s);
         else
-            out[s] = replay(specs[s], config, trace, warmup);
+            out[s] = fallback_.replay(specs[s], config, trace, warmup);
     }
     if (batch.empty())
         return out;
@@ -488,38 +457,13 @@ FastReplayEngine::replayMany(std::span<const ReplaySpec> specs,
         return out;
     }
 
-    if (shards == 1) {
-        std::vector<SoaCacheModel> models;
-        models.reserve(batch.size());
-        for (size_t s : batch)
-            models.emplace_back(specs[s], config);
-        replayBatch(models, trace, warmup, 0, 1, sets);
-        for (size_t m = 0; m < batch.size(); ++m)
-            out[batch[m]] = models[m].stats();
-        return out;
-    }
-
-    // Sharded batch: a shard × genome grid over disjoint set ranges,
-    // merged per genome with the usual deterministic counter sums.
-    std::vector<std::vector<ReplayStats>> grid(shards);
-    parallelFor(
-        shards, static_cast<unsigned>(shards), [&](size_t shard) {
-            std::vector<SoaCacheModel> models;
-            models.reserve(batch.size());
-            for (size_t s : batch)
-                models.emplace_back(specs[s], config);
-            replayBatch(models, trace, warmup, shard, shards, sets);
-            grid[shard].resize(batch.size());
-            for (size_t m = 0; m < batch.size(); ++m)
-                grid[shard][m] = models[m].stats();
-        });
-    for (size_t m = 0; m < batch.size(); ++m) {
-        ReplayStats &merged = out[batch[m]];
-        for (size_t shard = 0; shard < shards; ++shard) {
-            merged.measured += grid[shard][m].measured;
-            merged.total += grid[shard][m].total;
-        }
-    }
+    std::vector<SoaCacheModel> models;
+    models.reserve(batch.size());
+    for (size_t s : batch)
+        models.emplace_back(specs[s], config);
+    replayBatch(models, trace, warmup);
+    for (size_t m = 0; m < batch.size(); ++m)
+        out[batch[m]] = models[m].stats();
     return out;
 }
 

@@ -5,18 +5,22 @@
  * A ReplayEngine replays one LLC trace under one ReplaySpec and
  * returns ReplayStats.  Two implementations exist:
  *
- *  - ScalarReplayEngine drives the production SetAssocCache +
- *    ReplacementPolicy objects (the pre-existing simulator) and is
- *    the semantic reference.
- *  - FastReplayEngine drives SoaCacheModel, optionally sharded: the
- *    set space is split into contiguous ranges and each shard
- *    filter-scans the trace for its own sets on a worker of the
- *    shared pool.  Per-set access streams are independent unless the
- *    spec couplesSets() — DGIPPR's and DRRIP's tournaments, BRRIP's
- *    throttle RNG, PDP's sampler and solver: such a spec replays in
- *    one trace-order pass at any shard count.  Counter merges are
- *    plain sums over disjoint set ranges, so results are
- *    bit-identical for any shard count.
+ *  - ScalarReplayEngine replays a ScalarModel (the production
+ *    SetAssocCache + ReplacementPolicy objects) and is the semantic
+ *    reference.
+ *  - FastReplayEngine replays SoaCacheModel.  Both run the one
+ *    in-order loop, replayInOrder.  FastReplayEngine(n) can also
+ *    shard replay(): the set space is split into contiguous ranges
+ *    and each shard filter-scans the trace for its own sets on a
+ *    worker of the shared pool.  Per-set access streams are
+ *    independent unless the spec couplesSets() — DGIPPR's and
+ *    DRRIP's tournaments, BRRIP's throttle RNG, PDP's sampler and
+ *    solver: such a spec replays in one trace-order pass at any
+ *    shard count.  Counter merges are plain sums over disjoint set
+ *    ranges, so results are bit-identical for any shard count.
+ *    replayMany() never shards: it batches every supported spec in
+ *    one pass whatever shards() is.  The sharded replay() stays only
+ *    as long as the benchmark probes it.
  *
  * Consumers default to defaultReplayEngine(), one unsharded fast
  * engine: callers like the GA already parallelize over traces, so
@@ -30,11 +34,35 @@
 #include <string>
 #include <vector>
 
+#include "cache/replay.hh"
 #include "sim/fastpath/replay_spec.hh"
 #include "trace/trace.hh"
+#include "util/check.hh"
 
 namespace gippr::fastpath
 {
+
+/**
+ * Replay @p trace through @p model (SoaCacheModel or ScalarModel) in
+ * trace order; records with index >= @p warmup are measured, so a
+ * warmup covering the whole trace leaves nothing measured.  Returns
+ * model.stats().
+ */
+template <class Model>
+ReplayStats
+replayInOrder(Model &model, const Trace &trace, size_t warmup)
+{
+    GIPPR_CHECK(warmup <= trace.size());
+    for (size_t i = 0; i < trace.size(); ++i) {
+        if (i == warmup)
+            model.markWarmup();
+        const MemRecord &r = trace[i];
+        model.accessAddr(r.addr, recordType(r), r.pc);
+    }
+    if (warmup == trace.size())
+        model.markWarmup();
+    return model.stats();
+}
 
 /**
  * Batched chunk kernels FastReplayEngine::replayMany can dispatch for
@@ -91,7 +119,7 @@ class ReplayEngine
     virtual std::string name() const = 0;
 };
 
-/** Reference backend over SetAssocCache + policy objects. */
+/** Reference backend: replayInOrder over a ScalarModel. */
 class ScalarReplayEngine : public ReplayEngine
 {
   public:
@@ -121,12 +149,10 @@ class FastReplayEngine : public ReplayEngine
      * time (set index, tag, access type) and then applied to every
      * spec's packed model back to back, so the models' tag/signature
      * rows and PLRU words stay hot while the shared decode work is
-     * paid once per generation instead of once per genome.  Composes
-     * with set-space sharding (a shard × genome grid over disjoint
-     * set ranges).  Unsupported specs fall back to scalar and
-     * multi-shard set-coupled specs replay() one at a time, since
-     * their sets cannot be split; results are bit-identical to per-spec
-     * replay() for any batch composition and shard count.
+     * paid once per generation instead of once per genome.  The
+     * batch never shards, whatever shards() is.  Unsupported specs
+     * fall back to scalar one at a time; results are bit-identical to
+     * per-spec replay() for any batch composition and shard count.
      */
     std::vector<ReplayStats>
     replayMany(std::span<const ReplaySpec> specs,

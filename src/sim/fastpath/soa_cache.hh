@@ -276,8 +276,10 @@ class SoaCacheModel
         counters_.writebacks += writebacks;
     }
 
-    /** Access by byte address (set/tag split per the geometry). */
-    GIPPR_HOT Step accessAddr(uint64_t byte_addr, AccessType type);
+    /** Access by byte address (set/tag split per the geometry).
+     *  @p pc is ScalarModel's; no packed policy reads it. */
+    GIPPR_HOT Step accessAddr(uint64_t byte_addr, AccessType type,
+                              uint64_t pc = 0);
 
     /**
      * Snapshot the counters: stats().measured reports everything
@@ -336,6 +338,9 @@ class SoaCacheModel
      * first duel domain (see duelStats()).
      */
     ReplayStats stats() const;
+
+    /** stats().measured as CacheStats (ScalarModel's twin). */
+    CacheStats cacheStats() const { return stats().toCacheStats(); }
 
     /**
      * Write duel domain @p domain's state — final winner, PSEL
@@ -1185,9 +1190,27 @@ SoaCacheModel::access(uint64_t set, uint64_t tag, AccessType type,
 }
 
 inline SoaCacheModel::Step
-SoaCacheModel::accessAddr(uint64_t byte_addr, AccessType type)
+SoaCacheModel::accessAddr(uint64_t byte_addr, AccessType type,
+                          uint64_t /*pc*/)
 {
     return access(setIndex(byte_addr), tagOf(byte_addr), type);
+}
+
+/** Fold one access's outcome @p st into @p bank; @p demand marks a
+ *  demand (non-writeback) access. */
+GIPPR_HOT inline void
+countStep(CounterBank &bank, const SoaCacheModel::Step &st, bool demand)
+{
+    ++bank.accesses;
+    bank.demandAccesses += demand;
+    if (st.hit) {
+        ++bank.hits;
+        return;
+    }
+    ++bank.misses;
+    bank.demandMisses += demand;
+    bank.evictions += st.evicted;
+    bank.writebacks += st.evictedDirty;
 }
 
 } // namespace gippr::fastpath

@@ -6,6 +6,8 @@
 #include "sim/multicore/engine.hh"
 
 #include "cache/replay.hh"
+#include "sim/fastpath/scalar_model.hh"
+#include "sim/fastpath/soa_cache.hh"
 #include "util/bitops.hh"
 #include "util/check.hh"
 #include "util/log.hh"
@@ -28,23 +30,6 @@ measuredInstructionsOf(uint64_t instructions, size_t length,
     return static_cast<uint64_t>(span / length);
 }
 
-/** Fold one access's outcome into a core's counter bank. */
-void
-addStep(fastpath::CounterBank &bank, const fastpath::SoaCacheModel::Step &st,
-        bool demand)
-{
-    ++bank.accesses;
-    bank.demandAccesses += demand;
-    if (st.hit) {
-        ++bank.hits;
-        return;
-    }
-    ++bank.misses;
-    bank.demandMisses += demand;
-    bank.evictions += st.evicted;
-    bank.writebacks += st.evictedDirty;
-}
-
 /**
  * SetAssocCache's way-mask precondition, checked for both backends
  * before any access fills within @p masks: a partial mask needs a
@@ -64,8 +49,8 @@ checkMasks(const std::vector<uint64_t> &masks, const RunParams &params)
 }
 
 /**
- * The shared replay loop, templated over the two model backends
- * (identical shared-access interface, disjoint implementations).  The
+ * The shared replay loop, templated over the two models
+ * (fastpath::SoaCacheModel and its scalar twin ScalarModel).  The
  * loop owns everything per core — counter bank, warmup snapshot, duel
  * domain, way mask — so the models keep only the cache itself.
  */
@@ -101,10 +86,11 @@ runLoop(Model &model, const std::vector<CoreStream> &streams,
         const bool demand = type != AccessType::Writeback;
         const uint64_t set = model.setIndex(r.addr);
         const uint64_t tag = model.tagOf(r.addr);
-        addStep(banks[core],
-                model.access(set, tag, type, per_core ? core : 0,
-                             masks[core]),
-                demand);
+        fastpath::countStep(banks[core],
+                            model.access(set, tag, type,
+                                         per_core ? core : 0,
+                                         masks[core]),
+                            demand);
 
         if (monitor != nullptr) {
             if (demand && monitor->sampled(set))
@@ -169,37 +155,6 @@ runBackend(Model &model, const std::vector<CoreStream> &streams,
 }
 
 } // namespace
-
-ScalarLlc::ScalarLlc(const fastpath::ReplaySpec &spec,
-                     const CacheConfig &config, unsigned domains)
-    : spec_(spec), decode_(config),
-      cache_(config, fastpath::makeScalarPolicy(spec, config, domains))
-{
-}
-
-ScalarLlc::Step
-ScalarLlc::access(uint64_t set, uint64_t tag, AccessType type,
-                  unsigned domain, uint64_t mask)
-{
-    const AccessResult r =
-        cache_.access(decode_.blockOf(set, tag) << decode_.blockShift,
-                      type, 0, domain, mask);
-    Step step;
-    step.hit = r.hit;
-    step.way = r.way;
-    if (r.evictedBlock) {
-        step.evicted = true;
-        step.evictedDirty = r.evictedDirty;
-        step.evictedTag = *r.evictedBlock >> decode_.setShift;
-    }
-    return step;
-}
-
-void
-ScalarLlc::duelStats(unsigned domain, fastpath::ReplayStats &out) const
-{
-    fastpath::scalarDuelStats(spec_, cache_.policy(), domain, out);
-}
 
 Backend
 parseBackend(const std::string &text)
@@ -288,7 +243,7 @@ runSharedLlc(const std::vector<CoreStream> &streams,
         fastpath::SoaCacheModel model(params.policy, params.llc, domains);
         runBackend(model, streams, params, warmups, result);
     } else {
-        ScalarLlc model(params.policy, params.llc, domains);
+        fastpath::ScalarModel model(params.policy, params.llc, domains);
         runBackend(model, streams, params, warmups, result);
     }
 

@@ -11,11 +11,12 @@
  * existing single-core engines, and derives the fairness report.
  *
  * RunParams::backend picks the model: the packed
- * fastpath::SoaCacheModel, or ScalarLlc — the production
- * SetAssocCache and policy object, the same scalar reference the
- * single-core ScalarReplayEngine runs.  The two share no state
- * layout, which is what makes the scalar-vs-fast oracle meaningful
- * for interleaved streams.
+ * fastpath::SoaCacheModel, or its scalar twin fastpath::ScalarModel —
+ * the production SetAssocCache and policy object, the same scalar
+ * reference the single-core ScalarReplayEngine runs.  One replay
+ * loop, templated over the model, drives both.  The two share no
+ * state layout, which is what makes the scalar-vs-fast oracle
+ * meaningful for interleaved streams.
  *
  * Determinism contract: for fixed streams and RunParams the result
  * is bit-identical across runs and across backends; with one core,
@@ -31,11 +32,9 @@
 #include <string>
 #include <vector>
 
-#include "cache/cache.hh"
 #include "cache/config.hh"
 #include "sim/fastpath/engine.hh"
 #include "sim/fastpath/replay_spec.hh"
-#include "sim/fastpath/soa_cache.hh"
 #include "sim/multicore/fairness.hh"
 #include "sim/multicore/mix.hh"
 #include "sim/multicore/partition.hh"
@@ -120,43 +119,6 @@ struct RunResult
     std::vector<unsigned> wayCounts;
     /** Utility repartitions performed. */
     uint64_t repartitions = 0;
-};
-
-/**
- * The scalar shared-LLC model: one SetAssocCache running
- * makeScalarPolicy(spec, config, domains), behind SoaCacheModel's
- * shared-access interface so the replay loop is templated over both.
- */
-class ScalarLlc
-{
-  public:
-    using Step = fastpath::SoaCacheModel::Step;
-
-    ScalarLlc(const fastpath::ReplaySpec &spec, const CacheConfig &config,
-              unsigned domains);
-
-    /** One access in duel domain @p domain, filling within @p mask. */
-    Step access(uint64_t set, uint64_t tag, AccessType type,
-                unsigned domain, uint64_t mask);
-
-    /** Domain @p domain's duel state into @p out (Dgippr, DRRIP). */
-    void duelStats(unsigned domain, fastpath::ReplayStats &out) const;
-
-    uint64_t sets() const { return cache_.config().sets(); }
-    unsigned assoc() const { return cache_.config().assoc; }
-    uint64_t setIndex(uint64_t byte_addr) const
-    {
-        return decode_.setIndex(byte_addr);
-    }
-    uint64_t tagOf(uint64_t byte_addr) const
-    {
-        return decode_.tag(byte_addr);
-    }
-
-  private:
-    fastpath::ReplaySpec spec_;
-    AddressDecode decode_;
-    SetAssocCache cache_;
 };
 
 /**

@@ -7,7 +7,6 @@
 
 #include <memory>
 
-#include "cache/replay.hh"
 #include "core/bypass_gippr.hh"
 #include "core/rrip_ipv.hh"
 #include "core/vectors.hh"
@@ -16,6 +15,7 @@
 #include "policies/random.hh"
 #include "policies/rrip.hh"
 #include "policies/ship.hh"
+#include "sim/fastpath/scalar_model.hh"
 #include "util/log.hh"
 
 namespace gippr
@@ -253,11 +253,10 @@ replayPolicy(const PolicyDef &policy, const CacheConfig &llc,
             mirrorTelemetry(*registry, prefix, stats);
         return stats.measured;
     }
-    SetAssocCache cache(llc, policy.make(llc));
+    fastpath::ScalarModel model(llc, policy.make(llc));
     if (registry)
-        cache.attachTelemetry(*registry, prefix);
-    replayTrace(cache, trace, warmup);
-    return fastpath::toBank(cache.stats());
+        model.attachTelemetry(*registry, prefix);
+    return fastpath::replayInOrder(model, trace, warmup).measured;
 }
 
 } // namespace gippr

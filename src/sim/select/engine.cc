@@ -7,10 +7,10 @@
 
 #include <algorithm>
 
-#include "cache/cache.hh"
 #include "cache/replay.hh"
 #include "policies/set_dueling.hh"
 #include "sim/fastpath/engine.hh"
+#include "sim/fastpath/scalar_model.hh"
 #include "sim/fastpath/soa_cache.hh"
 #include "sim/select/bandit.hh"
 #include "sim/select/drift.hh"
@@ -29,7 +29,6 @@ struct Rec
     uint64_t addr = 0;
     uint64_t pc = 0;
     uint64_t set = 0;
-    uint64_t tag = 0;
     uint64_t block = 0;
     uint32_t core = 0;
     AccessType type = AccessType::Load;
@@ -44,64 +43,12 @@ appendRecs(std::vector<Rec> &out, const MemRecord &r, uint32_t core,
     rec.addr = r.addr;
     rec.pc = r.pc;
     rec.set = llc.setIndex(r.addr);
-    rec.tag = llc.tag(r.addr);
     rec.block = llc.blockAddr(r.addr);
     rec.core = core;
     rec.type = recordType(r);
     rec.demand = rec.type == AccessType::Writeback ? 0 : 1;
     out.push_back(rec);
 }
-
-/**
- * An arm's cache on the packed backend.  access() calls
- * SoaCacheModel::access directly (no virtual dispatch), and is its
- * own GIPPR_HOT root.
- */
-struct PackedArm
-{
-    fastpath::SoaCacheModel model;
-
-    PackedArm(const PolicyDef &def, const CacheConfig &llc)
-        : model(*def.fastSpec, llc)
-    {
-    }
-
-    GIPPR_HOT fastpath::SoaCacheModel::Step
-    access(const Rec &r)
-    {
-        // Qualified: an unqualified call would bind, in the
-        // analyzer's call graph, to this same-named member instead of
-        // the packed model's.
-        return model.fastpath::SoaCacheModel::access(r.set, r.tag,
-                                                     r.type);
-    }
-};
-
-/**
- * An arm's cache on the scalar backend: SetAssocCache running
- * PolicyDef::make, so arms without a fast spec (SHiP, DIP, FIFO,
- * Random, B-GIPPR) run too, and see each record's pc.
- */
-struct ScalarArm
-{
-    SetAssocCache cache;
-
-    ScalarArm(const PolicyDef &def, const CacheConfig &llc)
-        : cache(llc, def.make(llc))
-    {
-    }
-
-    fastpath::SoaCacheModel::Step
-    access(const Rec &r)
-    {
-        const AccessResult res = cache.access(r.addr, r.type, r.pc);
-        fastpath::SoaCacheModel::Step st;
-        st.hit = res.hit;
-        st.evicted = res.evictedBlock.has_value();
-        st.evictedDirty = res.evictedDirty;
-        return st;
-    }
-};
 
 /** Everything one epoch chunk mutates, as raw views so the chunk
  *  loop stays allocation-free. */
@@ -117,15 +64,16 @@ struct ChunkSinks
 };
 
 /**
- * The selector's per-access hot path, over either arm model: route
- * each record through the chosen arm's main model, mirror the sampled
- * subset into EVERY arm's shadow model, and fold outcome counters
- * into the chunk sinks.  All arms shadow the SAME sampled sets —
- * identical traffic per arm — so their per-epoch rewards compare
- * policies, never the luck of which sets each arm drew (disjoint
- * per-arm samples invert rankings on skewed workloads).  Branch
- * structure is fixed for the whole chunk — the bandit only acts
- * between chunks.
+ * The selector's per-access hot path, over either arm model
+ * (SoaCacheModel or ScalarModel, which hands spec-less arms each
+ * record's pc): route each record through the chosen arm's main
+ * model, mirror the sampled subset into EVERY arm's shadow model, and
+ * fold outcome counters into the chunk sinks.  All arms shadow the
+ * SAME sampled sets — identical traffic per arm — so their per-epoch
+ * rewards compare policies, never the luck of which sets each arm
+ * drew (disjoint per-arm samples invert rankings on skewed
+ * workloads).  Branch structure is fixed for the whole chunk — the
+ * bandit only acts between chunks.
  */
 template <class Model>
 GIPPR_HOT void
@@ -138,31 +86,20 @@ replayChunk(const Rec *recs, size_t count, Model &main, Model *shadows,
         const uint32_t core = r.core;
         if (s.issued[core]++ == s.warmups[core])
             s.coreWarm[core] = s.coreBank[core];
-        // Qualified calls bind statically to the arm model's own
-        // access(): ScalarArm's (virtual policy dispatch, a victim
-        // lookup that can panic) stays out of this function's purity
-        // closure, and PackedArm::access is checked as its own root.
-        const fastpath::SoaCacheModel::Step st = main.Model::access(r);
-        fastpath::CounterBank &b = s.coreBank[core];
-        b.accesses += 1;
-        b.demandAccesses += r.demand;
+        // Qualified calls keep ScalarModel's access path (virtual
+        // policy dispatch, a victim lookup that can panic) out of
+        // this function's purity closure; SoaCacheModel's is checked
+        // as its own GIPPR_HOT root.
+        const fastpath::SoaCacheModel::Step st =
+            main.Model::accessAddr(r.addr, r.type, r.pc);
+        fastpath::countStep(s.coreBank[core], st, r.demand != 0);
         s.epoch->accesses += 1;
         s.epoch->demandAccesses += r.demand;
-        if (st.hit) {
-            b.hits += 1;
-        } else {
-            b.misses += 1;
-            b.demandMisses += r.demand;
-            s.epoch->demandMisses += r.demand;
-            if (st.evicted) {
-                b.evictions += 1;
-                b.writebacks += st.evictedDirty ? 1 : 0;
-            }
-        }
+        s.epoch->demandMisses += st.hit ? 0 : r.demand;
         if (owners != nullptr && owners[r.set] >= 0) {
             for (unsigned a = 0; a < shadow_arms; ++a) {
                 const fastpath::SoaCacheModel::Step ss =
-                    shadows[a].Model::access(r);
+                    shadows[a].Model::accessAddr(r.addr, r.type, r.pc);
                 if (r.demand != 0) {
                     s.shadowDemand[a] += 1;
                     s.shadowMiss[a] += ss.hit ? 0 : 1;
@@ -174,14 +111,16 @@ replayChunk(const Rec *recs, size_t count, Model &main, Model *shadows,
     }
 }
 
-/** The selector loop over a decoded merged stream, on @p Model arms. */
-template <class Model>
+/** The selector loop over a decoded merged stream, on the arm
+ *  models @p make builds from each PolicyDef. */
+template <class Make>
 SelectResult
 replayStream(const std::vector<PolicyDef> &library,
              const SelectConfig &cfg, const CacheConfig &llc,
              const std::vector<Rec> &recs, unsigned cores,
-             const std::vector<uint64_t> &warmups)
+             const std::vector<uint64_t> &warmups, const Make &make)
 {
+    using Model = decltype(make(library.front()));
     const auto arms = static_cast<unsigned>(library.size());
 
     SelectResult result;
@@ -221,11 +160,11 @@ replayStream(const std::vector<PolicyDef> &library,
     std::vector<Model> shadows;
     mains.reserve(arms);
     for (const PolicyDef &def : library)
-        mains.emplace_back(def, llc);
+        mains.push_back(make(def));
     if (duel) {
         shadows.reserve(arms);
         for (const PolicyDef &def : library)
-            shadows.emplace_back(def, llc);
+            shadows.push_back(make(def));
     }
 
     BanditSelector bandit(cfg, arms);
@@ -348,10 +287,16 @@ runStream(const std::vector<PolicyDef> &library, const SelectConfig &cfg,
     GIPPR_CHECK(cfg.epochLength > 0);
     GIPPR_CHECK(cores >= 1 && warmups.size() == cores);
     if (resolveBackend(library, llc, requested) == Backend::Fast)
-        return replayStream<PackedArm>(library, cfg, llc, recs, cores,
-                                       warmups);
-    return replayStream<ScalarArm>(library, cfg, llc, recs, cores,
-                                   warmups);
+        return replayStream(
+            library, cfg, llc, recs, cores, warmups,
+            [&llc](const PolicyDef &def) {
+                return fastpath::SoaCacheModel(*def.fastSpec, llc);
+            });
+    return replayStream(library, cfg, llc, recs, cores, warmups,
+                        [&llc](const PolicyDef &def) {
+                            return fastpath::ScalarModel(llc,
+                                                         def.make(llc));
+                        });
 }
 
 } // namespace

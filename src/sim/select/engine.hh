@@ -12,9 +12,10 @@
  * 1-core gate mirrored from the multicore engine.
  *
  * Backends: one chunk loop, templated over the arm model, serves
- * both — a packed SoaCacheModel per arm (Fast) or a SetAssocCache
- * running PolicyDef::make per arm (Scalar, which also runs arms with
- * no fast spec and hands them each record's pc).  Every reported
+ * both — a packed SoaCacheModel per arm (Fast) or its scalar twin, a
+ * fastpath::ScalarModel running PolicyDef::make per arm (Scalar,
+ * which also runs arms with no fast spec and hands them each
+ * record's pc).  Every reported
  * counter is accumulated in that loop from per-access outcomes, never
  * read from model internals, so scalar/fast bit-identity follows
  * inductively from the per-model equivalence the fastpath oracle

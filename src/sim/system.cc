@@ -7,6 +7,8 @@
 
 #include <string>
 
+#include "sim/fastpath/scalar_model.hh"
+#include "sim/fastpath/soa_cache.hh"
 #include "util/log.hh"
 #include "util/stats.hh"
 
@@ -16,43 +18,16 @@ namespace gippr
 namespace
 {
 
-/** The LLC under study on the scalar simulator (any policy). */
-struct ScalarLlc
-{
-    SetAssocCache cache;
-
-    bool
-    access(uint64_t addr, AccessType type, uint64_t pc)
-    {
-        return cache.access(addr, type, pc).hit;
-    }
-    void markWarmup() { cache.clearStats(); }
-    CacheStats stats() const { return cache.stats(); }
-};
-
-/** The LLC under study on the packed model (a spec it supports). */
-struct PackedLlc
-{
-    fastpath::SoaCacheModel model;
-
-    bool
-    access(uint64_t addr, AccessType type, uint64_t /*pc*/)
-    {
-        return model.accessAddr(addr, type).hit;
-    }
-    void markWarmup() { model.markWarmup(); }
-    CacheStats stats() const { return model.stats().toCacheStats(); }
-};
-
-/** The CPU walk, templated over the two LLC backends. */
-template <class Llc>
+/** The CPU walk, templated over the LLC model (SoaCacheModel or
+ *  ScalarModel). */
+template <class Model>
 SimResult
-walk(const Trace &cpu_trace, Llc &llc, const SystemParams &params)
+walk(const Trace &cpu_trace, Model &llc, const SystemParams &params)
 {
     Hierarchy hier(params.hier);
     CpuModel cpu(params.cpu);
     auto to_llc = [&llc](uint64_t addr, AccessType type, uint64_t pc) {
-        return llc.access(addr, type, pc);
+        return llc.accessAddr(addr, type, pc).hit;
     };
 
     const size_t warmup = static_cast<size_t>(
@@ -72,7 +47,7 @@ walk(const Trace &cpu_trace, Llc &llc, const SystemParams &params)
     result.ipc = cpu.ipc();
     result.instructions = cpu.instructions();
     result.cycles = cpu.cycles();
-    result.llcStats = llc.stats();
+    result.llcStats = llc.cacheStats();
     result.llcMisses = result.llcStats.demandMisses;
     result.llcMpki = result.llcStats.mpki(result.instructions);
     return result;
@@ -99,10 +74,10 @@ simulateTrace(const Trace &cpu_trace, const PolicyFactory &llc_policy,
     const fastpath::ReplaySpec *spec = fastpath::specOf(llc_policy);
     if (spec != nullptr &&
         fastpath::SoaCacheModel::supports(*spec, config)) {
-        PackedLlc llc{fastpath::SoaCacheModel(*spec, config)};
+        fastpath::SoaCacheModel llc(*spec, config);
         return walk(cpu_trace, llc, params);
     }
-    ScalarLlc llc{SetAssocCache(config, llc_policy(config))};
+    fastpath::ScalarModel llc(config, llc_policy(config));
     return walk(cpu_trace, llc, params);
 }
 

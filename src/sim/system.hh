@@ -49,7 +49,9 @@ void checkWarmupFraction(const SystemParams &params);
  * built as a fastpath::SpecFactory (every PolicyDef with a fastSpec)
  * runs its spec on the packed SoaCacheModel when the model supports
  * the LLC geometry; any other factory, and any unsupported geometry,
- * runs on SetAssocCache.  Both give bit-identical results.
+ * runs on its scalar twin, fastpath::ScalarModel (which hands the
+ * policy each access's pc).  One CPU walk, templated over the model,
+ * drives both, and they give bit-identical results.
  */
 SimResult simulateTrace(const Trace &cpu_trace,
                         const PolicyFactory &llc_policy,

@@ -12,8 +12,6 @@
 namespace gippr::telemetry
 {
 
-#ifndef GIPPR_DISABLE_TELEMETRY
-
 FixedHistogram::FixedHistogram(std::vector<double> bounds)
     : bounds_(std::move(bounds))
 {
@@ -62,8 +60,6 @@ FixedHistogram::sum() const
 {
     return sum_.load(std::memory_order_relaxed);
 }
-
-#endif // GIPPR_DISABLE_TELEMETRY
 
 Counter &
 MetricRegistry::counter(const std::string &name)

@@ -7,10 +7,7 @@
  *  - lookup (`registry.counter("x")`) takes a mutex and is meant for
  *    setup code; callers cache the returned reference,
  *  - increments/observations are lock-free relaxed atomics and safe
- *    from any number of threads,
- *  - compiling with GIPPR_DISABLE_TELEMETRY turns every instrument
- *    into an empty inline stub so instrumented hot loops carry zero
- *    cost (the registry still hands out valid references).
+ *    from any number of threads.
  *
  * Instruments live as long as their registry; references returned by
  * the registry are stable (node-based storage).
@@ -31,8 +28,6 @@
 
 namespace gippr::telemetry
 {
-
-#ifndef GIPPR_DISABLE_TELEMETRY
 
 /** Monotonic event count. */
 class Counter
@@ -99,41 +94,6 @@ class FixedHistogram
     std::atomic<uint64_t> count_{0};
     std::atomic<double> sum_{0.0};
 };
-
-#else // GIPPR_DISABLE_TELEMETRY: zero-cost stubs with the same API.
-
-class Counter
-{
-  public:
-    void increment(uint64_t = 1) {}
-    uint64_t value() const { return 0; }
-};
-
-class Gauge
-{
-  public:
-    void set(double) {}
-    double value() const { return 0.0; }
-};
-
-class FixedHistogram
-{
-  public:
-    explicit FixedHistogram(std::vector<double> bounds)
-        : bounds_(std::move(bounds))
-    {
-    }
-    void observe(double) {}
-    uint64_t bucketCount(size_t) const { return 0; }
-    const std::vector<double> &bounds() const { return bounds_; }
-    uint64_t count() const { return 0; }
-    double sum() const { return 0.0; }
-
-  private:
-    std::vector<double> bounds_;
-};
-
-#endif // GIPPR_DISABLE_TELEMETRY
 
 /**
  * Owns instruments by name.  Lookup creates on first use and returns

@@ -172,9 +172,9 @@ TEST(BatchedEquiv, ReplayManyMatchesPerSpecReplay)
     const size_t warmup = trace.size() / 3;
 
     // A deliberately mixed batch: every core policy (including both
-    // DGIPPR variants) plus random per-genome vectors.  At 4 shards
-    // the duel specs take the per-spec fallback inside replayMany, so
-    // both partitions of the batch are exercised.
+    // DGIPPR variants) plus random per-genome vectors.  replayMany
+    // never shards, so at 4 shards its one batched pass must still
+    // equal the sharded per-spec replay().
     Rng rng(0x77);
     std::vector<fastpath::ReplaySpec> specs = {
         fastpath::lruSpec(),
@@ -311,8 +311,6 @@ TEST(BatchedEquiv, RripFamilyEvaluateAllMatchesEvaluate)
             << i;
 }
 
-#ifndef GIPPR_DISABLE_TELEMETRY
-
 TEST(BatchedEquiv, MemoServesRepeatsWithoutReplaying)
 {
     telemetry::MetricRegistry registry;
@@ -420,8 +418,6 @@ TEST(BatchedEquiv, DuelSetSelectionReusesCachedSpeedups)
     EXPECT_EQ(duel.size(), 4u);
     EXPECT_EQ(replays.value(), replays_after_eval);
 }
-
-#endif // GIPPR_DISABLE_TELEMETRY
 
 TEST(BatchedEquiv, SameSeedReportsAreByteIdenticalBatchOnOrOff)
 {

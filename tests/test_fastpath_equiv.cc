@@ -37,6 +37,7 @@
 #include "core/vectors.hh"
 #include "sim/fastpath/engine.hh"
 #include "sim/fastpath/hierarchy.hh"
+#include "sim/fastpath/scalar_model.hh"
 #include "sim/fastpath/soa_cache.hh"
 #include "trace/trace.hh"
 #include "util/rng.hh"
@@ -481,6 +482,43 @@ TEST(FastpathEquiv, EnginesAgreeWithFullTraceWarmupEdge)
                 << spec.name() << " warmup " << warmup << ":\n"
                 << want.toString() << "\nvs\n" << got.toString();
         }
+    }
+}
+
+TEST(FastpathEquiv, ScalarModelStepsMatchPackedModel)
+{
+    // The twins' (set, tag) access, access by access, then their
+    // stats — both banks across a mid-stream warmup, and duel state.
+    const CacheConfig cfg = smallLlc();
+    for (const fastpath::ReplaySpec &spec : coreSpecs()) {
+        fastpath::SoaCacheModel packed(spec, cfg);
+        fastpath::ScalarModel scalar(spec, cfg);
+        Rng rng(0x7a1e);
+        for (int i = 0; i < 50'000; ++i) {
+            if (i == 20'000) {
+                packed.markWarmup();
+                scalar.markWarmup();
+            }
+            const uint64_t set = rng.nextBounded(cfg.sets());
+            const uint64_t tag = rng.nextBounded(3 * cfg.assoc);
+            const uint64_t roll = rng.nextBounded(10);
+            const AccessType type = roll < 7   ? AccessType::Load
+                                    : roll < 9 ? AccessType::Store
+                                               : AccessType::Writeback;
+            const fastpath::SoaCacheModel::Step a =
+                packed.access(set, tag, type);
+            const fastpath::ScalarModel::Step b =
+                scalar.access(set, tag, type);
+            ASSERT_EQ(a.hit, b.hit) << spec.name() << " access " << i;
+            ASSERT_EQ(a.way, b.way) << spec.name() << " access " << i;
+            ASSERT_EQ(a.evicted, b.evicted) << spec.name() << " access " << i;
+            ASSERT_EQ(a.evictedDirty, b.evictedDirty)
+                << spec.name() << " access " << i;
+            ASSERT_EQ(a.evictedTag, b.evictedTag)
+                << spec.name() << " access " << i;
+        }
+        EXPECT_EQ(packed.stats(), scalar.stats()) << spec.name();
+        EXPECT_EQ(packed.cacheStats(), scalar.cacheStats()) << spec.name();
     }
 }
 

@@ -15,8 +15,8 @@
  *     boundary.  This is what makes the multicore mode a strict
  *     generalization of the single-core experiments.
  *  3. The scalar-vs-fast differential oracle: the packed
- *     fastpath::SoaCacheModel and ScalarLlc (SetAssocCache + the
- *     production policy object) take one random shared-access stream
+ *     fastpath::SoaCacheModel and its scalar twin ScalarModel
+ *     (SetAssocCache + the production policy object) take one random shared-access stream
  *     and must return the same Step on every access, and on real 2-
  *     and 4-core mixes they replay the identical interleaved stream
  *     and must agree on every core's full statistics (counters, duel
@@ -42,6 +42,7 @@
 #include "core/vectors.hh"
 #include "sim/fastpath/engine.hh"
 #include "sim/fastpath/hierarchy.hh"
+#include "sim/fastpath/scalar_model.hh"
 #include "sim/fastpath/soa_cache.hh"
 #include "sim/multicore/engine.hh"
 #include "sim/multicore/fairness.hh"
@@ -555,7 +556,7 @@ TEST(MulticoreOracle, SharedAccessStepsMatch)
             const std::string label =
                 name + "/" + std::to_string(llc.assoc) + "w";
             fastpath::SoaCacheModel fast(spec, llc, kCores);
-            ScalarLlc scalar(spec, llc, kCores);
+            fastpath::ScalarModel scalar(spec, llc, kCores);
             Rng rng(0x5ca1ab1e);
             const std::vector<uint64_t> *masks = &splits[0];
             for (int i = 0; i < 100'000; ++i) {
@@ -571,7 +572,7 @@ TEST(MulticoreOracle, SharedAccessStepsMatch)
                                                    : AccessType::Writeback;
                 const fastpath::SoaCacheModel::Step a =
                     fast.access(set, tag, type, core, (*masks)[core]);
-                const ScalarLlc::Step b =
+                const fastpath::ScalarModel::Step b =
                     scalar.access(set, tag, type, core, (*masks)[core]);
                 ASSERT_EQ(a.hit, b.hit) << label << " access " << i;
                 ASSERT_EQ(a.way, b.way) << label << " access " << i;

@@ -1,13 +1,15 @@
 /**
  * @file
  * Tests for the whole-system simulation entry points: simulateTrace's
- * packed LLC gives the scalar LLC's results bit for bit, and a warmup
- * fraction outside [0, 1] is fatal.
+ * packed LLC gives the scalar LLC's results bit for bit, spec-less
+ * LLC policies keep pinned results, and a warmup fraction outside
+ * [0, 1] is fatal.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -112,6 +114,66 @@ TEST(System, PackedLlcMatchesScalarLlc)
     const CacheConfig llc128{"LLC", 1024 * 1024, 128, 64};
     for (const PolicyDef &def : {lruDef(), plruDef(), drripDef(), pdpDef()})
         expectSameResults(def, llc128, traces, false);
+}
+
+uint64_t
+fnv1a(uint64_t h, uint64_t v)
+{
+    for (size_t i = 0; i < sizeof(v); ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+uint64_t
+fnv1a(uint64_t h, double v)
+{
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return fnv1a(h, bits);
+}
+
+TEST(System, SpecLessLlcResultsPinned)
+{
+    // Golden digest of simulateTrace for LLC policies with no fast
+    // spec (they run on the scalar model): IPC, cycles and every LLC
+    // statistic, on three members of the pinned suite at a 32KB
+    // 16-way LLC.
+    SuiteParams suite_params;
+    suite_params.llcBlocks = 256;
+    suite_params.accessesPerSimpoint = 2000;
+    suite_params.baseSeed = 0x5eed;
+    const SyntheticSuite suite(suite_params);
+    SystemParams params;
+    params.hier.l1 = {"L1", 4 * 1024, 8, 64};
+    params.hier.l2 = {"L2", 8 * 1024, 8, 64};
+    params.hier.llc = {"LLC", 32 * 1024, 16, 64};
+    uint64_t h = 0xcbf29ce484222325ull;
+    uint64_t bypasses = 0;
+    for (const char *name : {"loop_thrash", "zipf_hot", "hotcold_scan"}) {
+        const Workload w = SyntheticSuite::materialize(suite.spec(name));
+        for (const char *policy : {"Random", "SHiP", "BGIPPR"}) {
+            const PolicyDef def = policyByName(policy);
+            ASSERT_FALSE(def.fastSpec.has_value()) << policy;
+            for (const Simpoint &sp : w.simpoints()) {
+                const SimResult r =
+                    simulateTrace(*sp.trace, def.make, params);
+                h = fnv1a(h, r.ipc);
+                h = fnv1a(h, r.cycles);
+                const CacheStats &s = r.llcStats;
+                for (uint64_t v : {s.accesses, s.hits, s.misses,
+                                   s.evictions, s.writebacks, s.bypasses,
+                                   s.demandAccesses, s.demandMisses})
+                    h = fnv1a(h, v);
+                if (std::string(policy) == "BGIPPR")
+                    bypasses += s.bypasses;
+            }
+        }
+    }
+    EXPECT_GT(bypasses, 0u);
+    constexpr uint64_t kGolden = 0x1e595053cdf74a21ull;
+    EXPECT_EQ(h, kGolden) << std::hex << h;
 }
 
 TEST(SystemDeathTest, WarmupFractionOutsideUnitIntervalIsFatal)

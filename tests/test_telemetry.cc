@@ -31,8 +31,6 @@ using telemetry::PhaseTimings;
 using telemetry::RunReport;
 using telemetry::ScopedTimer;
 
-#ifndef GIPPR_DISABLE_TELEMETRY
-
 // ---------------------------------------------------------------- metrics
 
 TEST(MetricRegistry, CounterSemantics)
@@ -143,8 +141,6 @@ TEST(MetricRegistry, SnapshotShape)
     EXPECT_DOUBLE_EQ(h.at("count").asNumber(), 1.0);
     EXPECT_DOUBLE_EQ(h.at("sum").asNumber(), 0.25);
 }
-
-#endif // GIPPR_DISABLE_TELEMETRY
 
 // ------------------------------------------------------------------ json
 
@@ -276,10 +272,8 @@ TEST(RunReport, JsonRoundTrip)
     EXPECT_DOUBLE_EQ(t.at("rows").at(0).at("values").at(1).asNumber(),
                      1.25);
     EXPECT_EQ(parsed.at("phases").at(0).at("name").asString(), "replay");
-#ifndef GIPPR_DISABLE_TELEMETRY
     EXPECT_DOUBLE_EQ(parsed.at("metrics").at("llc.LRU.hits").asNumber(),
                      10.0);
-#endif
 }
 
 TEST(RunReport, WriteFileRoundTrip)
