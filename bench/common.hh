@@ -2,8 +2,9 @@
  * @file
  * Shared infrastructure for the figure/table benches.
  *
- * Every bench binary regenerates one of the paper's tables or figures
- * on the synthetic suite (see DESIGN.md for the per-experiment index).
+ * Every bench binary regenerates one or more of the paper's tables or
+ * figures on the synthetic suite (see DESIGN.md for the per-experiment
+ * index).
  * Scale is controlled by the GIPPR_BENCH_SCALE environment variable:
  *   quick (default) — minutes-long total runtime for the whole bench
  *                     directory; reduced traces and search budgets
@@ -25,14 +26,14 @@
 namespace gippr::bench
 {
 
-/** Bench scale knobs resolved from the environment. */
+/** Bench scale knobs; resolveScale() sets every one of them. */
 struct Scale
 {
     bool quick = true;
     /** CPU references per simpoint. */
-    uint64_t accessesPerSimpoint = 300'000;
+    uint64_t accessesPerSimpoint;
     /** Samples for the random design-space exploration (Fig. 1). */
-    size_t randomSamples = 1500;
+    size_t randomSamples;
     /** GA parameters for vector-evolution benches. */
     GaParams ga;
     /** Worker threads. */
@@ -71,11 +72,11 @@ fitnessWorkloads(const SyntheticSuite &suite,
  * a no-op and the bench behaves exactly as before.
  *
  *   int main(int argc, char **argv) {
- *       Session session(argc, argv, "fig10_mpki_gippr");
+ *       Session session(argc, argv, "abl_vectors");
  *       Scale scale = resolveScale();
  *       ExperimentConfig cfg = session.experimentConfig(scale);
  *       ...
- *       session.addResult("fig10", r);
+ *       session.addResult("abl_vectors", r);
  *       session.emit();
  *   }
  */
