@@ -16,13 +16,10 @@
 #include <cstdio>
 #include <map>
 
-#include "cache/replay.hh"
 #include "common.hh"
-#include "core/dgippr.hh"
-#include "core/gippr.hh"
 #include "core/vectors.hh"
 #include "ga/genetic.hh"
-#include "policies/lru.hh"
+#include "sim/policy_zoo.hh"
 #include "util/stats.hh"
 
 using namespace gippr;
@@ -70,26 +67,24 @@ double
 speedupOn(const CacheConfig &llc, const WorkloadTraces &w,
           const std::vector<Ipv> &set)
 {
+    const PolicyDef policies[] = {
+        lruDef(), set.size() == 1 ? gipprDef("GIPPR", set[0])
+                                  : dgipprDef("DGIPPR", set, 32)};
     std::vector<double> speedups;
     CpiModel model;
     for (const auto &ft : w.traces) {
         size_t warmup = ft.llcTrace->size() / 3;
         uint64_t inst = ft.instructions * 2 / 3;
-        auto run = [&](std::unique_ptr<ReplacementPolicy> policy) {
-            SetAssocCache cache(llc, std::move(policy));
-            replayTrace(cache, *ft.llcTrace, warmup);
-            double mpi = inst ? static_cast<double>(
-                                    cache.stats().demandMisses) /
+        const std::vector<fastpath::CounterBank> measured =
+            replayPolicies(policies, llc, *ft.llcTrace, warmup,
+                           fastpath::defaultReplayEngine());
+        auto cpi = [&](const fastpath::CounterBank &c) {
+            double mpi = inst ? static_cast<double>(c.demandMisses) /
                                     static_cast<double>(inst)
                               : 0.0;
             return model.baseCpi + model.missPenalty * mpi;
         };
-        double cpi_lru = run(std::make_unique<LruPolicy>(llc));
-        double cpi_set =
-            set.size() == 1
-                ? run(std::make_unique<GipprPolicy>(llc, set[0]))
-                : run(std::make_unique<DgipprPolicy>(llc, set));
-        speedups.push_back(cpi_lru / cpi_set);
+        speedups.push_back(cpi(measured[0]) / cpi(measured[1]));
     }
     return mean(speedups);
 }

@@ -64,15 +64,13 @@ missRowFor(const WorkloadSpec &spec,
             inst = 1;
 
         telemetry::ScopedTimer replay_timer(config.timings, "replay");
-        for (size_t p = 0; p < policies.size(); ++p) {
-            const uint64_t demand_misses =
-                replayPolicy(policies[p], hier.llc, llc_trace, warmup,
-                             engine, config.registry)
-                    .demandMisses;
+        const std::vector<fastpath::CounterBank> measured =
+            replayPolicies(policies, hier.llc, llc_trace, warmup, engine,
+                           config.registry);
+        for (size_t p = 0; p < policies.size(); ++p)
             per_simpoint[p].push_back(
-                1000.0 * static_cast<double>(demand_misses) /
+                1000.0 * static_cast<double>(measured[p].demandMisses) /
                 static_cast<double>(inst));
-        }
         if (config.includeMin) {
             uint64_t min_misses =
                 runMinMisses(hier.llc, llc_trace, warmup);

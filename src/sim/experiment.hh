@@ -55,8 +55,9 @@ struct ExperimentConfig
     telemetry::PhaseTimings *timings = nullptr;
     /**
      * Replay engine for miss experiments.  Policies with a fastSpec
-     * replay through it; policies without one always use the scalar
-     * simulator (see replayPolicy).  Null means defaultReplayEngine().
+     * replay through it, batched per simpoint; policies without one
+     * always use the scalar simulator (see replayPolicies).  Null
+     * means defaultReplayEngine().
      */
     const fastpath::ReplayEngine *replayEngine = nullptr;
     /**

@@ -153,6 +153,9 @@ class FastReplayEngine : public ReplayEngine
      * batch never shards, whatever shards() is.  Unsupported specs
      * fall back to scalar one at a time; results are bit-identical to
      * per-spec replay() for any batch composition and shard count.
+     * Callers: the GA's fitness batches (FitnessEvaluator) and
+     * replayPolicies(), which serves the miss experiment's columns
+     * and the selector's static oracle.
      */
     std::vector<ReplayStats>
     replayMany(std::span<const ReplaySpec> specs,

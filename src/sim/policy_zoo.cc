@@ -239,24 +239,40 @@ policyByName(const std::string &text)
     fatal("unknown policy name: " + text);
 }
 
-fastpath::CounterBank
-replayPolicy(const PolicyDef &policy, const CacheConfig &llc,
-             const Trace &trace, size_t warmup,
-             const fastpath::ReplayEngine &engine,
-             telemetry::MetricRegistry *registry)
+std::vector<fastpath::CounterBank>
+replayPolicies(std::span<const PolicyDef> policies, const CacheConfig &llc,
+               const Trace &trace, size_t warmup,
+               const fastpath::ReplayEngine &engine,
+               telemetry::MetricRegistry *registry)
 {
-    const std::string prefix = "llc." + policy.name;
-    if (policy.fastSpec) {
-        const fastpath::ReplayStats stats =
-            engine.replay(*policy.fastSpec, llc, trace, warmup);
+    std::vector<fastpath::ReplaySpec> specs;
+    for (const PolicyDef &policy : policies)
+        if (policy.fastSpec)
+            specs.push_back(*policy.fastSpec);
+    const std::vector<fastpath::ReplayStats> batched =
+        engine.replayMany(specs, llc, trace, warmup);
+
+    // Registry writes follow list order, as one replay per policy
+    // would make them.
+    std::vector<fastpath::CounterBank> out;
+    out.reserve(policies.size());
+    size_t next = 0;
+    for (const PolicyDef &policy : policies) {
+        const std::string prefix = "llc." + policy.name;
+        if (policy.fastSpec) {
+            const fastpath::ReplayStats &stats = batched[next++];
+            if (registry)
+                mirrorTelemetry(*registry, prefix, stats);
+            out.push_back(stats.measured);
+            continue;
+        }
+        fastpath::ScalarModel model(llc, policy.make(llc));
         if (registry)
-            mirrorTelemetry(*registry, prefix, stats);
-        return stats.measured;
+            model.attachTelemetry(*registry, prefix);
+        out.push_back(
+            fastpath::replayInOrder(model, trace, warmup).measured);
     }
-    fastpath::ScalarModel model(llc, policy.make(llc));
-    if (registry)
-        model.attachTelemetry(*registry, prefix);
-    return fastpath::replayInOrder(model, trace, warmup).measured;
+    return out;
 }
 
 } // namespace gippr

@@ -11,6 +11,7 @@
 #define GIPPR_SIM_POLICY_ZOO_HH_
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,7 +34,7 @@ struct PolicyDef
      * this spec's scalar object.  The recency, tree and RRIP
      * families and PDP have one; policies without one (Random, FIFO,
      * DIP, SHiP, B-GIPPR) always replay on the scalar simulator; see
-     * replayPolicy().
+     * replayPolicies().
      */
     std::optional<fastpath::ReplaySpec> fastSpec;
 };
@@ -74,20 +75,21 @@ PolicyDef rripIpvDef(const std::string &name, const Ipv &ipv);
 PolicyDef policyByName(const std::string &text);
 
 /**
- * Replay @p trace under @p policy on an @p llc cache; records with
- * index >= @p warmup are measured (the replayTrace convention).  A
- * policy with a fastSpec replays through @p engine, any other on a
- * SetAssocCache built by its factory.  With @p registry set, the
- * whole-trace counters (and DGIPPR's duel state) land under
+ * Replay @p trace under every policy in @p policies on an @p llc
+ * cache; records with index >= @p warmup are measured (the
+ * replayTrace convention).  Every policy with a fastSpec replays in
+ * one ReplayEngine::replayMany() pass through @p engine, so the trace
+ * is decoded once for all of them; any other policy replays on a
+ * SetAssocCache built by its factory.  With @p registry set, each
+ * policy's whole-trace counters (and DGIPPR's duel state) land under
  * "llc.<name>.*" identically on either path.  Returns the measured
- * counters.
+ * counters, index-aligned with @p policies.
  */
-fastpath::CounterBank replayPolicy(const PolicyDef &policy,
-                                   const CacheConfig &llc,
-                                   const Trace &trace, size_t warmup,
-                                   const fastpath::ReplayEngine &engine,
-                                   telemetry::MetricRegistry *registry =
-                                       nullptr);
+std::vector<fastpath::CounterBank>
+replayPolicies(std::span<const PolicyDef> policies, const CacheConfig &llc,
+               const Trace &trace, size_t warmup,
+               const fastpath::ReplayEngine &engine,
+               telemetry::MetricRegistry *registry = nullptr);
 
 } // namespace gippr
 

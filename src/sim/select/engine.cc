@@ -405,11 +405,12 @@ staticOracle(const std::vector<PolicyDef> &library,
     // byte-comparable).
     const fastpath::ReplayEngine &engine =
         multicore::replayEngineFor(backend);
+    const std::vector<fastpath::CounterBank> measured =
+        replayPolicies(library, llc, trace, warmup, engine);
     std::vector<StaticOracleRow> rows;
     rows.reserve(library.size());
-    for (const PolicyDef &def : library)
-        rows.push_back(
-            {def.name, replayPolicy(def, llc, trace, warmup, engine)});
+    for (size_t i = 0; i < library.size(); ++i)
+        rows.push_back({library[i].name, measured[i]});
     return rows;
 }
 

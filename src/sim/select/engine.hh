@@ -80,8 +80,9 @@ struct StaticOracleRow
 };
 
 /**
- * Replay @p trace statically under every arm of @p library (via the
- * replay engines; arms without a fast spec go through the scalar
+ * Replay @p trace statically under every arm of @p library in one
+ * replayPolicies() call (the packed arms batched through the
+ * backend's engine; arms without a fast spec go through the scalar
  * simulator on either backend).
  */
 std::vector<StaticOracleRow>

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <sstream>
 #include <string>
 
+#include "core/vectors.hh"
 #include "sim/experiment.hh"
+#include "sim/fastpath/scalar_model.hh"
 
 namespace gippr
 {
@@ -229,6 +232,83 @@ TEST(MissExperiment, PackedReplayMirrorsScalarTelemetry)
         for (size_t i = 0; i < c.rows.size(); ++i)
             EXPECT_EQ(c.rows[i].values, d.rows[i].values)
                 << name << " " << c.rows[i].workload;
+    }
+}
+
+/**
+ * A mixed column list at @p assoc ways: five packed specs and four
+ * spec-less policies, interleaved.  16 ways take the shipped vectors;
+ * other widths take vectors of their own arity.
+ */
+std::vector<PolicyDef>
+mixedColumns(unsigned assoc)
+{
+    const Ipv gippr = assoc == 16 ? local_vectors::gippr()
+                                  : Ipv::parse("0 0 1 0 3 0 1 2 6");
+    const std::vector<Ipv> four =
+        assoc == 16 ? local_vectors::dgippr4()
+                    : std::vector<Ipv>{Ipv::lru(assoc),
+                                       Ipv::lruInsertion(assoc), gippr,
+                                       Ipv::parse("0 1 0 2 1 4 3 5 7")};
+    return {lruDef(),
+            randomDef(),
+            plruDef(),
+            shipDef(),
+            gipprDef("GIPPR", gippr),
+            dgipprDef("4-DGIPPR", four),
+            drripDef(),
+            pdpDef(),
+            bypassGipprDef("B-GIPPR", gippr)};
+}
+
+TEST(MissExperiment, BatchedColumnsMatchPerPolicyReplay)
+{
+    // replayPolicies batches the specs through one replayMany pass and
+    // replays the rest on ScalarModel.  Each column must equal its
+    // policy replayed alone, on a 16-way LLC (the paired AVX2 kernel
+    // where the host has it) and an 8-way one (the generic loop), at
+    // three warmups; and the registry must read as if the policies had
+    // replayed one at a time.
+    const ExperimentConfig cfg = tinyConfig();
+    const SyntheticSuite suite(tinySuite());
+    LlcTraceCache traces;
+    const auto entries =
+        traces.get(suite.spec("mix_zipfscan"), cfg.system.hier, nullptr);
+    const Trace &trace = *entries->front().demandTrace;
+    ASSERT_GT(trace.size(), 1000u);
+    const fastpath::ReplayEngine &engine = fastpath::defaultReplayEngine();
+
+    for (unsigned assoc : {16u, 8u}) {
+        const CacheConfig llc = {"LLC", 32 * 1024, assoc, 64};
+        const std::vector<PolicyDef> policies = mixedColumns(assoc);
+        for (size_t warmup : {size_t{0}, trace.size() / 3, trace.size()}) {
+            telemetry::MetricRegistry batched_reg;
+            const std::vector<fastpath::CounterBank> got = replayPolicies(
+                policies, llc, trace, warmup, engine, &batched_reg);
+            ASSERT_EQ(got.size(), policies.size());
+            telemetry::MetricRegistry single_reg;
+            for (size_t p = 0; p < policies.size(); ++p) {
+                const PolicyDef &def = policies[p];
+                fastpath::CounterBank want;
+                if (def.fastSpec) {
+                    want = engine.replay(*def.fastSpec, llc, trace, warmup)
+                               .measured;
+                } else {
+                    fastpath::ScalarModel model(llc, def.make(llc));
+                    want =
+                        fastpath::replayInOrder(model, trace, warmup)
+                            .measured;
+                }
+                EXPECT_EQ(got[p], want)
+                    << def.name << " assoc " << assoc << " warmup "
+                    << warmup;
+                replayPolicies(std::span(&def, 1), llc, trace, warmup,
+                               engine, &single_reg);
+            }
+            EXPECT_EQ(batched_reg.snapshot().dump(),
+                      single_reg.snapshot().dump())
+                << "assoc " << assoc << " warmup " << warmup;
+        }
     }
 }
 

@@ -20,6 +20,7 @@
 
 #include "cache/config.hh"
 #include "sim/fastpath/engine.hh"
+#include "sim/fastpath/scalar_model.hh"
 #include "sim/multicore/mix.hh"
 #include "sim/multicore/schedule.hh"
 #include "sim/select/engine.hh"
@@ -173,8 +174,45 @@ TEST(Select, SpecLessArmRunsScalarAndSeesPcs)
                                                *trace, warmup);
     const fastpath::ReplayEngine &engine = fastpath::defaultReplayEngine();
     EXPECT_EQ(res.measured,
-              replayPolicy(lib[0], llc, *trace, warmup, engine));
-    EXPECT_EQ(res.total, replayPolicy(lib[0], llc, *trace, 0, engine));
+              replayPolicies(lib, llc, *trace, warmup, engine).at(0));
+    EXPECT_EQ(res.total, replayPolicies(lib, llc, *trace, 0, engine).at(0));
+}
+
+TEST(Select, StaticOracleMixedLibraryMatchesPerArmReplay)
+{
+    // The static oracle replays a library in one batched call: packed
+    // arms through the backend's engine in one pass, spec-less arms on
+    // ScalarModel.  Every row must equal its arm replayed alone, under
+    // both backends.
+    const auto trace = rawTrace("ps_loop_zipf");
+    const size_t warmup = warmupOf(*trace);
+    const CacheConfig llc = llcCfg();
+    const std::vector<PolicyDef> lib =
+        select::parseLibrary("LRU,SHiP,GIPPR,Random,DGIPPR4,PLRU,DRRIP,"
+                             "BGIPPR,PDP");
+    const fastpath::ScalarReplayEngine scalar;
+    for (Backend backend : {Backend::Fast, Backend::Scalar}) {
+        const fastpath::ReplayEngine &engine =
+            backend == Backend::Fast ? fastpath::defaultReplayEngine()
+                                     : scalar;
+        const std::vector<StaticOracleRow> rows =
+            select::staticOracle(lib, llc, *trace, warmup, backend);
+        ASSERT_EQ(rows.size(), lib.size());
+        for (size_t i = 0; i < lib.size(); ++i) {
+            fastpath::CounterBank want;
+            if (lib[i].fastSpec) {
+                want = engine.replay(*lib[i].fastSpec, llc, *trace, warmup)
+                           .measured;
+            } else {
+                fastpath::ScalarModel model(llc, lib[i].make(llc));
+                want = fastpath::replayInOrder(model, *trace, warmup)
+                           .measured;
+            }
+            EXPECT_EQ(rows[i].name, lib[i].name);
+            EXPECT_EQ(rows[i].measured, want)
+                << lib[i].name << " backend " << engine.name();
+        }
+    }
 }
 
 TEST(Select, DeterministicSameSeedByteIdenticalReports)
