@@ -125,17 +125,14 @@ fitnessWorkloads(const SyntheticSuite &suite,
     std::vector<std::string> selected = names;
     if (selected.empty())
         selected = suite.names();
-    std::vector<WorkloadTraces> out;
-    out.reserve(selected.size());
-    for (const std::string &name : selected) {
-        Workload w = SyntheticSuite::materialize(suite.spec(name));
-        WorkloadTraces wt;
-        wt.name = name;
+    // The workloads are independent; each slot keeps input order.
+    std::vector<WorkloadTraces> out(selected.size());
+    parallelFor(selected.size(), resolveThreads(0), [&](size_t i) {
         std::vector<Workload> single;
-        single.push_back(std::move(w));
-        wt.traces = buildFitnessTraces(single, sys.hier);
-        out.push_back(std::move(wt));
-    }
+        single.push_back(SyntheticSuite::materialize(suite.spec(selected[i])));
+        out[i].name = selected[i];
+        out[i].traces = buildFitnessTraces(single, sys.hier);
+    });
     return out;
 }
 

@@ -55,7 +55,8 @@ ExperimentConfig experimentConfig(const Scale &scale);
 /**
  * Build fitness traces for GA-driven benches: one FitnessTrace per
  * simpoint of the selected workloads, filtered through L1+L2.  When
- * names is empty, the whole suite is used.
+ * names is empty, the whole suite is used.  The workloads build
+ * concurrently on resolveThreads(0) workers and return in input order.
  */
 std::vector<WorkloadTraces>
 fitnessWorkloads(const SyntheticSuite &suite,

@@ -59,18 +59,21 @@ evolveSets(const FitnessEvaluator &fitness, const GaParams &params)
 }
 
 /**
- * Estimated speedup over LRU of a vector set on one workload,
+ * Estimated speedup over LRU of each vector set on one workload,
  * using the fitness function's linear CPI model (single vector ->
- * GIPPR; multiple -> DGIPPR duel).
+ * GIPPR; multiple -> DGIPPR duel).  Each trace replays LRU and every
+ * set in one replayPolicies pass.
  */
-double
-speedupOn(const CacheConfig &llc, const WorkloadTraces &w,
-          const std::vector<Ipv> &set)
+std::vector<double>
+speedupsOn(const CacheConfig &llc, const WorkloadTraces &w,
+           const std::vector<std::vector<Ipv>> &sets)
 {
-    const PolicyDef policies[] = {
-        lruDef(), set.size() == 1 ? gipprDef("GIPPR", set[0])
-                                  : dgipprDef("DGIPPR", set, 32)};
-    std::vector<double> speedups;
+    std::vector<PolicyDef> policies = {lruDef()};
+    for (const std::vector<Ipv> &set : sets)
+        policies.push_back(set.size() == 1
+                               ? gipprDef("GIPPR", set[0])
+                               : dgipprDef("DGIPPR", set, 32));
+    std::vector<std::vector<double>> speedups(sets.size());
     CpiModel model;
     for (const auto &ft : w.traces) {
         size_t warmup = ft.llcTrace->size() / 3;
@@ -84,9 +87,13 @@ speedupOn(const CacheConfig &llc, const WorkloadTraces &w,
                               : 0.0;
             return model.baseCpi + model.missPenalty * mpi;
         };
-        speedups.push_back(cpi(measured[0]) / cpi(measured[1]));
+        for (size_t k = 0; k < sets.size(); ++k)
+            speedups[k].push_back(cpi(measured[0]) / cpi(measured[k + 1]));
     }
-    return mean(speedups);
+    std::vector<double> out;
+    for (const std::vector<double> &s : speedups)
+        out.push_back(mean(s));
+    return out;
 }
 
 } // namespace
@@ -149,12 +156,16 @@ main(int argc, char **argv)
     std::vector<std::vector<double>> columns(6);
     for (const auto &w : workloads) {
         table.newRow().add(w.name);
+        // The table's column order: WN1 then WI per set size.
+        std::vector<std::vector<Ipv>> sets;
         for (size_t cfg_idx = 0; cfg_idx < 3; ++cfg_idx) {
-            double wn = speedupOn(llc, w, wn_sets[w.name][cfg_idx]);
-            double wi = speedupOn(llc, w, wi_sets[cfg_idx]);
-            table.add(wn, 4).add(wi, 4);
-            columns[cfg_idx * 2].push_back(wn);
-            columns[cfg_idx * 2 + 1].push_back(wi);
+            sets.push_back(wn_sets[w.name][cfg_idx]);
+            sets.push_back(wi_sets[cfg_idx]);
+        }
+        const std::vector<double> speedups = speedupsOn(llc, w, sets);
+        for (size_t c = 0; c < speedups.size(); ++c) {
+            table.add(speedups[c], 4);
+            columns[c].push_back(speedups[c]);
         }
     }
     table.newRow().add("geomean");

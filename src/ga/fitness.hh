@@ -105,9 +105,10 @@ class FitnessEvaluator
      * a time (ReplayEngine::replayMany) and memoized on (family,
      * canonical IPV bytes, trace-set digest) so duplicate children,
      * carried-over elites and duel-set candidates never pay a second
-     * replay.  @p threads as in parallelFor (0 = hardware, <= 1
-     * inline); the work items are (genome-batch, trace) pairs.
-     * Returns the same values evaluate() would, index-aligned.
+     * replay.  @p threads as in resolveThreads (0 = the CPUs the
+     * process may run on, <= 1 inline); the work items are
+     * (genome-batch, trace) pairs.  Returns the same values
+     * evaluate() would, index-aligned.
      */
     std::vector<double> evaluateAll(std::span<const Ipv> ipvs,
                                     IpvFamily family,

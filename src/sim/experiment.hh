@@ -39,7 +39,8 @@ namespace gippr
 struct ExperimentConfig
 {
     SystemParams system;
-    /** Worker threads (workload-level parallelism); 0 = hardware. */
+    /** Worker threads (workload-level parallelism); 0 = the CPUs the
+     *  process may run on (resolveThreads). */
     unsigned threads = 0;
     /** Append a Belady MIN column (miss experiments only). */
     bool includeMin = false;

@@ -135,7 +135,7 @@ class FastReplayEngine : public ReplayEngine
   public:
     /**
      * @param shards set-space partitions; 1 = no threading, 0 = one
-     *               per hardware thread
+     *               per CPU the process may run on (resolveThreads)
      */
     explicit FastReplayEngine(unsigned shards = 1);
 

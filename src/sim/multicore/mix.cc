@@ -9,6 +9,7 @@
 
 #include "util/check.hh"
 #include "util/log.hh"
+#include "util/parallel.hh"
 
 namespace gippr::multicore
 {
@@ -135,9 +136,16 @@ buildCoreStreams(const MixSpec &mix, const SyntheticSuite &suite,
     std::vector<WorkloadSpec> ps;
     bool ps_built = false;
 
-    std::vector<CoreStream> streams;
-    streams.reserve(mix.tenants.size());
+    // One cut spec per distinct workload; slot[i] is tenant i's.
+    std::vector<WorkloadSpec> distinct;
+    std::vector<size_t> slot;
+    slot.reserve(mix.tenants.size());
     for (const TenantSpec &t : mix.tenants) {
+        const WorkloadSpec *seen = findSpec(distinct, t.workload);
+        if (seen != nullptr) {
+            slot.push_back(static_cast<size_t>(seen - distinct.data()));
+            continue;
+        }
         const WorkloadSpec *spec = findSpec(suite.specs(), t.workload);
         if (spec == nullptr) {
             if (!kv_built) {
@@ -164,7 +172,29 @@ buildCoreStreams(const MixSpec &mix, const SyntheticSuite &suite,
         GIPPR_CHECK(!spec->simpoints.empty());
         WorkloadSpec first = *spec;
         first.simpoints.resize(1);
-        auto entries = tc.get(first, hier, nullptr);
+        slot.push_back(distinct.size());
+        distinct.push_back(std::move(first));
+    }
+
+    // The distinct streams are independent, and get() builds outside
+    // its lock, so they build concurrently.
+    std::vector<std::shared_ptr<const LlcTraceCache::Entries>> built(
+        distinct.size());
+    parallelFor(distinct.size(), resolveThreads(0), [&](size_t d) {
+        built[d] = tc.get(distinct[d], hier, nullptr);
+    });
+
+    std::vector<CoreStream> streams;
+    streams.reserve(mix.tenants.size());
+    std::vector<bool> returned(distinct.size(), false);
+    for (size_t i = 0; i < mix.tenants.size(); ++i) {
+        const TenantSpec &t = mix.tenants[i];
+        const size_t d = slot[i];
+        // A repeated tenant looks its stream up again, a hit, so the
+        // cache counts one lookup per tenant as a serial loop would.
+        auto entries = returned[d] ? tc.get(distinct[d], hier, nullptr)
+                                   : built[d];
+        returned[d] = true;
         const LlcTraceCache::Entry &e = entries->front();
         CoreStream cs;
         cs.workload = t.workload;

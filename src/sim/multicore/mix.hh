@@ -79,6 +79,12 @@ struct CoreStream
  * @p suite first, then against the KV-cache and phase-shift families
  * built from the suite's params.  @p cache, when non-null, memoizes
  * the filtered traces across calls, keyed by the one-simpoint spec.
+ *
+ * The mix's distinct workloads build concurrently on
+ * resolveThreads(0) workers; the streams return in tenant order, and
+ * tenants naming one workload share one trace.  The cache's counters
+ * read one lookup per tenant, as a serial loop's would: a repeated
+ * tenant is a miss once and a hit after that.
  */
 std::vector<CoreStream> buildCoreStreams(const MixSpec &mix,
                                          const SyntheticSuite &suite,

@@ -12,6 +12,10 @@
 #include <thread>
 #include <vector>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 namespace gippr
 {
 
@@ -20,6 +24,14 @@ resolveThreads(unsigned requested)
 {
     if (requested > 0)
         return requested;
+#ifdef __linux__
+    // The CPUs this process may run on: under taskset or a cpuset,
+    // hardware_concurrency would count the whole machine.
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof set, &set) == 0 && CPU_COUNT(&set) > 0)
+        return static_cast<unsigned>(CPU_COUNT(&set));
+#endif
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 4;
 }

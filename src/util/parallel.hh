@@ -18,8 +18,10 @@ namespace gippr
 {
 
 /**
- * Threads to actually use for @p requested (0 means "hardware
- * concurrency", with a fallback of 4 when that is unknown).
+ * Threads to actually use for @p requested.  0 means the CPUs in the
+ * process's affinity mask (so taskset and cpusets are honoured),
+ * falling back to std::thread::hardware_concurrency() and then to 4
+ * when neither is known.
  */
 unsigned resolveThreads(unsigned requested);
 

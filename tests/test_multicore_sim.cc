@@ -298,6 +298,54 @@ TEST(MulticoreMix, BuildsOnlyTheFirstSimpoint)
     EXPECT_EQ(all->front().instructions, streams[0].instructions);
 }
 
+TEST(MulticoreMix, ConcurrentBuildMatchesSerialPerTenantLookups)
+{
+    HierarchyConfig hier;
+    hier.llc = CacheConfig::benchLlc();
+    // A repeated tenant (with its own weight), then a preset of four
+    // distinct tenants.
+    for (const char *text :
+         {"zipf_hot:3,loop_fit,zipf_hot,stream_pure", "balanced"}) {
+        SCOPED_TRACE(text);
+        const MixSpec mix = parseMixSpec(text, 4);
+        LlcTraceCache cache;
+        const std::vector<CoreStream> streams =
+            buildCoreStreams(mix, testSuite(), hier, &cache);
+        ASSERT_EQ(streams.size(), mix.tenants.size());
+
+        // The serial reference: one lookup per tenant, in order.
+        LlcTraceCache serial;
+        for (size_t i = 0; i < streams.size(); ++i) {
+            const TenantSpec &t = mix.tenants[i];
+            WorkloadSpec first = testSuite().spec(t.workload);
+            first.simpoints.resize(1);
+            const auto ref = serial.get(first, hier, nullptr);
+            EXPECT_EQ(streams[i].workload, t.workload);
+            EXPECT_EQ(streams[i].weight, t.weight);
+            EXPECT_EQ(streams[i].instructions, ref->front().instructions);
+            EXPECT_EQ(streams[i].trace->records(),
+                      ref->front().demandTrace->records());
+            for (size_t j = 0; j < i; ++j) {
+                if (mix.tenants[j].workload == t.workload)
+                    EXPECT_EQ(streams[j].trace, streams[i].trace);
+                else
+                    EXPECT_NE(streams[j].trace, streams[i].trace);
+            }
+        }
+        EXPECT_EQ(cache.hits(), serial.hits());
+        EXPECT_EQ(cache.misses(), serial.misses());
+
+        // Built again over the same cache, every tenant is a hit.
+        const uint64_t hits = cache.hits();
+        const std::vector<CoreStream> again =
+            buildCoreStreams(mix, testSuite(), hier, &cache);
+        EXPECT_EQ(cache.hits(), hits + mix.tenants.size());
+        EXPECT_EQ(cache.misses(), serial.misses());
+        for (size_t i = 0; i < again.size(); ++i)
+            EXPECT_EQ(again[i].trace, streams[i].trace);
+    }
+}
+
 TEST(MulticorePartition, MasksFromCountsAreContiguousAndDisjoint)
 {
     const std::vector<uint64_t> masks = masksFromCounts({8, 4, 2, 2}, 16);

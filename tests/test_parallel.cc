@@ -17,6 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "util/parallel.hh"
 #include "util/rng.hh"
 
@@ -36,6 +40,28 @@ TEST(ResolveThreads, ZeroMeansHardware)
     // Can't know the machine, but the contract is "never zero".
     EXPECT_GE(resolveThreads(0), 1u);
 }
+
+#ifdef __linux__
+TEST(ResolveThreads, ZeroCountsTheAffinityMask)
+{
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    ASSERT_EQ(sched_getaffinity(0, sizeof mask, &mask), 0);
+    EXPECT_EQ(resolveThreads(0), static_cast<unsigned>(CPU_COUNT(&mask)));
+
+    // Narrowed to one CPU (as under taskset -c N), zero means one.
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &mask))
+        ++cpu;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+    const unsigned narrowed = resolveThreads(0);
+    ASSERT_EQ(sched_setaffinity(0, sizeof mask, &mask), 0);
+    EXPECT_EQ(narrowed, 1u);
+}
+#endif
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce)
 {
