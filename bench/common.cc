@@ -66,7 +66,12 @@ resolveScale()
 {
     Scale s;
     const char *env = std::getenv("GIPPR_BENCH_SCALE");
-    s.quick = !(env && std::string(env) == "full");
+    const std::string name = env ? env : "quick";
+    if (name != "quick" && name != "full")
+        fatal("GIPPR_BENCH_SCALE='" + name +
+              "' is not a scale; use quick or full, or leave it unset "
+              "for quick");
+    s.quick = name == "quick";
     if (s.quick) {
         s.accessesPerSimpoint = 300'000;
         s.randomSamples = 800;

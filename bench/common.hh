@@ -10,6 +10,7 @@
  *                     directory; reduced traces and search budgets
  *   full            — larger traces and search budgets, closer to the
  *                     paper's methodology (still laptop-scale)
+ * Any other value is fatal, so a misspelt scale never runs as quick.
  */
 
 #ifndef GIPPR_BENCH_COMMON_HH_

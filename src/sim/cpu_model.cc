@@ -6,73 +6,53 @@
 #include "sim/cpu_model.hh"
 
 #include <algorithm>
+#include <bit>
+
+#include "util/log.hh"
 
 namespace gippr
 {
 
+namespace
+{
+
+/** @p params, once the model can run it. */
+const CpuParams &
+checkedParams(const CpuParams &params)
+{
+    if (params.width == 0)
+        fatal("CpuParams: width must be at least 1 instruction per "
+              "cycle");
+    if (params.mshrs == 0)
+        fatal("CpuParams: mshrs must be at least 1");
+    return params;
+}
+
+} // namespace
+
 CpuModel::CpuModel(CpuParams params)
-    : params_(params)
+    : params_(checkedParams(params)),
+      latency_{0.0, // L1: pipelined into the base issue rate
+               params.latL2, params.latLlc, params.latMemory},
+      ring_(std::bit_ceil(uint64_t{params.mshrs} + 1)),
+      mask_(static_cast<uint32_t>(ring_.size() - 1))
 {
-}
-
-double
-CpuModel::latencyOf(HitLevel level) const
-{
-    switch (level) {
-      case HitLevel::L1:
-        return 0.0; // pipelined into the base issue rate
-      case HitLevel::L2:
-        return params_.latL2;
-      case HitLevel::Llc:
-        return params_.latLlc;
-      case HitLevel::Memory:
-        return params_.latMemory;
-    }
-    return 0.0;
-}
-
-void
-CpuModel::step(uint32_t inst_gap, HitLevel level)
-{
-    // Issue the intervening instructions at full width.
-    instructions_ += inst_gap;
-    totalInstructions_ += inst_gap;
-    const double issue = static_cast<double>(inst_gap) /
-                         static_cast<double>(params_.width);
-    cycles_ += issue;
-
-    // Window constraint: the access cannot issue while an outstanding
-    // access older than robSize instructions is still pending.
-    while (!inflight_.empty()) {
-        const Outstanding &oldest = inflight_.front();
-        bool outside_window =
-            totalInstructions_ - oldest.instIndex >
-            static_cast<uint64_t>(params_.robSize);
-        if (oldest.completeCycle <= cycles_) {
-            inflight_.pop_front();
-        } else if (outside_window || inflight_.size() >= params_.mshrs) {
-            // Stall until the blocking access returns.
-            cycles_ = oldest.completeCycle;
-            inflight_.pop_front();
-        } else {
-            break;
-        }
-    }
-
-    const double lat = latencyOf(level);
-    if (lat > 0.0)
-        inflight_.push_back({totalInstructions_, cycles_ + lat});
+    static_assert(static_cast<unsigned>(HitLevel::L1) == 0 &&
+                  static_cast<unsigned>(HitLevel::L2) == 1 &&
+                  static_cast<unsigned>(HitLevel::Llc) == 2 &&
+                  static_cast<unsigned>(HitLevel::Memory) == 3);
 }
 
 void
 CpuModel::drain()
 {
-    if (!inflight_.empty()) {
+    if (count_ != 0) {
         double last = cycles_;
-        for (const Outstanding &o : inflight_)
-            last = std::max(last, o.completeCycle);
+        for (uint32_t i = 0; i < count_; ++i)
+            last = std::max(last, inflight(i).completeCycle);
         cycles_ = last;
-        inflight_.clear();
+        head_ = 0;
+        count_ = 0;
     }
 }
 
@@ -83,10 +63,12 @@ CpuModel::clearStats()
     instructions_ = 0;
     // In-flight accesses keep absolute completion cycles; rebase them
     // so the measured region starts at cycle zero.
-    if (!inflight_.empty()) {
-        double base = inflight_.front().completeCycle;
-        for (Outstanding &o : inflight_)
+    if (count_ != 0) {
+        double base = inflight(0).completeCycle;
+        for (uint32_t i = 0; i < count_; ++i) {
+            Outstanding &o = inflight(i);
             o.completeCycle = std::max(0.0, o.completeCycle - base);
+        }
     }
 }
 

@@ -15,13 +15,17 @@
  * This is the fidelity class the paper itself uses: CMP$im is "accurate
  * to within 4% of a detailed cycle-accurate simulator", and the GA
  * fitness model ignores MLP entirely.
+ *
+ * step() runs once per CPU reference, so it is inline: the outstanding
+ * accesses live in a fixed power-of-two ring indexed by mask, and the
+ * per-level latencies in a table indexed by HitLevel.
  */
 
 #ifndef GIPPR_SIM_CPU_MODEL_HH_
 #define GIPPR_SIM_CPU_MODEL_HH_
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "sim/fastpath/hierarchy.hh"
 
@@ -49,6 +53,7 @@ struct CpuParams
 class CpuModel
 {
   public:
+    /** A zero width or a zero MSHR count is fatal. */
     explicit CpuModel(CpuParams params = {});
 
     /**
@@ -82,14 +87,69 @@ class CpuModel
         double completeCycle; ///< cycle its data returns
     };
 
-    double latencyOf(HitLevel level) const;
+    /** The @p i-th oldest outstanding access; at i == count_, the
+     *  slot the next one fills. */
+    Outstanding &
+    inflight(uint32_t i)
+    {
+        return ring_[(head_ + i) & mask_];
+    }
+
+    void
+    popOldest()
+    {
+        head_ = (head_ + 1) & mask_;
+        --count_;
+    }
 
     CpuParams params_;
+    /** Extra cycles per HitLevel (0 for the pipelined L1). */
+    double latency_[4];
     double cycles_ = 0.0;
     uint64_t instructions_ = 0;
     uint64_t totalInstructions_ = 0; // includes pre-clearStats work
-    std::deque<Outstanding> inflight_;
+    /** Outstanding accesses, oldest at head_.  Its power-of-two size
+     *  exceeds params_.mshrs, the most step() leaves outstanding. */
+    std::vector<Outstanding> ring_;
+    uint32_t mask_ = 0;
+    uint32_t head_ = 0;
+    uint32_t count_ = 0;
 };
+
+inline void
+CpuModel::step(uint32_t inst_gap, HitLevel level)
+{
+    // Issue the intervening instructions at full width.
+    instructions_ += inst_gap;
+    totalInstructions_ += inst_gap;
+    const double issue = static_cast<double>(inst_gap) /
+                         static_cast<double>(params_.width);
+    cycles_ += issue;
+
+    // Window constraint: the access cannot issue while an outstanding
+    // access older than robSize instructions is still pending.
+    while (count_ != 0) {
+        const Outstanding &oldest = inflight(0);
+        const bool outside_window =
+            totalInstructions_ - oldest.instIndex >
+            static_cast<uint64_t>(params_.robSize);
+        if (oldest.completeCycle <= cycles_) {
+            popOldest();
+        } else if (outside_window || count_ >= params_.mshrs) {
+            // Stall until the blocking access returns.
+            cycles_ = oldest.completeCycle;
+            popOldest();
+        } else {
+            break;
+        }
+    }
+
+    const double lat = latency_[static_cast<unsigned>(level)];
+    if (lat > 0.0) {
+        inflight(count_) = {totalInstructions_, cycles_ + lat};
+        ++count_;
+    }
+}
 
 } // namespace gippr
 

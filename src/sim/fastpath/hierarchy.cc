@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <string>
 
-#include "sim/fastpath/replay_spec.hh"
 #include "util/log.hh"
 
 namespace gippr
@@ -17,12 +16,12 @@ namespace gippr
 namespace
 {
 
-/** @p config, once it is a geometry the packed LRU model can run. */
+/** @p config, once it is a geometry a Level can run. */
 const CacheConfig &
 checkedLevel(const CacheConfig &config, const char *level)
 {
     config.validate();
-    if (!fastpath::SoaCacheModel::supports(fastpath::lruSpec(), config))
+    if (config.assoc < 2 || config.assoc > 64)
         fatal(std::string("Hierarchy: ") + level + " '" + config.name +
               "' is " + std::to_string(config.assoc) +
               "-way; the packed LRU supports 2 to 64 ways");
@@ -32,8 +31,8 @@ checkedLevel(const CacheConfig &config, const char *level)
 } // namespace
 
 Hierarchy::Level::Level(const CacheConfig &config, const char *level)
-    : decode(checkedLevel(config, level)),
-      model(fastpath::lruSpec(), config)
+    : decode_(checkedLevel(config, level)), assoc_(config.assoc),
+      rows_(config.sets() * config.assoc, 0)
 {
 }
 

@@ -5,11 +5,11 @@
  * The paper filters every CPU reference through a non-inclusive,
  * writeback, true-LRU L1D and L2; only the surviving stream reaches
  * the LLC policy under study.  Hierarchy::access is that cascade, and
- * it is written once here.  Both levels are packed models running
- * lruSpec() (the transition the fastpath tests hold in lock-step with
- * the scalar LRU policy), each decoding addresses through its own
- * AddressDecode.  tests/test_hierarchy.cc checks the whole cascade
- * against the scalar two-level one it replaced.  The caller supplies
+ * it is written once here.  Each level keeps a set as one row of
+ * tag words in recency order, MRU first (Hierarchy::Level), so a true
+ * LRU access is one row compare and a shift.  tests/test_hierarchy.cc
+ * checks the whole cascade against a scalar two-level SetAssocCache +
+ * LruPolicy one over several geometries.  The caller supplies
  * the LLC as a callback, which gives the hierarchy its two roles:
  *
  *  1. In the performance simulator (simulateTrace) the callback is the
@@ -28,12 +28,13 @@
 
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "cache/config.hh"
 #include "cache/replacement.hh"
 #include "cache/replay.hh"
-#include "sim/fastpath/soa_cache.hh"
 #include "trace/trace.hh"
+#include "util/hot.hh"
 
 namespace gippr
 {
@@ -129,8 +130,8 @@ class Hierarchy
   public:
     /**
      * Builds the L1 and L2 of @p config; config.llc is the caller's.
-     * A level whose geometry is invalid or outside the packed LRU's
-     * 2..64 ways is fatal.
+     * A level whose geometry is invalid or outside 2..64 ways is
+     * fatal.
      */
     explicit Hierarchy(const HierarchyConfig &config);
 
@@ -155,33 +156,69 @@ class Hierarchy
                              const HierarchyConfig &config);
 
   private:
-    using Step = fastpath::SoaCacheModel::Step;
-
-    /** One private level: its packed LRU state and address split. */
-    struct Level
+    /**
+     * One private true-LRU level.  A set is a row of `assoc` words in
+     * recency order, MRU first; a word is `tag << 2 | valid << 1 |
+     * dirty`, and 0 is an invalid way, so a paper 8-way set is one
+     * 64-byte line.  Lines are never invalidated, so the invalid ways
+     * are the row's tail and fill before any valid line is evicted;
+     * way identity never reaches an output.
+     */
+    class Level
     {
+      public:
+        /** Outcome of one access. */
+        struct Step
+        {
+            bool hit;
+            /** A valid dirty line was evicted ... */
+            bool evictedDirty;
+            /** ... from this byte address (set when evictedDirty). */
+            uint64_t evictedAddr;
+        };
+
         /** @p level names the level ("L1"/"L2") in a fatal message. */
         Level(const CacheConfig &config, const char *level);
 
-        Step
+        /**
+         * A demand hit moves the line to the front and a store dirties
+         * it; a writeback hit only dirties it.  A miss evicts the last
+         * word, shifts the row down and fills the front, dirty unless
+         * @p type is a Load.
+         */
+        GIPPR_HOT Step
         access(uint64_t byte_addr, AccessType type)
         {
-            return model.access(decode.setIndex(byte_addr),
-                                decode.tag(byte_addr), type);
+            const uint64_t set = decode_.setIndex(byte_addr);
+            uint64_t *row = rows_.data() + set * assoc_;
+            const uint64_t key = decode_.tag(byte_addr) << 2 | kValid;
+            const uint64_t dirty = type != AccessType::Load ? kDirty : 0;
+            unsigned way = 0;
+            while (way < assoc_ && (row[way] & ~kDirty) != key)
+                ++way;
+            const bool hit = way < assoc_;
+            if (hit && type == AccessType::Writeback) {
+                row[way] |= kDirty;
+                return {true, false, 0};
+            }
+            const uint64_t victim = hit ? 0 : row[assoc_ - 1];
+            const uint64_t word = (hit ? row[way] : key) | dirty;
+            for (way = hit ? way : assoc_ - 1; way > 0; --way)
+                row[way] = row[way - 1];
+            row[0] = word;
+            if (!(victim & kDirty))
+                return {hit, false, 0};
+            return {false, true,
+                    decode_.blockOf(set, victim >> 2) << decode_.blockShift};
         }
 
-        /** Byte address of the line that @p step, an access to
-         *  @p byte_addr, evicted. */
-        uint64_t
-        evictedAddr(uint64_t byte_addr, const Step &step) const
-        {
-            return decode.blockOf(decode.setIndex(byte_addr),
-                                  step.evictedTag)
-                   << decode.blockShift;
-        }
+      private:
+        static constexpr uint64_t kDirty = 1;
+        static constexpr uint64_t kValid = 2;
 
-        AddressDecode decode;
-        fastpath::SoaCacheModel model;
+        AddressDecode decode_;
+        unsigned assoc_;
+        std::vector<uint64_t> rows_;
     };
 
     Level l1_;
@@ -194,23 +231,21 @@ Hierarchy::access(const MemRecord &rec, Llc &&llc)
 {
     const AccessType type =
         rec.isWrite ? AccessType::Store : AccessType::Load;
-    const Step r1 = l1_.access(rec.addr, type);
+    const Level::Step r1 = l1_.access(rec.addr, type);
     if (r1.hit)
         return HitLevel::L1;
 
     // The L1 victim writes back into the L2, which may evict in turn.
     if (r1.evictedDirty) {
-        const uint64_t victim = l1_.evictedAddr(rec.addr, r1);
-        const Step wb = l2_.access(victim, AccessType::Writeback);
+        const Level::Step wb =
+            l2_.access(r1.evictedAddr, AccessType::Writeback);
         if (wb.evictedDirty)
-            llc(l2_.evictedAddr(victim, wb), AccessType::Writeback,
-                uint64_t{0});
+            llc(wb.evictedAddr, AccessType::Writeback, uint64_t{0});
     }
 
-    const Step r2 = l2_.access(rec.addr, type);
+    const Level::Step r2 = l2_.access(rec.addr, type);
     if (r2.evictedDirty)
-        llc(l2_.evictedAddr(rec.addr, r2), AccessType::Writeback,
-            uint64_t{0});
+        llc(r2.evictedAddr, AccessType::Writeback, uint64_t{0});
     if (r2.hit)
         return HitLevel::L2;
     return llc(rec.addr, type, rec.pc) ? HitLevel::Llc : HitLevel::Memory;

@@ -1,11 +1,17 @@
 /**
  * @file
- * Tests for the interval CPU model.
+ * Tests for the interval CPU model, including a differential check of
+ * its ring buffer against the deque-based model it replaced.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <string>
+
 #include "sim/cpu_model.hh"
+#include "util/rng.hh"
 
 namespace gippr
 {
@@ -152,6 +158,162 @@ TEST(CpuModel, MoreMissesMeansLowerIpc)
     };
     EXPECT_GT(run(100), run(10));
     EXPECT_GT(run(10), run(2));
+}
+
+TEST(CpuModel, ZeroWidthIsFatal)
+{
+    CpuParams p;
+    p.width = 0;
+    EXPECT_DEATH(([&]() noexcept { CpuModel m(p); })(),
+                 "CpuParams: width must be at least 1");
+}
+
+TEST(CpuModel, ZeroMshrsIsFatal)
+{
+    CpuParams p;
+    p.mshrs = 0;
+    EXPECT_DEATH(([&]() noexcept { CpuModel m(p); })(),
+                 "CpuParams: mshrs must be at least 1");
+}
+
+/**
+ * The CPU model as it was before its ring buffer: the outstanding
+ * accesses in a std::deque and the latencies behind a switch.  The
+ * ring-buffer model must reproduce it bit for bit.
+ */
+class DequeCpuModel
+{
+  public:
+    explicit DequeCpuModel(CpuParams params) : params_(params) {}
+
+    void
+    step(uint32_t inst_gap, HitLevel level)
+    {
+        instructions_ += inst_gap;
+        totalInstructions_ += inst_gap;
+        const double issue = static_cast<double>(inst_gap) /
+                             static_cast<double>(params_.width);
+        cycles_ += issue;
+        while (!inflight_.empty()) {
+            const Outstanding &oldest = inflight_.front();
+            bool outside_window =
+                totalInstructions_ - oldest.instIndex >
+                static_cast<uint64_t>(params_.robSize);
+            if (oldest.completeCycle <= cycles_) {
+                inflight_.pop_front();
+            } else if (outside_window ||
+                       inflight_.size() >= params_.mshrs) {
+                cycles_ = oldest.completeCycle;
+                inflight_.pop_front();
+            } else {
+                break;
+            }
+        }
+        const double lat = latencyOf(level);
+        if (lat > 0.0)
+            inflight_.push_back({totalInstructions_, cycles_ + lat});
+    }
+
+    void
+    drain()
+    {
+        if (!inflight_.empty()) {
+            double last = cycles_;
+            for (const Outstanding &o : inflight_)
+                last = std::max(last, o.completeCycle);
+            cycles_ = last;
+            inflight_.clear();
+        }
+    }
+
+    void
+    clearStats()
+    {
+        cycles_ = 0.0;
+        instructions_ = 0;
+        if (!inflight_.empty()) {
+            double base = inflight_.front().completeCycle;
+            for (Outstanding &o : inflight_)
+                o.completeCycle = std::max(0.0, o.completeCycle - base);
+        }
+    }
+
+    uint64_t instructions() const { return instructions_; }
+    double cycles() const { return cycles_; }
+
+  private:
+    struct Outstanding
+    {
+        uint64_t instIndex;
+        double completeCycle;
+    };
+
+    double
+    latencyOf(HitLevel level) const
+    {
+        switch (level) {
+          case HitLevel::L1:
+            return 0.0;
+          case HitLevel::L2:
+            return params_.latL2;
+          case HitLevel::Llc:
+            return params_.latLlc;
+          case HitLevel::Memory:
+            return params_.latMemory;
+        }
+        return 0.0;
+    }
+
+    CpuParams params_;
+    double cycles_ = 0.0;
+    uint64_t instructions_ = 0;
+    uint64_t totalInstructions_ = 0;
+    std::deque<Outstanding> inflight_;
+};
+
+TEST(CpuModel, MatchesDequeReference)
+{
+    // Gaps from 0 (several accesses issued together) past the larger
+    // ROB (the window stalls), and a width of 3 so issue cycles are
+    // inexact doubles; clearStats lands partway with accesses in
+    // flight.
+    constexpr int kSteps = 20000;
+    constexpr HitLevel kLevels[] = {HitLevel::L1, HitLevel::L2,
+                                    HitLevel::Llc, HitLevel::Memory};
+    Rng rng(20131207);
+    for (unsigned mshrs : {1u, 2u, 16u}) {
+        for (unsigned rob : {8u, 128u}) {
+            SCOPED_TRACE("mshrs " + std::to_string(mshrs) + " rob " +
+                         std::to_string(rob));
+            CpuParams p;
+            p.width = 3;
+            p.mshrs = mshrs;
+            p.robSize = rob;
+            CpuModel ring(p);
+            DequeCpuModel ref(p);
+            for (int i = 0; i < kSteps; ++i) {
+                if (i == kSteps / 3) {
+                    ring.clearStats();
+                    ref.clearStats();
+                }
+                const uint64_t pick = rng.nextBounded(8);
+                const uint32_t gap = static_cast<uint32_t>(
+                    pick == 0   ? 0
+                    : pick == 1 ? rng.nextBounded(300)
+                                : rng.nextBounded(12));
+                const HitLevel level = kLevels[rng.nextBounded(4)];
+                ring.step(gap, level);
+                ref.step(gap, level);
+                ASSERT_EQ(ring.cycles(), ref.cycles()) << "step " << i;
+                ASSERT_EQ(ring.instructions(), ref.instructions())
+                    << "step " << i;
+            }
+            ring.drain();
+            ref.drain();
+            EXPECT_EQ(ring.cycles(), ref.cycles());
+            EXPECT_EQ(ring.instructions(), ref.instructions());
+        }
+    }
 }
 
 } // namespace

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -226,6 +228,15 @@ randomStream(const HierarchyConfig &config, size_t n, uint64_t seed)
     return out;
 }
 
+/** Stream length per geometry: GIPPR_FASTPATH_EQUIV_ACCESSES, as in
+ *  test_fastpath_equiv (CI's sanitizer job runs 1M), else 100k. */
+size_t
+equivAccesses()
+{
+    const char *env = std::getenv("GIPPR_FASTPATH_EQUIV_ACCESSES");
+    return env ? std::strtoull(env, nullptr, 10) : 100'000;
+}
+
 TEST(Hierarchy, PackedCascadeMatchesScalarCascade)
 {
     HierarchyConfig small;
@@ -234,18 +245,29 @@ TEST(Hierarchy, PackedCascadeMatchesScalarCascade)
     HierarchyConfig paper;
     paper.l1 = CacheConfig::paperL1d();
     paper.l2 = CacheConfig::paperL2();
-    const HierarchyConfig geometries[] = {tinyHier(), small, paper};
+    // The L2 at the row's narrowest width, at a width that is not a
+    // power of two, and at its widest.
+    HierarchyConfig two_way = small;
+    two_way.l2 = {"L2", 128 * 2 * 64, 2, 64};
+    HierarchyConfig twelve_way = small;
+    twelve_way.l2 = {"L2", 32 * 12 * 64, 12, 64};
+    HierarchyConfig wide = small;
+    wide.l2 = {"L2", 8 * 64 * 64, 64, 64};
+    const HierarchyConfig geometries[] = {tinyHier(), small,      paper,
+                                          two_way,    twelve_way, wide};
 
     for (const HierarchyConfig &config : geometries) {
-        SCOPED_TRACE(config.l1.name + "/" + config.l2.name + " " +
-                     std::to_string(config.l1.sizeBytes) + "/" +
-                     std::to_string(config.l2.sizeBytes));
+        SCOPED_TRACE(std::to_string(config.l1.sizeBytes) + "B " +
+                     std::to_string(config.l1.assoc) + "-way L1, " +
+                     std::to_string(config.l2.sizeBytes) + "B " +
+                     std::to_string(config.l2.assoc) + "-way L2");
         Hierarchy packed(config);
         ScalarCascade scalar(config);
         std::vector<LlcCall> got;
         std::vector<LlcCall> want;
         const std::vector<MemRecord> stream =
-            randomStream(config, 100000, config.l2.sizeBytes);
+            randomStream(config, equivAccesses(),
+                         config.l2.sizeBytes);
         for (size_t i = 0; i < stream.size(); ++i) {
             got.clear();
             want.clear();

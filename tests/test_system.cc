@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "sim/experiment.hh"
+#include "sim/fastpath/soa_cache.hh"
 #include "sim/policy_zoo.hh"
 #include "sim/system.hh"
 #include "workloads/suite.hh"
