@@ -15,11 +15,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "core/vectors.hh"
 #include "sim/experiment.hh"
+#include "util/env.hh"
 
 using namespace gippr;
 
@@ -29,7 +29,8 @@ main(int argc, char **argv)
     SuiteParams sp;
     sp.llcBlocks = 16384;
     sp.accessesPerSimpoint =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 200000;
+        argc > 1 ? parseUnsigned("accesses_per_simpoint", argv[1])
+                 : 200000;
     SyntheticSuite suite(sp);
 
     ExperimentConfig cfg;

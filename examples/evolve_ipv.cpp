@@ -32,9 +32,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <string>
 
 #include "core/vectors.hh"
@@ -44,6 +44,7 @@
 #include "sim/system.hh"
 #include "telemetry/progress.hh"
 #include "telemetry/report.hh"
+#include "util/env.hh"
 #include "util/log.hh"
 #include "workloads/suite.hh"
 
@@ -53,11 +54,12 @@ namespace
 {
 
 uint64_t
-argValue(int argc, char **argv, const char *flag, uint64_t fallback)
+argValue(int argc, char **argv, const char *flag, uint64_t fallback,
+         uint64_t max = std::numeric_limits<uint64_t>::max())
 {
     for (int i = 1; i + 1 < argc; ++i)
         if (std::strcmp(argv[i], flag) == 0)
-            return std::strtoull(argv[i + 1], nullptr, 10);
+            return parseUnsigned(flag, argv[i + 1], max);
     return fallback;
 }
 
@@ -88,18 +90,19 @@ run(int argc, char **argv)
     const IpvFamily family = family_name == "giplr" ? IpvFamily::Giplr
                                                     : IpvFamily::Gippr;
     GaParams params;
-    params.generations =
-        static_cast<unsigned>(argValue(argc, argv, "--generations", 12));
+    constexpr uint64_t kUnsignedMax = std::numeric_limits<unsigned>::max();
+    params.generations = static_cast<unsigned>(
+        argValue(argc, argv, "--generations", 12, kUnsignedMax));
     params.population = argValue(argc, argv, "--population", 48);
     params.initialPopulation = params.population * 2;
-    params.threads =
-        static_cast<unsigned>(argValue(argc, argv, "--threads", 8));
+    params.threads = static_cast<unsigned>(
+        argValue(argc, argv, "--threads", 8, kUnsignedMax));
     params.seed = argValue(argc, argv, "--seed", 42);
     const size_t n_vectors = argValue(argc, argv, "--vectors", 4);
     const std::string json_path = argString(argc, argv, "--json", "");
     params.checkpoint.path = argString(argc, argv, "--checkpoint", "");
     params.checkpoint.every = static_cast<unsigned>(
-        argValue(argc, argv, "--checkpoint-every", 1));
+        argValue(argc, argv, "--checkpoint-every", 1, kUnsignedMax));
     params.checkpoint.resume = hasFlag(argc, argv, "--resume");
     const bool deterministic =
         hasFlag(argc, argv, "--deterministic");

@@ -2,10 +2,10 @@
  * @file
  * Shared-LLC multi-core serving simulator CLI.
  *
- * Replays a multi-programmed mix of synthetic workloads (suite or
- * KV-cache multi-tenant family) through one shared last-level cache
- * and reports interference and fairness: per-tenant solo vs shared
- * IPC, slowdown, MPKI, weighted speedup and throughput.
+ * Replays a multi-programmed mix of synthetic workloads (suite,
+ * KV-cache multi-tenant or phase-shift family) through one shared
+ * last-level cache and reports interference and fairness: per-tenant
+ * solo vs shared IPC, slowdown, MPKI, weighted speedup and throughput.
  *
  *   multicore_sim --cores 4 --mix kv-serving --policy DGIPPR4 \
  *                 --partition utility --json report.json
@@ -13,7 +13,9 @@
  * Knobs:
  *   --cores N            tenants sharing the LLC (default 4)
  *   --mix SPEC           preset name or "workload[:weight],..." list
- *   --policy NAME        LRU|LIP|GIPLR|PLRU|GIPPR|DGIPPR2|DGIPPR4
+ *   --policy NAME        policy_zoo name with a packed replay spec
+ *                        (LRU, LIP, GIPLR, PLRU, GIPPR, DGIPPR2,
+ *                        DGIPPR4, DRRIP, ...)
  *   --schedule S         rr | weighted (stride by tenant weight)
  *   --duel S             global | per-core DGIPPR tournaments
  *   --partition S        none | static:w0,w1,... | utility[:every]
@@ -26,27 +28,37 @@
  *                        ReplayEngine instead of the shared model
  *
  * Selector mode (sim/select): instead of one static --policy, a
- * bandit picks the serving policy per epoch from a library:
+ * bandit picks the serving policy per epoch from a library, and every
+ * library arm also replays statically for the selector's regret
+ * against the best static choice:
  *   --select             enable online policy selection
  *   --library L1,L2,...  policy_zoo names (default LRU,LIP,PLRU,GIPPR)
  *   --bandit S           ducb | egreedy
  *   --epoch N            accesses per decision epoch
+ * One workload (suite, kv_* or ps_*) runs as a 1-tenant mix:
  *
- * The CI multicore-equiv job runs `--cores 1 --deterministic` twice —
- * with and without --reference-single — and byte-compares the two
- * JSON artifacts: the shared model must be indistinguishable from the
+ *   multicore_sim --cores 1 --mix ps_quad --select --json report.json
+ *
+ * Unsigned flags (--cores, --accesses, --seed, --epoch) take plain
+ * base-10 integers; anything else ("100k", "-1") is fatal.
+ *
+ * The CI multicore-equiv job (and, in selector mode, the
+ * select_artifacts_identical test) runs `--cores 1 --deterministic`
+ * with and without --reference-single and byte-compares the JSON
+ * artifacts: the shared model must be indistinguishable from the
  * single-core engine (in selector mode, the shared selector run from
  * the single-trace selector run).  Nothing written to the report may
  * therefore depend on which of the two paths produced it.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "cache/config.hh"
-#include "core/vectors.hh"
 #include "sim/fastpath/hierarchy.hh"
 #include "sim/multicore/engine.hh"
 #include "sim/select/engine.hh"
@@ -55,6 +67,7 @@
 #include "sim/trace_cache.hh"
 #include "telemetry/json.hh"
 #include "telemetry/report.hh"
+#include "util/env.hh"
 #include "util/log.hh"
 #include "workloads/suite.hh"
 
@@ -101,9 +114,10 @@ usage()
         "\n"
         "Mix presets: thrash-heavy, balanced, reuse-heavy,\n"
         "stream-polluted, kv-serving; or any comma-separated\n"
-        "\"workload[:weight]\" list over the suite and the KV-cache\n"
-        "family.  Policies: LRU, LIP, GIPLR, PLRU, GIPPR, DGIPPR2,\n"
-        "DGIPPR4.\n");
+        "\"workload[:weight]\" list over the suite, the KV-cache\n"
+        "family (kv_*) and the phase-shift family (ps_*).  Policies:\n"
+        "policy_zoo names with a packed replay spec (LRU, LIP, GIPLR,\n"
+        "PLRU, GIPPR, DGIPPR2, DGIPPR4, DRRIP, ...).\n");
 }
 
 Options
@@ -117,9 +131,13 @@ parseArgs(int argc, char **argv)
                 fatal(std::string(flag) + " requires an argument");
             return argv[++i];
         };
+        auto number = [&](const char *flag,
+                          uint64_t max = UINT64_MAX) -> uint64_t {
+            return parseUnsigned(flag, value(flag), max);
+        };
         if (arg == "--cores")
             opts.cores = static_cast<unsigned>(
-                std::stoul(value("--cores")));
+                number("--cores", std::numeric_limits<unsigned>::max()));
         else if (arg == "--mix")
             opts.mix = value("--mix");
         else if (arg == "--policy")
@@ -133,9 +151,9 @@ parseArgs(int argc, char **argv)
         else if (arg == "--backend")
             opts.backend = value("--backend");
         else if (arg == "--accesses")
-            opts.accesses = std::stoull(value("--accesses"));
+            opts.accesses = number("--accesses");
         else if (arg == "--seed")
-            opts.seed = std::stoull(value("--seed"));
+            opts.seed = number("--seed");
         else if (arg == "--json")
             opts.jsonPath = value("--json");
         else if (arg == "--deterministic")
@@ -149,7 +167,7 @@ parseArgs(int argc, char **argv)
         else if (arg == "--bandit")
             opts.bandit = value("--bandit");
         else if (arg == "--epoch")
-            opts.epoch = std::stoull(value("--epoch"));
+            opts.epoch = number("--epoch");
         else if (arg == "--help" || arg == "-h") {
             usage();
             std::exit(0);
@@ -167,27 +185,16 @@ parseArgs(int argc, char **argv)
     return opts;
 }
 
-/** The seven replayable core policies by display name. */
+/** The packed replay spec of policy_zoo policy @p name. */
 fastpath::ReplaySpec
-specByName(const std::string &name)
+policySpec(const std::string &name)
 {
-    if (name == "LRU")
-        return fastpath::lruSpec();
-    if (name == "LIP")
-        return fastpath::lipSpec();
-    if (name == "GIPLR")
-        return fastpath::giplrSpec(local_vectors::giplr());
-    if (name == "PLRU")
-        return fastpath::plruSpec();
-    if (name == "GIPPR")
-        return fastpath::gipprSpec(local_vectors::gippr());
-    if (name == "DGIPPR2")
-        return fastpath::dgipprSpec(local_vectors::dgippr2());
-    if (name == "DGIPPR4")
-        return fastpath::dgipprSpec(local_vectors::dgippr4());
-    fatal("unknown policy (want LRU|LIP|GIPLR|PLRU|GIPPR|DGIPPR2|"
-          "DGIPPR4): " +
-          name);
+    const PolicyDef def = policyByName(name);
+    if (!def.fastSpec)
+        fatal("--policy " + name +
+              " has no packed replay spec; the shared LLC runs only "
+              "policies that have one");
+    return *def.fastSpec;
 }
 
 /** Row label "c<idx>:<workload>" — unique even when the mix cycles. */
@@ -313,6 +320,15 @@ printResult(const MixSpec &mix, const RunParams &params,
     }
 }
 
+/** Demand miss rate, 0 without accesses. */
+double
+missRate(uint64_t misses, uint64_t accesses)
+{
+    return accesses > 0 ? static_cast<double>(misses) /
+                              static_cast<double>(accesses)
+                        : 0.0;
+}
+
 /**
  * Selector mode: the bandit picks the serving policy per epoch.  The
  * 1-core --reference-single gate replays the merged trace through the
@@ -335,30 +351,23 @@ runSelectMode(const Options &opts, const MixSpec &mix,
     const sel::Backend backend = sel::resolveBackend(
         library, llc, sel::parseBackend(opts.backend));
 
-    sel::SelectResult res;
-    if (opts.referenceSingle) {
-        const Trace merged = sel::mergedTrace(streams, schedule);
-        const size_t warmup = static_cast<size_t>(
-            static_cast<double>(merged.size()) *
-            opts.warmupFraction);
-        res = sel::runSelect(library, cfg, llc, merged, warmup,
-                             backend);
-    } else {
-        res = sel::runSelectShared(streams, schedule, library, cfg,
-                                   llc, opts.warmupFraction, backend);
-    }
-
-    // Static regret baselines over the same merged reference order.
+    // The merged reference order feeds the static regret baselines,
+    // and the single-trace selector run under --reference-single.
     const Trace merged = sel::mergedTrace(streams, schedule);
-    size_t oracle_warmup = 0;
+    size_t warmup = 0;
     for (const CoreStream &cs : streams)
-        oracle_warmup += static_cast<size_t>(
+        warmup += static_cast<size_t>(
             static_cast<double>(cs.trace->size()) *
             opts.warmupFraction);
+    const sel::SelectResult res =
+        opts.referenceSingle
+            ? sel::runSelect(library, cfg, llc, merged, warmup, backend)
+            : sel::runSelectShared(streams, schedule, library, cfg, llc,
+                                   opts.warmupFraction, backend);
     const std::vector<sel::StaticOracleRow> oracle =
-        sel::staticOracle(library, llc, merged, oracle_warmup,
-                          backend);
-    const size_t best = sel::bestStaticIndex(oracle);
+        sel::staticOracle(library, llc, merged, warmup, backend);
+    const sel::StaticOracleRow &best =
+        oracle[sel::bestStaticIndex(oracle)];
 
     std::printf("mix %s: %zu cores, select %s over %s, epoch %llu, "
                 "%zu epochs, %llu switches, %llu drift resets\n",
@@ -374,16 +383,16 @@ runSelectMode(const Options &opts, const MixSpec &mix,
                     static_cast<unsigned long long>(
                         res.epochsChosen[a]));
     }
-    std::printf("selector measured demand miss rate %.4f | best "
-                "static %s %.4f\n",
-                res.measuredDemandMissRate(),
-                oracle[best].name.c_str(),
-                oracle[best].measured.demandAccesses > 0
-                    ? static_cast<double>(
-                          oracle[best].measured.demandMisses) /
-                          static_cast<double>(
-                              oracle[best].measured.demandAccesses)
-                    : 0.0);
+    std::printf("selector %llu demand misses (rate %.4f) | best static "
+                "%s %llu (rate %.4f) | regret %lld misses\n",
+                static_cast<unsigned long long>(res.measured.demandMisses),
+                res.measuredDemandMissRate(), best.name.c_str(),
+                static_cast<unsigned long long>(
+                    best.measured.demandMisses),
+                missRate(best.measured.demandMisses,
+                         best.measured.demandAccesses),
+                static_cast<long long>(res.measured.demandMisses) -
+                    static_cast<long long>(best.measured.demandMisses));
 
     if (!opts.jsonPath.empty()) {
         sel::SelectReportInputs in;
@@ -419,24 +428,24 @@ run(int argc, char **argv)
     hier.l2 = CacheConfig::paperL2();
     hier.llc = CacheConfig::benchLlc();
 
+    // Every spec is parsed before the streams are built, so a typo
+    // stops the run at once.
     const MixSpec mix = parseMixSpec(opts.mix, opts.cores);
-    LlcTraceCache cache;
-    const std::vector<CoreStream> streams =
-        buildCoreStreams(mix, suite, hier, &cache);
-
-    if (opts.select) {
-        return runSelectMode(opts, mix, streams, hier.llc,
-                             parseSchedule(opts.schedule));
-    }
-
     RunParams params;
     params.llc = hier.llc;
-    params.policy = specByName(opts.policy);
+    params.policy = policySpec(opts.policy);
     params.schedule = parseSchedule(opts.schedule);
     params.duelScope = parseDuelScope(opts.duel);
     params.partition = parsePartition(opts.partition, opts.cores);
     params.warmupFraction = opts.warmupFraction;
     params.backend = parseBackend(opts.backend);
+
+    LlcTraceCache cache;
+    const std::vector<CoreStream> streams =
+        buildCoreStreams(mix, suite, hier, &cache);
+    if (opts.select)
+        return runSelectMode(opts, mix, streams, hier.llc,
+                             params.schedule);
 
     const RunResult res = opts.referenceSingle
                               ? runSingleCoreReference(streams[0], params)

@@ -33,6 +33,7 @@
 
 #include "cache/config.hh"
 #include "telemetry/report.hh"
+#include "util/env.hh"
 #include "util/log.hh"
 #include "util/rng.hh"
 #include "verify/differential.hh"
@@ -103,9 +104,9 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--differential") {
             opts.differential = true;
         } else if (arg == "--accesses") {
-            opts.accesses = std::stoull(value("--accesses"));
+            opts.accesses = parseUnsigned("--accesses", value("--accesses"));
         } else if (arg == "--seed") {
-            opts.seed = std::stoull(value("--seed"));
+            opts.seed = parseUnsigned("--seed", value("--seed"));
         } else if (arg == "--policies") {
             opts.policies = splitCsv(value("--policies"));
         } else if (arg == "--json") {

@@ -150,19 +150,6 @@ FitnessEvaluator::estimateCpi(uint64_t misses,
                                 static_cast<double>(instructions);
 }
 
-uint64_t
-FitnessEvaluator::missesOn(size_t idx, const Ipv &ipv,
-                           IpvFamily family) const
-{
-    GIPPR_CHECK(idx < traces_.size());
-    if (replays_)
-        replays_->increment();
-    return engine_
-        ->replay(specFor(ipv, family), llc_, *traces_[idx].llcTrace,
-                 warmupOf(idx))
-        .measured.demandMisses;
-}
-
 std::vector<std::vector<uint64_t>>
 FitnessEvaluator::missesForAll(std::span<const Ipv> ipvs,
                                IpvFamily family, unsigned threads) const

@@ -152,10 +152,6 @@ class FitnessEvaluator
      *  different cache shape must not share memo entries. */
     uint64_t traceSetDigest() const { return traceDigest_; }
 
-    /** Demand misses of @p ipv on trace @p idx (measured region). */
-    uint64_t missesOn(size_t idx, const Ipv &ipv,
-                      IpvFamily family) const;
-
     /** Precomputed LRU demand misses on trace @p idx. */
     uint64_t lruMisses(size_t idx) const;
 

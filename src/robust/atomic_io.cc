@@ -223,8 +223,8 @@ defaultRetryPolicy()
     RetryPolicy policy;
     if (const char *env = std::getenv("GIPPR_IO_RETRY_BASE_MS"))
         policy.baseDelayMs = static_cast<unsigned>(
-            parseEnvUnsigned("GIPPR_IO_RETRY_BASE_MS", env,
-                             std::numeric_limits<unsigned>::max()));
+            parseUnsigned("GIPPR_IO_RETRY_BASE_MS", env,
+                          std::numeric_limits<unsigned>::max()));
     return policy;
 }
 

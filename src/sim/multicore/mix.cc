@@ -5,9 +5,10 @@
 
 #include "sim/multicore/mix.hh"
 
-#include <stdexcept>
+#include <string_view>
 
 #include "util/check.hh"
+#include "util/env.hh"
 #include "util/log.hh"
 #include "util/parallel.hh"
 
@@ -35,11 +36,8 @@ parseTenant(const std::string &entry)
         t.workload = entry;
     } else {
         t.workload = entry.substr(0, colon);
-        try {
-            t.weight = std::stoull(entry.substr(colon + 1));
-        } catch (const std::exception &) {
-            fatal("bad mix weight in entry: " + entry);
-        }
+        t.weight = parseUnsigned("mix weight of " + t.workload,
+                                 std::string_view(entry).substr(colon + 1));
     }
     if (t.workload.empty())
         fatal("empty workload name in mix entry: " + entry);

@@ -6,9 +6,11 @@
 #include "sim/multicore/partition.hh"
 
 #include <algorithm>
-#include <stdexcept>
+#include <limits>
+#include <string_view>
 
 #include "util/check.hh"
+#include "util/env.hh"
 #include "util/log.hh"
 
 namespace gippr::multicore
@@ -42,13 +44,10 @@ parsePartition(const std::string &text, unsigned cores)
         while (pos <= list.size()) {
             size_t comma = list.find(',', pos);
             size_t end = comma == std::string::npos ? list.size() : comma;
-            std::string entry = list.substr(pos, end - pos);
-            try {
-                cfg.staticWays.push_back(
-                    static_cast<unsigned>(std::stoul(entry)));
-            } catch (const std::exception &) {
-                fatal("bad static partition entry: " + entry);
-            }
+            cfg.staticWays.push_back(static_cast<unsigned>(parseUnsigned(
+                "static partition way count",
+                std::string_view(list).substr(pos, end - pos),
+                std::numeric_limits<unsigned>::max())));
             if (comma == std::string::npos)
                 break;
             pos = comma + 1;
@@ -64,11 +63,9 @@ parsePartition(const std::string &text, unsigned cores)
     if (text == "utility" || text.rfind("utility:", 0) == 0) {
         cfg.mode = PartitionMode::Utility;
         if (text.size() > 8) {
-            try {
-                cfg.repartitionEvery = std::stoull(text.substr(8));
-            } catch (const std::exception &) {
-                fatal("bad utility repartition interval: " + text);
-            }
+            cfg.repartitionEvery = parseUnsigned(
+                "utility repartition interval",
+                std::string_view(text).substr(8));
             if (cfg.repartitionEvery == 0)
                 fatal("utility repartition interval must be >= 1");
         }

@@ -12,24 +12,35 @@
 namespace gippr::select
 {
 
+namespace
+{
+
+/** Per-epoch discount of bandit state (dUCB and epsilon-greedy). */
+constexpr double kGamma = 0.8;
+/** Exploration width of the dUCB confidence bonus. */
+constexpr double kUcbC = 0.05;
+/** Exploration probability (epsilon-greedy). */
+constexpr double kEpsilon = 0.05;
+/** A challenger must beat the incumbent's score by this much. */
+constexpr double kSwitchMargin = 0.005;
+
+} // namespace
+
 BanditSelector::BanditSelector(const SelectConfig &cfg, unsigned arms)
-    : kind_(cfg.kind), arms_(arms), gamma_(cfg.gamma), ucbC_(cfg.ucbC),
-      epsilon_(cfg.epsilon), margin_(cfg.switchMargin),
-      sum_(arms, 0.0), weight_(arms, 0.0), rng_(cfg.seed)
+    : kind_(cfg.kind), arms_(arms), sum_(arms, 0.0), weight_(arms, 0.0),
+      rng_(cfg.seed)
 {
     GIPPR_CHECK(arms_ >= 1);
-    GIPPR_CHECK(gamma_ > 0.0 && gamma_ <= 1.0);
-    GIPPR_CHECK(epsilon_ >= 0.0 && epsilon_ < 1.0);
 }
 
 void
 BanditSelector::recordEpochRewards(const double *rewards,
                                    const uint8_t *sampled)
 {
-    totalWeight_ *= gamma_;
+    totalWeight_ *= kGamma;
     for (unsigned a = 0; a < arms_; ++a) {
-        sum_[a] *= gamma_;
-        weight_[a] *= gamma_;
+        sum_[a] *= kGamma;
+        weight_[a] *= kGamma;
         if (sampled[a] != 0) {
             sum_[a] += rewards[a];
             weight_[a] += 1.0;
@@ -49,7 +60,7 @@ BanditSelector::scoreOf(unsigned arm) const
     if (kind_ == BanditKind::EpsilonGreedy)
         return mean;
     const double t = totalWeight_ > 1.0 ? totalWeight_ : 1.0 + 1e-9;
-    return mean + ucbC_ * std::sqrt(std::log(t) / weight_[arm]);
+    return mean + kUcbC * std::sqrt(std::log(t) / weight_[arm]);
 }
 
 unsigned
@@ -59,7 +70,7 @@ BanditSelector::chooseArm(unsigned incumbent)
     if (arms_ == 1)
         return 0;
     if (kind_ == BanditKind::EpsilonGreedy &&
-        rng_.nextDouble() < epsilon_) {
+        rng_.nextDouble() < kEpsilon) {
         return static_cast<unsigned>(rng_.nextBounded(arms_));
     }
     unsigned best = 0;
@@ -72,7 +83,8 @@ BanditSelector::chooseArm(unsigned incumbent)
             best_score = s;
         }
     }
-    if (best != incumbent && best_score < scoreOf(incumbent) + margin_)
+    if (best != incumbent &&
+        best_score < scoreOf(incumbent) + kSwitchMargin)
         return incumbent;
     return best;
 }

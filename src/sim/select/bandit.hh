@@ -5,11 +5,13 @@
  * Rewards are per-epoch leader-set demand hit rates in [0, 1] — the
  * shadow sampling makes this a full-information setting (every arm is
  * scored every epoch), so the bandit machinery earns its keep on
- * non-stationarity, not on exploration: the discount (dUCB) ages out
- * stale evidence, the confidence bonus covers arms whose leader sets
- * saw little traffic, and the switch margin keeps measurement noise
- * from thrashing the chosen arm.  Garivier & Moulines' discounted UCB
- * is the template for the dUCB variant.
+ * non-stationarity, not on exploration: the discount kGamma = 0.8 ages
+ * out stale evidence, the dUCB confidence bonus (width kUcbC = 0.05)
+ * covers arms whose leader sets saw little traffic, and the switch
+ * margin kSwitchMargin = 0.005 keeps measurement noise from thrashing
+ * the chosen arm; epsilon-greedy explores with probability kEpsilon =
+ * 0.05.  The four are constants in bandit.cc.  Garivier & Moulines'
+ * discounted UCB is the template for the dUCB variant.
  *
  * Everything here is deterministic given the construction arguments
  * and the call sequence: epsilon-greedy draws from its own seeded Rng
@@ -37,7 +39,7 @@ class BanditSelector
     BanditSelector(const SelectConfig &cfg, unsigned arms);
 
     /**
-     * Fold one epoch of rewards in: discount all state by gamma, then
+     * Fold one epoch of rewards in: discount all state by kGamma, then
      * credit each arm with @p sampled[i] != 0 its reward.  Arms whose
      * leader sets saw no demand traffic this epoch are left unsampled
      * and keep (discounted) prior evidence.
@@ -64,10 +66,6 @@ class BanditSelector
 
     BanditKind kind_;
     unsigned arms_;
-    double gamma_;
-    double ucbC_;
-    double epsilon_;
-    double margin_;
     std::vector<double> sum_;    ///< discounted reward sums
     std::vector<double> weight_; ///< discounted sample weights
     double totalWeight_ = 0.0;

@@ -11,13 +11,27 @@
 namespace gippr::select
 {
 
-DriftDetector::DriftDetector(const DriftConfig &cfg) : cfg_(cfg) {}
+namespace
+{
+
+/** EWMA weight of the newest epoch (mean and variance). */
+constexpr double kAlpha = 0.2;
+/** Miss-rate deviation trigger, in EWMA standard deviations. */
+constexpr double kZThreshold = 4.0;
+/** Absolute miss-rate deviation floor (units of miss rate). */
+constexpr double kMinDelta = 0.04;
+/** Working-set signature overlap drop that signals a shift. */
+constexpr double kOverlapDrop = 0.35;
+/** Epochs observed before either trigger arms (also after a reset,
+ *  so one shift fires once, not every epoch). */
+constexpr unsigned kWarmEpochs = 4;
+
+} // namespace
 
 bool
 DriftDetector::epochBoundary(double demand_miss_rate)
 {
-    const bool armed = cfg_.enabled &&
-                       epochsSinceArm_ >= cfg_.warmEpochs;
+    const bool armed = epochsSinceArm_ >= kWarmEpochs;
     bool drift = false;
 
     // Working-set signature overlap against the previous epoch.
@@ -41,7 +55,7 @@ DriftDetector::epochBoundary(double demand_miss_rate)
                       static_cast<double>(uni);
             have_jaccard = true;
             if (armed && haveOverlap_ &&
-                jaccard < overlapMean_ - cfg_.overlapDrop) {
+                jaccard < overlapMean_ - kOverlapDrop) {
                 drift = true;
             }
         }
@@ -51,14 +65,13 @@ DriftDetector::epochBoundary(double demand_miss_rate)
     if (armed) {
         const double dev = std::fabs(demand_miss_rate - rateMean_);
         const double sd = std::sqrt(rateVar_ > 0.0 ? rateVar_ : 0.0);
-        if (dev > cfg_.minDelta && dev > cfg_.zThreshold * sd)
+        if (dev > kMinDelta && dev > kZThreshold * sd)
             drift = true;
     }
 
     // Roll the EWMAs (after testing, so an epoch never explains
     // itself away).  A detection re-seeds them on the new phase.
     if (drift) {
-        ++detections_;
         rateMean_ = demand_miss_rate;
         rateVar_ = 0.0;
         haveOverlap_ = false;
@@ -68,16 +81,15 @@ DriftDetector::epochBoundary(double demand_miss_rate)
         rateVar_ = 0.0;
     } else {
         const double d = demand_miss_rate - rateMean_;
-        rateMean_ += cfg_.alpha * d;
-        rateVar_ = (1.0 - cfg_.alpha) * (rateVar_ +
-                                         cfg_.alpha * d * d);
+        rateMean_ += kAlpha * d;
+        rateVar_ = (1.0 - kAlpha) * (rateVar_ + kAlpha * d * d);
     }
     if (have_jaccard && !drift) {
         if (!haveOverlap_) {
             overlapMean_ = jaccard;
             haveOverlap_ = true;
         } else {
-            overlapMean_ += cfg_.alpha * (jaccard - overlapMean_);
+            overlapMean_ += kAlpha * (jaccard - overlapMean_);
         }
     }
     ++epochsSinceArm_;

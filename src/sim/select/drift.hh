@@ -9,24 +9,25 @@
  *    demand miss rate fed by the caller (the selector feeds the
  *    aggregate leader-set SHADOW rate, which fixed-policy shadows
  *    keep independent of the bandit's own arm switches); an epoch
- *    deviating by more than zThreshold EWMA standard deviations AND
- *    an absolute minDelta floor signals a shift.  The floor keeps
- *    near-deterministic streams (variance ~ 0) from firing on
- *    harmless jitter.
+ *    deviating by more than kZThreshold = 4 EWMA standard deviations
+ *    AND an absolute kMinDelta = 0.04 floor signals a shift.  The
+ *    floor keeps near-deterministic streams (variance ~ 0) from
+ *    firing on harmless jitter.
  *  - Working-set change-point: a 16-kbit one-epoch Bloom signature of
  *    the demand blocks touched; the Jaccard overlap of consecutive
  *    epochs is tracked by EWMA, and an epoch whose overlap falls
- *    overlapDrop below that running mean signals that the stream
+ *    kOverlapDrop = 0.35 below that running mean signals that the stream
  *    moved to new addresses even if the miss rate did not move (a
  *    region shift under identical access statistics).  Comparing
  *    against the stream's OWN running overlap — not an absolute
  *    floor — keeps zero-reuse scans (whose overlap is always ~0)
  *    from firing every epoch.
  *
- * Both triggers arm only after warmEpochs epochs and re-arm after
- * every detection, so one phase shift fires once.  All state lives in
- * fixed arrays; observeBlock() and epochBoundary() are allocation-
- * free and deterministic.
+ * Both EWMAs weigh the newest epoch by kAlpha = 0.2.  Both triggers
+ * arm only after kWarmEpochs = 4 epochs and re-arm after every
+ * detection, so one phase shift fires once.  The five are constants
+ * in drift.cc.  All state lives in fixed arrays; observeBlock() and
+ * epochBoundary() are allocation-free and deterministic.
  */
 
 #ifndef GIPPR_SIM_SELECT_DRIFT_HH_
@@ -34,7 +35,6 @@
 
 #include <cstdint>
 
-#include "sim/select/select.hh"
 #include "util/hot.hh"
 
 namespace gippr::select
@@ -44,8 +44,6 @@ namespace gippr::select
 class DriftDetector
 {
   public:
-    explicit DriftDetector(const DriftConfig &cfg);
-
     /** Fold one demand-accessed block into the epoch signature. */
     GIPPR_HOT void observeBlock(uint64_t block)
     {
@@ -64,14 +62,11 @@ class DriftDetector
      */
     GIPPR_HOT bool epochBoundary(double demand_miss_rate);
 
-    uint64_t detections() const { return detections_; }
-
   private:
     static constexpr uint64_t kWords = 256; // 16 kbit per signature
     /** Signature population below which overlap is meaningless. */
     static constexpr uint64_t kMinBits = 64;
 
-    DriftConfig cfg_;
     uint64_t sig_[2][kWords] = {};
     unsigned cur_ = 0;
     bool havePrev_ = false;
@@ -80,7 +75,6 @@ class DriftDetector
     double rateVar_ = 0.0;
     double overlapMean_ = 0.0;
     unsigned epochsSinceArm_ = 0;
-    uint64_t detections_ = 0;
 };
 
 } // namespace gippr::select

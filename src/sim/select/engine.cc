@@ -23,6 +23,9 @@ namespace gippr::select
 namespace
 {
 
+/** Leader sets requested per arm (clamped to the geometry). */
+constexpr unsigned kLeadersPerArm = 32;
+
 /** One merged-stream record, decoded once outside the hot loop. */
 struct Rec
 {
@@ -147,7 +150,7 @@ replayStream(const std::vector<PolicyDef> &library,
         // (smaller samples make epoch rewards too noisy to separate
         // close policies).
         unsigned per_arm = 1;
-        while (per_arm < cfg.leadersPerArm &&
+        while (per_arm < kLeadersPerArm &&
                static_cast<uint64_t>(per_arm) * 2 * arms <= sets)
             per_arm *= 2;
         const LeaderSets leaders(sets, arms, per_arm);
@@ -168,8 +171,7 @@ replayStream(const std::vector<PolicyDef> &library,
     }
 
     BanditSelector bandit(cfg, arms);
-    DriftDetector drift(cfg.drift);
-    const bool use_drift = duel && cfg.drift.enabled;
+    DriftDetector drift;
 
     std::vector<fastpath::CounterBank> core_bank(cores);
     std::vector<fastpath::CounterBank> core_warm(cores);
@@ -204,7 +206,7 @@ replayStream(const std::vector<PolicyDef> &library,
         }
 
         const int8_t *owner_view = duel ? owners.data() : nullptr;
-        DriftDetector *drift_view = use_drift ? &drift : nullptr;
+        DriftDetector *drift_view = duel ? &drift : nullptr;
         const unsigned shadow_arms = duel ? arms : 0;
         replayChunk(recs.data() + pos, count, mains[current],
                     shadows.data(), shadow_arms, owner_view, drift_view,
@@ -239,7 +241,7 @@ replayStream(const std::vector<PolicyDef> &library,
                                 static_cast<double>(shadow_demand)
                           : 0.0;
         bool drifted = false;
-        if (use_drift && drift.epochBoundary(shadow_rate)) {
+        if (duel && drift.epochBoundary(shadow_rate)) {
             drifted = true;
             bandit.resetEvidence();
             ++result.driftResets;
@@ -273,6 +275,38 @@ replayStream(const std::vector<PolicyDef> &library,
         result.total += core_bank[c];
     }
     return result;
+}
+
+/**
+ * Walk @p streams in the order @p schedule interleaves them (the
+ * shared-LLC engine's order), handing each record and its core to
+ * @p visit; @p out, which @p visit fills, is first reserved for the
+ * merged length.
+ */
+template <class Out, class Visit>
+void
+forEachMerged(const std::vector<multicore::CoreStream> &streams,
+              multicore::Schedule schedule, Out &out, const Visit &visit)
+{
+    GIPPR_CHECK(!streams.empty());
+    const size_t cores = streams.size();
+    std::vector<uint64_t> lengths(cores);
+    std::vector<uint64_t> weights(cores);
+    size_t merged_size = 0;
+    for (size_t c = 0; c < cores; ++c) {
+        GIPPR_CHECK(streams[c].trace != nullptr);
+        lengths[c] = streams[c].trace->size();
+        weights[c] = streams[c].weight;
+        merged_size += lengths[c];
+    }
+    out.reserve(merged_size);
+    std::vector<size_t> cursor(cores, 0);
+    multicore::Interleaver il(schedule, lengths, weights);
+    int c;
+    while ((c = il.next()) >= 0) {
+        const auto core = static_cast<unsigned>(c);
+        visit((*streams[core].trace)[cursor[core]++], core);
+    }
 }
 
 /** replayStream on the backend resolveBackend() picks. */
@@ -338,60 +372,30 @@ runSelectShared(const std::vector<multicore::CoreStream> &streams,
                 const SelectConfig &cfg, const CacheConfig &llc,
                 double warmup_fraction, Backend backend)
 {
-    GIPPR_CHECK(!streams.empty());
     GIPPR_CHECK(warmup_fraction >= 0.0 && warmup_fraction <= 1.0);
-    const auto cores = static_cast<unsigned>(streams.size());
-    std::vector<uint64_t> lengths(cores);
-    std::vector<uint64_t> weights(cores);
-    std::vector<uint64_t> warmups(cores);
-    size_t merged_size = 0;
-    for (unsigned c = 0; c < cores; ++c) {
-        GIPPR_CHECK(streams[c].trace != nullptr);
-        lengths[c] = streams[c].trace->size();
-        weights[c] = streams[c].weight;
-        warmups[c] = static_cast<uint64_t>(
-            static_cast<double>(lengths[c]) * warmup_fraction);
-        merged_size += lengths[c];
-    }
-
     const AddressDecode decode(llc);
     std::vector<Rec> recs;
-    recs.reserve(merged_size);
-    std::vector<size_t> cursor(cores, 0);
-    multicore::Interleaver il(schedule, lengths, weights);
-    int c;
-    while ((c = il.next()) >= 0) {
-        const auto core = static_cast<unsigned>(c);
-        const MemRecord &r = (*streams[core].trace)[cursor[core]++];
-        appendRecs(recs, r, core, decode);
-    }
-    return runStream(library, cfg, llc, recs, cores, warmups, backend);
+    forEachMerged(streams, schedule, recs,
+                  [&](const MemRecord &r, unsigned core) {
+                      appendRecs(recs, r, core, decode);
+                  });
+    std::vector<uint64_t> warmups;
+    warmups.reserve(streams.size());
+    for (const multicore::CoreStream &cs : streams)
+        warmups.push_back(static_cast<uint64_t>(
+            static_cast<double>(cs.trace->size()) * warmup_fraction));
+    return runStream(library, cfg, llc, recs,
+                     static_cast<unsigned>(streams.size()), warmups,
+                     backend);
 }
 
 Trace
 mergedTrace(const std::vector<multicore::CoreStream> &streams,
             multicore::Schedule schedule)
 {
-    GIPPR_CHECK(!streams.empty());
-    const auto cores = static_cast<unsigned>(streams.size());
-    std::vector<uint64_t> lengths(cores);
-    std::vector<uint64_t> weights(cores);
-    size_t merged_size = 0;
-    for (unsigned c = 0; c < cores; ++c) {
-        GIPPR_CHECK(streams[c].trace != nullptr);
-        lengths[c] = streams[c].trace->size();
-        weights[c] = streams[c].weight;
-        merged_size += lengths[c];
-    }
     Trace out;
-    out.reserve(merged_size);
-    std::vector<size_t> cursor(cores, 0);
-    multicore::Interleaver il(schedule, lengths, weights);
-    int c;
-    while ((c = il.next()) >= 0) {
-        const auto core = static_cast<unsigned>(c);
-        out.append((*streams[core].trace)[cursor[core]++]);
-    }
+    forEachMerged(streams, schedule, out,
+                  [&out](const MemRecord &r, unsigned) { out.append(r); });
     return out;
 }
 

@@ -78,24 +78,7 @@ buildSelectReport(const SelectReportInputs &in)
     report.setConfig("bandit",
                      JsonValue(banditKindName(in.cfg.kind)));
     report.setConfig("epoch_length", JsonValue(in.cfg.epochLength));
-    report.setConfig("gamma", JsonValue(in.cfg.gamma));
-    report.setConfig("ucb_c", JsonValue(in.cfg.ucbC));
-    report.setConfig("epsilon", JsonValue(in.cfg.epsilon));
-    report.setConfig("switch_margin", JsonValue(in.cfg.switchMargin));
-    report.setConfig("leaders_per_arm",
-                     JsonValue(static_cast<uint64_t>(
-                         in.cfg.leadersPerArm)));
     report.setConfig("seed", JsonValue(in.cfg.seed));
-    JsonValue drift = JsonValue::object();
-    drift.set("enabled", JsonValue(in.cfg.drift.enabled));
-    drift.set("alpha", JsonValue(in.cfg.drift.alpha));
-    drift.set("z_threshold", JsonValue(in.cfg.drift.zThreshold));
-    drift.set("min_delta", JsonValue(in.cfg.drift.minDelta));
-    drift.set("overlap_drop", JsonValue(in.cfg.drift.overlapDrop));
-    drift.set("warm_epochs",
-              JsonValue(static_cast<uint64_t>(
-                  in.cfg.drift.warmEpochs)));
-    report.setConfig("drift", std::move(drift));
     JsonValue llc = JsonValue::object();
     llc.set("size_bytes",
             JsonValue(static_cast<uint64_t>(in.llc.sizeBytes)));

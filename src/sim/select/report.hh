@@ -2,12 +2,12 @@
  * @file
  * RunReport assembly for selector runs (kind "select").
  *
- * Shared by examples/select_sim and examples/multicore_sim --select
- * so the two emit schema-identical artifacts.  The backend is
- * deliberately NOT part of the report: the CI equivalence gates
- * byte-compare fast-vs-scalar (and shared-vs-single-core) artifacts
- * with cmp, which only works if the document is a pure function of
- * the run's semantics.
+ * Written by examples/multicore_sim --select, whichever engine ran
+ * (shared-stream, or single-trace under --reference-single).  The
+ * backend is deliberately NOT part of the report: the equivalence
+ * gates byte-compare fast-vs-scalar (and shared-vs-single-core)
+ * artifacts with cmp, which only works if the document is a pure
+ * function of the run's semantics.
  */
 
 #ifndef GIPPR_SIM_SELECT_REPORT_HH_

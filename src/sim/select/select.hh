@@ -57,44 +57,23 @@ using Backend = multicore::Backend;
 using multicore::backendName;
 using multicore::parseBackend;
 
-/** Phase-drift detector knobs (see drift.hh). */
-struct DriftConfig
-{
-    bool enabled = true;
-    /** EWMA weight of the newest epoch (mean and variance). */
-    double alpha = 0.2;
-    /** Miss-rate deviation trigger, in EWMA standard deviations. */
-    double zThreshold = 4.0;
-    /** Absolute miss-rate deviation floor (units of miss rate). */
-    double minDelta = 0.04;
-    /** Working-set signature overlap drop that signals a shift. */
-    double overlapDrop = 0.35;
-    /** Epochs observed before either trigger arms (also after a
-     *  reset, so one shift fires once, not every epoch). */
-    unsigned warmEpochs = 4;
-
-    bool operator==(const DriftConfig &o) const = default;
-};
-
-/** Everything that shapes one selector run. */
+/**
+ * Everything a caller sets for one selector run.  The rest is fixed:
+ * the bandit's discount, confidence width, exploration probability
+ * and switch margin (bandit.cc: kGamma, kUcbC, kEpsilon,
+ * kSwitchMargin), the drift detector's EWMA weight and triggers
+ * (drift.cc: kAlpha, kZThreshold, kMinDelta, kOverlapDrop,
+ * kWarmEpochs) and the leader sets requested per arm (engine.cc:
+ * kLeadersPerArm).  Drift detection runs whenever the library has
+ * two or more arms.
+ */
 struct SelectConfig
 {
     BanditKind kind = BanditKind::DUcb;
     /** Accesses between decisions. */
     uint64_t epochLength = 4096;
-    /** Per-epoch discount of bandit state (dUCB). */
-    double gamma = 0.8;
-    /** Exploration width of the dUCB confidence bonus. */
-    double ucbC = 0.05;
-    /** Exploration probability (epsilon-greedy). */
-    double epsilon = 0.05;
-    /** A challenger must beat the incumbent's score by this much. */
-    double switchMargin = 0.005;
-    /** Requested leader sets per arm (clamped to the geometry). */
-    unsigned leadersPerArm = 32;
     /** Seed of the bandit's exploration stream (epsilon-greedy). */
     uint64_t seed = 1;
-    DriftConfig drift;
 
     bool operator==(const SelectConfig &o) const = default;
 };

@@ -1,13 +1,11 @@
 /**
  * @file
- * Environment knob parsing implementation.
+ * Strict unsigned parsing implementation.
  */
 
 #include "util/env.hh"
 
 #include <charconv>
-#include <cstring>
-#include <string>
 
 #include "util/log.hh"
 
@@ -15,13 +13,14 @@ namespace gippr
 {
 
 uint64_t
-parseEnvUnsigned(const char *name, const char *text, uint64_t max)
+parseUnsigned(const std::string &what, std::string_view text,
+              uint64_t max)
 {
-    const char *end = text + std::strlen(text);
+    const char *end = text.data() + text.size();
     uint64_t value = 0;
-    const auto [ptr, ec] = std::from_chars(text, end, value);
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
     if (ec != std::errc() || ptr != end || value > max) {
-        fatal(std::string(name) + "='" + text +
+        fatal(what + "='" + std::string(text) +
               "' is not an unsigned integer in [0, " +
               std::to_string(max) + "]");
     }

@@ -1,11 +1,12 @@
 /**
  * @file
- * Strict parsing of numeric GIPPR_* environment knobs.
+ * Strict parsing of unsigned integers from outside input: CLI flags,
+ * mix and partition specs, and numeric GIPPR_* environment knobs.
  *
- * A knob that is set but malformed must fail loudly: strtoul-style
- * parsing silently turns "abc" into 0, which changes the I/O retry
- * pacing without a word.  Callers keep their own
- * getenv (the audited config-knob sites) and hand the value here.
+ * A value that is set but malformed must fail loudly: strtoul-style
+ * parsing silently turns "abc" into 0, "100k" into 100 and "-1" into
+ * 2^64 - 1.  Callers keep their own getenv (the audited config-knob
+ * sites) or argv handling and hand the text here.
  */
 
 #ifndef GIPPR_UTIL_ENV_HH_
@@ -13,18 +14,21 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <string_view>
 
 namespace gippr
 {
 
 /**
- * Parse @p text, the value of environment variable @p name, as a
- * base-10 unsigned integer no larger than @p max.  fatal() with a
- * message naming the variable and the value on an empty,
- * non-numeric, signed, out-of-range or trailing-garbage value.
+ * Parse @p text as a base-10 unsigned integer no larger than @p max;
+ * @p what names the input (a flag, a spec field or an environment
+ * variable).  fatal() with a message naming @p what and the value on
+ * an empty, non-numeric, signed, out-of-range or trailing-garbage
+ * value.
  */
-uint64_t parseEnvUnsigned(
-    const char *name, const char *text,
+uint64_t parseUnsigned(
+    const std::string &what, std::string_view text,
     uint64_t max = std::numeric_limits<uint64_t>::max());
 
 } // namespace gippr

@@ -262,15 +262,35 @@ TEST(BatchedEquiv, DispatchedKernelIsBitIdenticalAtEveryShardCount)
 TEST(EnvKnob, WellFormedValuesKeepTheirMeaning)
 {
     const char *const knob = "GIPPR_IO_RETRY_BASE_MS";
-    EXPECT_EQ(parseEnvUnsigned(knob, "0"), 0u);
-    EXPECT_EQ(parseEnvUnsigned(knob, "32"), 32u);
-    EXPECT_EQ(parseEnvUnsigned(knob, "65536"), 65536u);
-    EXPECT_EQ(parseEnvUnsigned(knob, "4294967295", 4294967295u),
+    EXPECT_EQ(parseUnsigned(knob, "0"), 0u);
+    EXPECT_EQ(parseUnsigned(knob, "32"), 32u);
+    EXPECT_EQ(parseUnsigned(knob, "65536"), 65536u);
+    EXPECT_EQ(parseUnsigned(knob, "4294967295", 4294967295u),
               4294967295u);
-    EXPECT_THROW(parseEnvUnsigned(knob, "4294967296", 4294967295u),
+    EXPECT_THROW(parseUnsigned(knob, "4294967296", 4294967295u),
                  std::runtime_error);
-    EXPECT_THROW(parseEnvUnsigned(knob, "18446744073709551616"),
+    EXPECT_THROW(parseUnsigned(knob, "18446744073709551616"),
                  std::runtime_error);
+}
+
+TEST(ParseUnsigned, MalformedValuesAreFatalAndNamed)
+{
+    // fatal() throws; the noexcept wrapper turns that into the abort
+    // an uncaught error is in the binaries, after the message.
+    for (const char *bad : {"100k", "-1", " 1", "1 ", "", "0x10"}) {
+        EXPECT_DEATH(([&]() noexcept {
+                         parseUnsigned("--accesses", bad);
+                     })(),
+                     std::string("fatal: --accesses='") + bad +
+                         "' is not an unsigned integer in \\[0, "
+                         "18446744073709551615\\]")
+            << bad;
+    }
+    EXPECT_DEATH(([&]() noexcept {
+                     parseUnsigned("--cores", "70000", 65535);
+                 })(),
+                 "--cores='70000' is not an unsigned integer in "
+                 "\\[0, 65535\\]");
 }
 
 TEST(BatchedEquiv, BatchWidthsProduceIdenticalMissCounts)

@@ -3,6 +3,9 @@
  * Tests for the GA fitness function.
  */
 
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "ga/fitness.hh"
@@ -104,11 +107,13 @@ TEST(Fitness, GipprFamilyUsesTreeDynamics)
 TEST(Fitness, MissesMatchLruBaselineForLruVector)
 {
     FitnessEvaluator fe = makeEvaluator();
-    for (size_t i = 0; i < fe.traceCount(); ++i) {
-        EXPECT_EQ(fe.missesOn(i, Ipv::lru(16), IpvFamily::Giplr),
-                  fe.lruMisses(i))
-            << i;
-    }
+    const std::vector<Ipv> lru = {Ipv::lru(16)};
+    const std::vector<std::vector<uint64_t>> misses =
+        fe.missesForAll(lru, IpvFamily::Giplr);
+    ASSERT_EQ(misses.size(), 1u);
+    ASSERT_EQ(misses[0].size(), fe.traceCount());
+    for (size_t i = 0; i < fe.traceCount(); ++i)
+        EXPECT_EQ(misses[0][i], fe.lruMisses(i)) << i;
 }
 
 TEST(Fitness, CpiModelLinearInMisses)

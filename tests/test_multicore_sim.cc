@@ -247,6 +247,20 @@ TEST(MulticoreMix, CustomListsCycleAndTruncate)
     EXPECT_THROW(parseMixSpec("loop_thrash:0", 2), std::runtime_error);
 }
 
+TEST(MulticoreMix, MalformedWeightIsFatalAndNamed)
+{
+    // A fatal spec error aborts through the noexcept wrapper, so the
+    // death test sees fatal()'s message on stderr.
+    EXPECT_DEATH(([&]() noexcept {
+                     parseMixSpec("zipf_hot:-1,loop_fit", 2);
+                 })(),
+                 "mix weight of zipf_hot='-1' is not an unsigned integer");
+    EXPECT_DEATH(([&]() noexcept { parseMixSpec("zipf_hot:2x", 1); })(),
+                 "mix weight of zipf_hot='2x'");
+    EXPECT_DEATH(([&]() noexcept { parseMixSpec("zipf_hot:", 1); })(),
+                 "mix weight of zipf_hot=''");
+}
+
 TEST(MulticoreMix, UnknownWorkloadIsFatal)
 {
     EXPECT_THROW(streamsFor("no_such_workload", 1), std::runtime_error);
@@ -385,6 +399,26 @@ TEST(MulticorePartition, ParseSpecs)
     EXPECT_EQ(ut.repartitionEvery, 4096u);
     EXPECT_THROW(parsePartition("static:8,4", 4), std::runtime_error);
     EXPECT_THROW(parsePartition("bogus", 4), std::runtime_error);
+}
+
+TEST(MulticorePartition, MalformedCountsAreFatalAndNamed)
+{
+    EXPECT_DEATH(([&]() noexcept {
+                     parsePartition("static:8x,8", 2);
+                 })(),
+                 "static partition way count='8x' is not an unsigned");
+    EXPECT_DEATH(([&]() noexcept {
+                     parsePartition("static:8,-8", 2);
+                 })(),
+                 "static partition way count='-8'");
+    EXPECT_DEATH(([&]() noexcept {
+                     parsePartition("static:4294967296,8", 2);
+                 })(),
+                 "static partition way count='4294967296'");
+    EXPECT_DEATH(([&]() noexcept {
+                     parsePartition("utility:1e6", 2);
+                 })(),
+                 "utility repartition interval='1e6'");
 }
 
 TEST(MulticorePartition, UtilityMonitorHistogramsAndAllocation)
