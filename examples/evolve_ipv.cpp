@@ -20,6 +20,9 @@
  *     --deterministic        pin timestamp, zero timings in the JSON
  *                            artifact (for byte-identity comparisons)
  *
+ * An unknown flag or family, or a number that is not a plain unsigned
+ * integer, stops the run with a message naming the value.
+ *
  * Prints the convergence curve, the best vector, and (for N > 1) the
  * complementary duel set chosen from the final population.
  *
@@ -32,7 +35,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <limits>
 #include <string>
@@ -53,59 +55,97 @@ using namespace gippr;
 namespace
 {
 
-uint64_t
-argValue(int argc, char **argv, const char *flag, uint64_t fallback,
-         uint64_t max = std::numeric_limits<uint64_t>::max())
+/** Command-line settings, at their defaults until parsed. */
+struct Options
 {
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return parseUnsigned(flag, argv[i + 1], max);
-    return fallback;
-}
+    IpvFamily family = IpvFamily::Gippr;
+    std::string familyName = "gippr";
+    unsigned generations = 12;
+    uint64_t population = 48;
+    unsigned threads = 8;
+    uint64_t seed = 42;
+    uint64_t vectors = 4;
+    uint64_t accesses = 200000;
+    std::string jsonPath;
+    std::string checkpointPath;
+    unsigned checkpointEvery = 1;
+    bool resume = false;
+    bool deterministic = false;
+};
 
-std::string
-argString(int argc, char **argv, const char *flag,
-          const std::string &fallback)
+/** Parse argv; an unknown flag or family, or a malformed number, is fatal. */
+Options
+parseArgs(int argc, char **argv)
 {
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return argv[i + 1];
-    return fallback;
-}
-
-bool
-hasFlag(int argc, char **argv, const char *flag)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return true;
-    return false;
+    Options opts;
+    constexpr uint64_t kUnsignedMax = std::numeric_limits<unsigned>::max();
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        auto value = [&]() -> std::string {
+            if (i + 1 >= argc)
+                fatal(arg + " requires an argument");
+            return argv[++i];
+        };
+        auto number = [&](uint64_t max =
+                              std::numeric_limits<uint64_t>::max()) {
+            return parseUnsigned(arg, value(), max);
+        };
+        if (arg == "--family") {
+            opts.familyName = value();
+            if (opts.familyName == "giplr")
+                opts.family = IpvFamily::Giplr;
+            else if (opts.familyName == "gippr")
+                opts.family = IpvFamily::Gippr;
+            else
+                fatal("--family='" + opts.familyName +
+                      "' is not an IPV family; use giplr or gippr");
+        } else if (arg == "--generations") {
+            opts.generations = static_cast<unsigned>(number(kUnsignedMax));
+        } else if (arg == "--population") {
+            opts.population = number();
+        } else if (arg == "--threads") {
+            opts.threads = static_cast<unsigned>(number(kUnsignedMax));
+        } else if (arg == "--seed") {
+            opts.seed = number();
+        } else if (arg == "--vectors") {
+            opts.vectors = number();
+        } else if (arg == "--accesses") {
+            opts.accesses = number();
+        } else if (arg == "--json") {
+            opts.jsonPath = value();
+        } else if (arg == "--checkpoint") {
+            opts.checkpointPath = value();
+        } else if (arg == "--checkpoint-every") {
+            opts.checkpointEvery = static_cast<unsigned>(number(kUnsignedMax));
+        } else if (arg == "--resume") {
+            opts.resume = true;
+        } else if (arg == "--deterministic") {
+            opts.deterministic = true;
+        } else {
+            fatal("unknown argument: " + arg);
+        }
+    }
+    return opts;
 }
 
 int
 run(int argc, char **argv)
 {
-    const std::string family_name =
-        argString(argc, argv, "--family", "gippr");
-    const IpvFamily family = family_name == "giplr" ? IpvFamily::Giplr
-                                                    : IpvFamily::Gippr;
+    const Options opts = parseArgs(argc, argv);
+    const std::string &family_name = opts.familyName;
+    const IpvFamily family = opts.family;
     GaParams params;
-    constexpr uint64_t kUnsignedMax = std::numeric_limits<unsigned>::max();
-    params.generations = static_cast<unsigned>(
-        argValue(argc, argv, "--generations", 12, kUnsignedMax));
-    params.population = argValue(argc, argv, "--population", 48);
+    params.generations = opts.generations;
+    params.population = opts.population;
     params.initialPopulation = params.population * 2;
-    params.threads = static_cast<unsigned>(
-        argValue(argc, argv, "--threads", 8, kUnsignedMax));
-    params.seed = argValue(argc, argv, "--seed", 42);
-    const size_t n_vectors = argValue(argc, argv, "--vectors", 4);
-    const std::string json_path = argString(argc, argv, "--json", "");
-    params.checkpoint.path = argString(argc, argv, "--checkpoint", "");
-    params.checkpoint.every = static_cast<unsigned>(
-        argValue(argc, argv, "--checkpoint-every", 1, kUnsignedMax));
-    params.checkpoint.resume = hasFlag(argc, argv, "--resume");
-    const bool deterministic =
-        hasFlag(argc, argv, "--deterministic");
+    params.threads = opts.threads;
+    params.seed = opts.seed;
+    const size_t n_vectors = opts.vectors;
+    const std::string &json_path = opts.jsonPath;
+    params.checkpoint.path = opts.checkpointPath;
+    params.checkpoint.every = opts.checkpointEvery;
+    params.checkpoint.resume = opts.resume;
+    const bool deterministic = opts.deterministic;
 
     telemetry::PhaseTimings timings;
     telemetry::MetricRegistry registry;
@@ -124,7 +164,7 @@ run(int argc, char **argv)
 
     SuiteParams sp;
     sp.llcBlocks = 16384;
-    sp.accessesPerSimpoint = argValue(argc, argv, "--accesses", 200000);
+    sp.accessesPerSimpoint = opts.accesses;
     SyntheticSuite suite(sp);
 
     SystemParams sys;

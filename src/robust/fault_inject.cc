@@ -6,7 +6,9 @@
 #include "robust/fault_inject.hh"
 
 #include <cstdlib>
+#include <string_view>
 
+#include "util/env.hh"
 #include "util/log.hh"
 
 namespace gippr::robust
@@ -82,13 +84,12 @@ FaultInjector::configure(const std::string &spec)
                   "\" (want <open|write|short_write|enospc|rename|"
                   "fsync|close|read>=<N>)");
         }
-        const std::string count_text = token.substr(eq + 1);
-        char *end = nullptr;
-        const unsigned long long nth =
-            std::strtoull(count_text.c_str(), &end, 10);
-        if (count_text.empty() || *end != '\0' || nth == 0) {
-            fatal("GIPPR_FAULT_INJECT: bad occurrence count in \"" +
-                  token + "\" (want a positive integer)");
+        const uint64_t nth = parseUnsigned(
+            "GIPPR_FAULT_INJECT occurrence count of " + token.substr(0, eq),
+            std::string_view(token).substr(eq + 1));
+        if (nth == 0) {
+            fatal("GIPPR_FAULT_INJECT: occurrence count in \"" + token +
+                  "\" must be >= 1");
         }
         rules.push_back({op, kind, nth, false});
         token.clear();

@@ -12,14 +12,22 @@
  * small chunks through the L1/L2 into its demand-only trace, so the
  * CPU trace and the full LLC stream (with writebacks) are never held;
  * the entries equal demandOnlyTrace(filterToLlc(...)) of the
- * materialized simpoints.  Keys capture every input that shapes the
- * filtered trace — workload name, per-simpoint seeds/lengths/weights
- * and the full hierarchy geometry — so benches that deliberately vary
- * the suite (seed ablations) never alias entries.
+ * materialized simpoints.  The build is a two-stage pipeline: a
+ * helper thread runs the generators and fills a ring of four chunks,
+ * while the calling thread runs the L1/L2 cascade and the recorder
+ * over the filled chunks in order.  Each stage stays sequential, so
+ * the entries do not depend on how the two overlap.
+ * Keys capture every input that shapes the filtered trace — workload
+ * name, per-simpoint seeds/lengths/weights and the full hierarchy
+ * geometry — so benches that deliberately vary the suite (seed
+ * ablations) never alias entries.
  *
  * The cache is thread-compatible with the experiment harness's worker
  * pool: lookups lock a mutex, trace construction runs outside it, and
- * entries are immutable once published.
+ * entries are immutable once published.  A worker that misses builds
+ * on its own thread plus a helper, so N concurrent misses run 2N
+ * threads.  Helpers park between builds and stay until the process
+ * exits, one per build that ever ran at the same time.
  */
 
 #ifndef GIPPR_SIM_TRACE_CACHE_HH_
@@ -60,9 +68,14 @@ class LlcTraceCache
      * Entries for @p spec filtered through @p hier's L1+L2 (true LRU,
      * as everywhere), building and publishing them on first use.
      * @p timings, when non-null, receives the "materialize" phase
-     * (generator time, once per build) and the "llc_filter" phase
-     * (L1/L2 and recording time, once per simpoint) on cache misses;
-     * hits cost neither.
+     * (the helper thread's busy generator seconds, once per build) and
+     * the "llc_filter" phase (the calling thread's busy L1/L2 and
+     * recording seconds, once per simpoint) on cache misses; hits cost
+     * neither.  The two overlap, so their sum can exceed the build's
+     * wall time.  An exception in either stage (a generator that
+     * throws, a gap the recorder cannot carry) stops the other stage,
+     * waits for the helper to let go of the build and propagates with
+     * nothing published; a later get() builds afresh.
      */
     std::shared_ptr<const Entries> get(const WorkloadSpec &spec,
                                        const HierarchyConfig &hier,

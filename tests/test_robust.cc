@@ -145,6 +145,14 @@ TEST(FaultInjection, MalformedSpecRejected)
                  std::runtime_error);
     EXPECT_THROW(FaultInjector::instance().configure("mmap=1"),
                  std::runtime_error);
+    // Occurrence counts must be plain integers from 1 to 2^64 - 1.
+    for (const char *spec :
+         {"open=-1", "open=+2", "open=18446744073709551616", "open=0",
+          "open=", "write=1,open=1x"}) {
+        EXPECT_THROW(FaultInjector::instance().configure(spec),
+                     std::runtime_error)
+            << spec;
+    }
     FaultInjector::instance().reset();
 }
 

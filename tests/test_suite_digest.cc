@@ -12,9 +12,17 @@
  * (which would silently shift every result table) fails loudly here.
  */
 
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <future>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -171,6 +179,144 @@ foldRun(uint64_t h, const multicore::RunResult &r)
     for (unsigned w : r.wayCounts)
         h = foldU64(h, w);
     return foldU64(h, r.repartitions);
+}
+
+/**
+ * Expect @p entries to be what materializing @p spec, filtering it
+ * through @p hier and stripping writebacks gives; returns the number
+ * of simpoints compared.
+ */
+size_t
+expectTwoStepEntries(const WorkloadSpec &spec, const HierarchyConfig &hier,
+                     const LlcTraceCache::Entries &entries)
+{
+    const Workload w = SyntheticSuite::materialize(spec);
+    EXPECT_EQ(entries.size(), w.simpoints().size()) << spec.name;
+    const size_t n = std::min(entries.size(), w.simpoints().size());
+    for (size_t s = 0; s < n; ++s) {
+        const Simpoint &sp = w.simpoints()[s];
+        const LlcTraceCache::Entry &e = entries[s];
+        const Trace two_step =
+            demandOnlyTrace(Hierarchy::filterToLlc(*sp.trace, hier));
+        EXPECT_EQ(e.demandTrace->records(), two_step.records())
+            << spec.name << '/' << s;
+        EXPECT_EQ(e.demandTrace->instructions(), two_step.instructions());
+        EXPECT_EQ(e.instructions, sp.trace->instructions());
+        EXPECT_EQ(e.weight, sp.weight);
+    }
+    return n;
+}
+
+/**
+ * Run @p body, aborting the test binary with a message if it has not
+ * returned within a minute (a pipeline stage left waiting on the
+ * other would otherwise hang until the ctest timeout).
+ */
+template <typename Body>
+void
+withinAMinute(const char *what, Body body)
+{
+    std::promise<void> done;
+    std::future<void> finished = done.get_future();
+    std::thread watchdog([&finished, what] {
+        if (finished.wait_for(std::chrono::minutes(1)) ==
+            std::future_status::timeout) {
+            std::fprintf(stderr, "%s did not return within a minute\n",
+                         what);
+            std::abort();
+        }
+    });
+    body();
+    done.set_value();
+    watchdog.join();
+}
+
+/**
+ * A CPU stream over a small loop that throws std::runtime_error at
+ * reference @p throwAt, standing in for a generator that fails.
+ */
+class ThrowingGenerator : public AccessGenerator
+{
+  public:
+    explicit ThrowingGenerator(uint64_t throwAt) : throwAt_(throwAt) {}
+
+    MemRecord
+    next(Rng &) override
+    {
+        const uint64_t i = emitted_++;
+        if (i == throwAt_)
+            throw std::runtime_error("generator failed at reference " +
+                                     std::to_string(i));
+        return makeRecord(i % 4096, 0x400000, 3, i % 5 == 0);
+    }
+    std::string name() const override { return "throwing"; }
+
+  private:
+    uint64_t throwAt_;
+    uint64_t emitted_ = 0;
+};
+
+/**
+ * A spec of @p simpoints simpoints of @p accesses references each;
+ * simpoint @p failing comes from @p make, the rest from the
+ * suite's zipf_hot recipe.
+ */
+WorkloadSpec
+specWithFailingSimpoint(
+    size_t simpoints, uint64_t accesses, size_t failing,
+    std::function<std::unique_ptr<AccessGenerator>()> make)
+{
+    const SyntheticSuite suite(pinnedParams());
+    WorkloadSpec spec;
+    spec.name = "failing";
+    spec.capacityBlocks = 256;
+    for (size_t i = 0; i < simpoints; ++i) {
+        SimpointSpec sp = suite.spec("zipf_hot").simpoints.front();
+        sp.accesses = accesses;
+        sp.seed += i;
+        if (i == failing)
+            sp.make = make;
+        spec.simpoints.push_back(sp);
+    }
+    return spec;
+}
+
+/**
+ * Expect @p cache.get(@p bad) to throw without publishing anything or
+ * recording a phase, twice, and the same cache then to build a good
+ * spec.
+ */
+void
+expectFailedBuildPublishesNothing(LlcTraceCache &cache,
+                                  const WorkloadSpec &bad,
+                                  const char *message)
+{
+    telemetry::PhaseTimings timings;
+    const uint64_t misses = cache.misses();
+    withinAMinute("a failing build", [&] {
+        for (int attempt = 0; attempt < 2; ++attempt) {
+            try {
+                cache.get(bad, tinyHier(), &timings);
+                ADD_FAILURE() << "get() returned for a failing build";
+            } catch (const std::runtime_error &e) {
+                EXPECT_NE(std::string(e.what()).find(message),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    });
+    // Nothing published: the second attempt missed and rebuilt.
+    EXPECT_EQ(cache.misses(), misses + 2);
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_TRUE(timings.phases().empty());
+
+    SuiteParams params = pinnedParams();
+    params.accessesPerSimpoint = 12000;
+    const WorkloadSpec good = SyntheticSuite(params).spec("zipf_hot");
+    std::shared_ptr<const LlcTraceCache::Entries> entries;
+    withinAMinute("a good build after a failed one",
+                  [&] { entries = cache.get(good, tinyHier(), &timings); });
+    expectTwoStepEntries(good, tinyHier(), *entries);
 }
 
 } // namespace
@@ -382,69 +528,73 @@ TEST(SuiteDigest, SharedCacheLeavesExperimentRowsUnchanged)
 TEST(SuiteDigest, StreamedTraceCacheMatchesTwoStepFilter)
 {
     // LlcTraceCache streams each simpoint's generator through the
-    // L1/L2 in chunks; its entries must be what materializing, then
-    // filtering, then stripping writebacks gives.  8000 references
-    // span several chunks and a partial last one.  The entries are
-    // fetched on two threads so sanitizer builds see the streamed
-    // path run concurrently.
+    // L1/L2 in 2048-record chunks, generated on a helper thread; its
+    // entries must be what materializing, then filtering, then
+    // stripping writebacks gives.  The simpoint lengths straddle the
+    // chunk size: one record, one short of a chunk, exactly one, one
+    // over, three whole chunks, and several chunks with a partial last
+    // one.  The generators keep their 8000-reference shapes.  The
+    // entries are fetched on two threads so sanitizer builds see the
+    // streamed path run concurrently.
     SuiteParams small = pinnedParams();
     small.accessesPerSimpoint = 8000;
     SuiteParams paper = small;
     paper.llcBlocks = 4096; // working sets that spill the paper L2
     const std::vector<std::pair<SuiteParams, HierarchyConfig>> cases = {
         {small, tinyHier()}, {paper, HierarchyConfig{}}};
-    for (const auto &[params, hier] : cases) {
-        const std::vector<WorkloadSpec> specs = allMembers(params);
-        LlcTraceCache cache;
-        telemetry::PhaseTimings timings;
-        std::vector<std::shared_ptr<const LlcTraceCache::Entries>> got(
-            specs.size());
-        parallelFor(specs.size(), 2, [&](size_t i) {
-            got[i] = cache.get(specs[i], hier, &timings);
-        });
+    for (uint64_t length : {1, 2047, 2048, 2049, 6144, 8000}) {
+        for (const auto &[params, hier] : cases) {
+            std::vector<WorkloadSpec> specs = allMembers(params);
+            for (WorkloadSpec &spec : specs)
+                for (SimpointSpec &sp : spec.simpoints)
+                    sp.accesses = length;
+            LlcTraceCache cache;
+            telemetry::PhaseTimings timings;
+            std::vector<std::shared_ptr<const LlcTraceCache::Entries>> got(
+                specs.size());
+            parallelFor(specs.size(), 2, [&](size_t i) {
+                got[i] = cache.get(specs[i], hier, &timings);
+            });
 
-        size_t simpoints = 0;
-        for (size_t i = 0; i < specs.size(); ++i) {
-            const Workload w = SyntheticSuite::materialize(specs[i]);
-            ASSERT_EQ(got[i]->size(), w.simpoints().size()) << specs[i].name;
-            for (size_t s = 0; s < w.simpoints().size(); ++s) {
-                const Simpoint &sp = w.simpoints()[s];
-                const LlcTraceCache::Entry &e = (*got[i])[s];
-                const Trace two_step =
-                    demandOnlyTrace(Hierarchy::filterToLlc(*sp.trace, hier));
-                EXPECT_EQ(e.demandTrace->records(), two_step.records())
-                    << specs[i].name << '/' << s;
-                EXPECT_EQ(e.demandTrace->instructions(),
-                          two_step.instructions());
-                EXPECT_EQ(e.instructions, sp.trace->instructions());
-                EXPECT_EQ(e.weight, sp.weight);
-                ++simpoints;
+            size_t simpoints = 0;
+            for (size_t i = 0; i < specs.size(); ++i) {
+                SCOPED_TRACE(length);
+                simpoints += expectTwoStepEntries(specs[i], hier, *got[i]);
             }
+            // One "materialize" per build and one "llc_filter" per
+            // simpoint, as when the build materialized first.
+            std::map<std::string, uint64_t> counts;
+            for (const telemetry::PhaseStat &p : timings.phases())
+                counts[p.name] = p.count;
+            EXPECT_EQ(counts["materialize"], specs.size());
+            EXPECT_EQ(counts["llc_filter"], simpoints);
         }
-        // One "materialize" per build and one "llc_filter" per
-        // simpoint, as when the build materialized first.
-        std::map<std::string, uint64_t> counts;
-        for (const telemetry::PhaseStat &p : timings.phases())
-            counts[p.name] = p.count;
-        EXPECT_EQ(counts["materialize"], specs.size());
-        EXPECT_EQ(counts["llc_filter"], simpoints);
     }
 }
 
-/** A CPU stream of L1 hits with maximal gaps, then one cold block. */
+/**
+ * A CPU stream of @p warmup unit-gap references to one block, then L1
+ * hits with maximal gaps, then one cold block.
+ */
 class MaxGapGenerator : public AccessGenerator
 {
   public:
+    explicit MaxGapGenerator(uint64_t warmup = 0) : warmup_(warmup) {}
+
     MemRecord
     next(Rng &) override
     {
-        const bool cold = emitted_++ == 3;
+        const uint64_t i = emitted_++;
+        if (i < warmup_)
+            return makeRecord(1, 0x400000, 1, false);
+        const bool cold = i - warmup_ == 3;
         return makeRecord(cold ? 2 : 1, 0x400000,
                           cold ? 1 : 0xFFFFFFFFu, false);
     }
     std::string name() const override { return "max_gap"; }
 
   private:
+    uint64_t warmup_;
     uint64_t emitted_ = 0;
 };
 
@@ -452,6 +602,9 @@ TEST(SuiteDigest, StreamedTraceCacheGapOverflowIsFatal)
 {
     // Two L1 hits of 2^32 - 1 instructions each leave a gap that the
     // cold block's record cannot carry.  Both builds must refuse it.
+    // Earlier builds in this process leave parked generator helpers,
+    // so the death tests re-execute the binary instead of forking it.
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
     WorkloadSpec spec;
     spec.name = "max_gap";
     spec.capacityBlocks = 256;
@@ -484,6 +637,51 @@ TEST(SuiteDigest, StreamedTraceCacheGapOverflowIsFatal)
     const auto entries = cache.get(spec, tinyHier(), nullptr);
     EXPECT_EQ(entries->front().demandTrace->records(), two_step.records());
     EXPECT_EQ(two_step.size(), 1u);
+}
+
+TEST(SuiteDigest, StreamedBuildCascadeFailurePublishesNothing)
+{
+    // The recorder's gap overflow throws on the calling thread's
+    // cascade while the generator thread is chunks ahead (or done): it
+    // must stop, the exception must reach the caller, and the cache
+    // must stay usable.  Overflows land in the first chunk, mid-ring
+    // and in the second simpoint.
+    for (uint64_t warmup : {0u, 5u * 2048u + 100u}) {
+        for (size_t failing : {0u, 1u}) {
+            SCOPED_TRACE(testing::Message()
+                         << "warmup " << warmup << ", simpoint " << failing);
+            const WorkloadSpec bad = specWithFailingSimpoint(
+                2, 40000, failing,
+                [warmup] {
+                    return std::make_unique<MaxGapGenerator>(warmup);
+                });
+            LlcTraceCache cache;
+            expectFailedBuildPublishesNothing(
+                cache, bad, "overflows the 32-bit MemRecord::instGap");
+        }
+    }
+}
+
+TEST(SuiteDigest, StreamedBuildGeneratorFailurePublishesNothing)
+{
+    // A generator that throws on the helper thread, before its first
+    // chunk or several chunks in, and in the first or the second
+    // simpoint: the cascade waiting on it must wake, the helper must
+    // be joined, the exception must reach the caller, and the cache
+    // must stay usable.
+    for (uint64_t throw_at : {0u, 3u * 2048u + 5u, 9u * 2048u}) {
+        for (size_t failing : {0u, 1u}) {
+            SCOPED_TRACE(testing::Message() << "throw at " << throw_at
+                                            << ", simpoint " << failing);
+            const WorkloadSpec bad = specWithFailingSimpoint(
+                2, 40000, failing, [throw_at] {
+                    return std::make_unique<ThrowingGenerator>(throw_at);
+                });
+            LlcTraceCache cache;
+            expectFailedBuildPublishesNothing(cache, bad,
+                                              "generator failed at reference");
+        }
+    }
 }
 
 TEST(SuiteDigest, SharedLlcRunsPinned)
