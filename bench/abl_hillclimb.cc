@@ -35,13 +35,10 @@ main(int argc, char **argv)
         "stream_pure", "loop_thrash", "loop_fit",   "chase_medium",
         "zipf_hot",    "hotcold_scan", "sd_bimodal", "mix_zipfscan",
     };
-    std::vector<WorkloadTraces> workloads =
-        fitnessWorkloads(suite, training, sys);
-    std::vector<FitnessTrace> traces;
-    for (auto &w : workloads)
-        traces.insert(traces.end(), w.traces.begin(), w.traces.end());
-    FitnessEvaluator fitness(sys.hier.llc, std::move(traces), {},
-                             &session.timings());
+    FitnessEvaluator fitness(
+        sys.hier.llc,
+        flattenExcept(fitnessWorkloads(suite, training, sys.hier), ""), {},
+        &session.timings());
     fitness.attachTelemetry(session.registry(), "fitness");
 
     const Ipv base = paper_vectors::giplr();

@@ -10,7 +10,7 @@
 #include <cstring>
 #include <sstream>
 
-#include "ga/fitness.hh"
+#include "robust/fault_inject.hh"
 #include "util/log.hh"
 #include "util/parallel.hh"
 
@@ -122,29 +122,13 @@ experimentConfig(const Scale &scale)
     return cfg;
 }
 
-std::vector<WorkloadTraces>
-fitnessWorkloads(const SyntheticSuite &suite,
-                 const std::vector<std::string> &names,
-                 const SystemParams &sys)
-{
-    std::vector<std::string> selected = names;
-    if (selected.empty())
-        selected = suite.names();
-    // The workloads are independent; each slot keeps input order.
-    std::vector<WorkloadTraces> out(selected.size());
-    parallelFor(selected.size(), resolveThreads(0), [&](size_t i) {
-        std::vector<Workload> single;
-        single.push_back(SyntheticSuite::materialize(suite.spec(selected[i])));
-        out[i].name = selected[i];
-        out[i].traces = buildFitnessTraces(single, sys.hier);
-    });
-    return out;
-}
-
 Session::Session(int argc, char **argv, const std::string &name,
                  const std::string &kind)
     : jsonPath_(parseJsonFlag(argc, argv)), report_(kind, name)
 {
+    // Parse GIPPR_FAULT_INJECT now, so a malformed spec stops every
+    // bench, not only one that reaches an atomic write.
+    robust::FaultInjector::instance();
 }
 
 ExperimentConfig

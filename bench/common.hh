@@ -11,6 +11,9 @@
  *   full            — larger traces and search budgets, closer to the
  *                     paper's methodology (still laptop-scale)
  * Any other value is fatal, so a misspelt scale never runs as quick.
+ *
+ * GA-driven benches build their training traces with src/ga's
+ * fitnessWorkloads and flattenExcept (ga/crossval.hh, included here).
  */
 
 #ifndef GIPPR_BENCH_COMMON_HH_
@@ -54,21 +57,11 @@ SystemParams systemParams();
 ExperimentConfig experimentConfig(const Scale &scale);
 
 /**
- * Build fitness traces for GA-driven benches: one FitnessTrace per
- * simpoint of the selected workloads, filtered through L1+L2.  When
- * names is empty, the whole suite is used.  The workloads build
- * concurrently on resolveThreads(0) workers and return in input order.
- */
-std::vector<WorkloadTraces>
-fitnessWorkloads(const SyntheticSuite &suite,
-                 const std::vector<std::string> &names,
-                 const SystemParams &sys);
-
-/**
  * Per-binary telemetry session shared by every bench target.
  *
  * Construct it first thing in main(); it parses the common flags
- * (currently `--json <path>` / `--json=<path>`) and owns the phase
+ * (currently `--json <path>` / `--json=<path>`) and GIPPR_FAULT_INJECT
+ * (so a malformed spec stops the bench at once), and owns the phase
  * timings, metric registry and RunReport for the run.  Benches record
  * results as they go and call emit() last — without --json, emit() is
  * a no-op and the bench behaves exactly as before.

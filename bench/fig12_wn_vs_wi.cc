@@ -7,18 +7,17 @@
  * vectors using every *other* workload's traces (leave-one-out),
  * while WI trains on everything.  The paper finds the gap small
  * (e.g. 5.61% vs 5.66% geomean for 4 vectors), evidence the evolved
- * vectors generalize.  This bench runs the actual GA on a
- * representative sub-suite and reports estimated speedup over LRU
- * (the GA's own fitness metric) for 1-, 2- and 4-vector
- * configurations under both methodologies.
+ * vectors generalize.  This bench runs the library's evolveWi and
+ * evolveWn1 (ga/crossval.hh) on a representative sub-suite and
+ * reports estimated speedup over LRU (the GA's own fitness metric)
+ * for 1-, 2- and 4-vector configurations under both methodologies;
+ * the 1- and 2-vector sets are prefixes of each greedy 4-vector set.
  */
 
 #include <cstdio>
-#include <map>
 
 #include "common.hh"
 #include "core/vectors.hh"
-#include "ga/genetic.hh"
 #include "sim/policy_zoo.hh"
 #include "util/stats.hh"
 
@@ -27,36 +26,6 @@ using namespace gippr::bench;
 
 namespace
 {
-
-/** Flatten traces of all workloads except one ("" keeps all). */
-std::vector<FitnessTrace>
-flattenExcept(const std::vector<WorkloadTraces> &workloads,
-              const std::string &skip)
-{
-    std::vector<FitnessTrace> out;
-    for (const auto &w : workloads)
-        if (w.name != skip)
-            out.insert(out.end(), w.traces.begin(), w.traces.end());
-    return out;
-}
-
-/** GA once, then greedy duel sets of size 1, 2 and 4 (nested). */
-std::vector<std::vector<Ipv>>
-evolveSets(const FitnessEvaluator &fitness, const GaParams &params)
-{
-    GaResult ga = evolveIpv(fitness, IpvFamily::Gippr, params);
-    std::vector<Ipv> pool;
-    size_t take = std::min<size_t>(ga.finalPopulation.size(), 20);
-    for (size_t i = 0; i < take; ++i)
-        pool.push_back(ga.finalPopulation[i].ipv);
-    for (const Ipv &v : params.seedIpvs)
-        pool.push_back(v);
-    std::vector<Ipv> four =
-        selectDuelSet(fitness, IpvFamily::Gippr, pool, 4);
-    return {{four[0]},
-            {four[0], four[1]},
-            four};
-}
 
 /**
  * Estimated speedup over LRU of each vector set on one workload,
@@ -120,13 +89,9 @@ main(int argc, char **argv)
     std::printf("building LLC traces for %zu workloads...\n",
                 names.size());
     std::vector<WorkloadTraces> workloads =
-        fitnessWorkloads(suite, names, sys);
+        fitnessWorkloads(suite, names, sys.hier);
     const CacheConfig &llc = sys.hier.llc;
 
-    // WI: one GA over everything.
-    std::printf("evolving WI vectors...\n");
-    FitnessEvaluator wi_fitness(llc, flattenExcept(workloads, ""),
-                                {}, &session.timings());
     GaParams params = scale.ga;
     params.timings = &session.timings();
     params.seed = 0xF16012;
@@ -136,20 +101,19 @@ main(int argc, char **argv)
     params.seedIpvs = {Ipv::lru(16), Ipv::lruInsertion(16),
                        paper_vectors::wiGippr(),
                        paper_vectors::wi4Dgippr()[2]};
-    auto wi_sets = evolveSets(wi_fitness, params);
-
-    // WN1: one GA per held-out workload.
-    std::map<std::string, std::vector<std::vector<Ipv>>> wn_sets;
-    unsigned fold = 0;
-    for (const auto &w : workloads) {
-        std::printf("evolving WN1 fold %u/%zu (hold out %s)...\n",
-                    ++fold, workloads.size(), w.name.c_str());
-        FitnessEvaluator fitness(llc, flattenExcept(workloads, w.name),
-                                 {}, &session.timings());
-        GaParams fold_params = params;
-        fold_params.seed = params.seed + 1000 * fold;
-        wn_sets[w.name] = evolveSets(fitness, fold_params);
-    }
+    // Each methodology evolves one greedy 4-vector set per training
+    // set; its 1- and 2-vector prefixes are the smaller columns.
+    const auto nested = [](const std::vector<Ipv> &four) {
+        return std::vector<std::vector<Ipv>>{
+            {four[0]}, {four[0], four[1]}, four};
+    };
+    std::printf("evolving WI vectors...\n");
+    const std::vector<std::vector<Ipv>> wi_sets = nested(
+        evolveWi(llc, workloads, IpvFamily::Gippr, 4, params));
+    std::printf("evolving WN1 vectors (%zu folds)...\n",
+                workloads.size());
+    const Wn1Vectors wn1 =
+        evolveWn1(llc, workloads, IpvFamily::Gippr, 4, params);
 
     Table table({"workload", "WN1-GIPPR", "WI-GIPPR", "WN1-2-DGIPPR",
                  "WI-2-DGIPPR", "WN1-4-DGIPPR", "WI-4-DGIPPR"});
@@ -157,9 +121,11 @@ main(int argc, char **argv)
     for (const auto &w : workloads) {
         table.newRow().add(w.name);
         // The table's column order: WN1 then WI per set size.
+        const std::vector<std::vector<Ipv>> wn_sets =
+            nested(wn1.at(w.name));
         std::vector<std::vector<Ipv>> sets;
         for (size_t cfg_idx = 0; cfg_idx < 3; ++cfg_idx) {
-            sets.push_back(wn_sets[w.name][cfg_idx]);
+            sets.push_back(wn_sets[cfg_idx]);
             sets.push_back(wi_sets[cfg_idx]);
         }
         const std::vector<double> speedups = speedupsOn(llc, w, sets);

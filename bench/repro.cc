@@ -113,11 +113,10 @@ fig01(Session &session, telemetry::ResultTable &summary,
         "zipf_twophase",  "chase_small", "hotcold_stream",
         "hotcold_scan",   "loop_fit",    "chase_large",
     };
-    std::vector<FitnessTrace> traces;
-    for (WorkloadTraces &w : fitnessWorkloads(suite, training, sys))
-        traces.insert(traces.end(), w.traces.begin(), w.traces.end());
-    FitnessEvaluator fitness(sys.hier.llc, std::move(traces), {},
-                             &session.timings());
+    FitnessEvaluator fitness(
+        sys.hier.llc,
+        flattenExcept(fitnessWorkloads(suite, training, sys.hier), ""), {},
+        &session.timings());
     fitness.attachTelemetry(session.registry(), "fitness");
 
     std::printf("sampling %zu random IPVs over a 16-way LLC "

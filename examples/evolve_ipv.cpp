@@ -40,8 +40,9 @@
 #include <string>
 
 #include "core/vectors.hh"
-#include "ga/genetic.hh"
+#include "ga/crossval.hh"
 #include "policies/lru.hh"
+#include "robust/fault_inject.hh"
 #include "robust/shutdown.hh"
 #include "sim/system.hh"
 #include "telemetry/progress.hh"
@@ -131,6 +132,9 @@ parseArgs(int argc, char **argv)
 int
 run(int argc, char **argv)
 {
+    // Parse GIPPR_FAULT_INJECT now, so a malformed spec stops every
+    // run, not only one that reaches an atomic write.
+    robust::FaultInjector::instance();
     const Options opts = parseArgs(argc, argv);
     const std::string &family_name = opts.familyName;
     const IpvFamily family = opts.family;
@@ -173,19 +177,10 @@ run(int argc, char **argv)
     std::printf("materializing the %zu-workload suite and filtering "
                 "to LLC traces...\n",
                 suite.specs().size());
-    // Stream one workload at a time: materialize, filter to LLC,
-    // discard the CPU-level traces.  Peak memory is one workload's
-    // CPU trace plus the (much smaller) filtered set, instead of the
-    // whole suite at CPU level.
-    std::vector<FitnessTrace> traces;
-    for (const auto &spec : suite.specs()) {
-        std::vector<Workload> single;
-        single.push_back(SyntheticSuite::materialize(spec));
-        for (FitnessTrace &ft : buildFitnessTraces(single, sys.hier))
-            traces.push_back(std::move(ft));
-    }
-    FitnessEvaluator fitness(sys.hier.llc, std::move(traces), {},
-                             &timings);
+    FitnessEvaluator fitness(
+        sys.hier.llc,
+        flattenExcept(fitnessWorkloads(suite, {}, sys.hier), ""), {},
+        &timings);
     fitness.attachTelemetry(registry, "fitness");
 
     // SIGINT/SIGTERM now request a graceful stop at the next
@@ -208,16 +203,7 @@ run(int argc, char **argv)
 
     std::vector<Ipv> duel;
     if (n_vectors > 1 && !result.interrupted) {
-        std::vector<Ipv> pool;
-        size_t take =
-            std::min<size_t>(result.finalPopulation.size(), 24);
-        for (size_t i = 0; i < take; ++i)
-            pool.push_back(result.finalPopulation[i].ipv);
-        // Keep the archetypes in contention for duel-set selection
-        // even if evolution crowded them out of the population.
-        for (const Ipv &v : params.seedIpvs)
-            pool.push_back(v);
-        duel = selectDuelSet(fitness, family, pool, n_vectors);
+        duel = duelSetFromRun(fitness, family, result, params, n_vectors);
         std::printf("\ncomplementary %zu-vector duel set for "
                     "DGIPPR:\n",
                     n_vectors);

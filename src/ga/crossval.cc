@@ -10,6 +10,7 @@
 
 #include "ga/ga_checkpoint.hh"
 #include "util/log.hh"
+#include "util/parallel.hh"
 
 namespace gippr
 {
@@ -17,28 +18,15 @@ namespace gippr
 namespace
 {
 
-/** Flatten a list of workloads' traces, optionally skipping one. */
-std::vector<FitnessTrace>
-flattenExcept(const std::vector<WorkloadTraces> &workloads,
-              const std::string &skip)
-{
-    std::vector<FitnessTrace> out;
-    for (const auto &w : workloads) {
-        if (w.name == skip)
-            continue;
-        out.insert(out.end(), w.traces.begin(), w.traces.end());
-    }
-    return out;
-}
-
 /**
- * Run one GA fold and pick a duel set from its final population.
+ * Run one GA fold and pick its duel set.
  *
  * Both stages share the fold's FitnessEvaluator, so the batched
  * evaluations inside evolveIpv warm its memo cache and the duel-set
- * candidates (drawn from the final population) are scored without a
- * single extra replay.  Throws robust::Interrupted when the inner GA
- * stopped early for shutdown (its checkpoint is already on disk).
+ * candidates (drawn from the final population and the seeds) are
+ * scored without a single extra replay.  Throws robust::Interrupted
+ * when the inner GA stopped early for shutdown (its checkpoint is
+ * already on disk).
  */
 std::vector<Ipv>
 evolveAndSelect(const FitnessEvaluator &fitness, IpvFamily family,
@@ -49,15 +37,7 @@ evolveAndSelect(const FitnessEvaluator &fitness, IpvFamily family,
         throw robust::Interrupted(
             "GA fold interrupted; checkpoint saved to " +
             params.checkpoint.path);
-    if (n_vectors <= 1)
-        return {ga.best};
-    // Consider the top of the final population as the vector farm.
-    std::vector<Ipv> candidates;
-    size_t pool = std::min<size_t>(ga.finalPopulation.size(), 24);
-    candidates.reserve(pool);
-    for (size_t i = 0; i < pool; ++i)
-        candidates.push_back(ga.finalPopulation[i].ipv);
-    return selectDuelSet(fitness, family, candidates, n_vectors);
+    return duelSetFromRun(fitness, family, ga, params, n_vectors);
 }
 
 /** Digest of every parameter that shapes an evolveWn1 run. */
@@ -102,6 +82,37 @@ sanitizeFoldName(const std::string &name)
 
 } // namespace
 
+std::vector<WorkloadTraces>
+fitnessWorkloads(const SyntheticSuite &suite,
+                 const std::vector<std::string> &names,
+                 const HierarchyConfig &hier)
+{
+    const std::vector<std::string> selected =
+        names.empty() ? suite.names() : names;
+    // The workloads are independent; each slot keeps input order.
+    std::vector<WorkloadTraces> out(selected.size());
+    parallelFor(selected.size(), resolveThreads(0), [&](size_t i) {
+        std::vector<Workload> single;
+        single.push_back(SyntheticSuite::materialize(suite.spec(selected[i])));
+        out[i].name = selected[i];
+        out[i].traces = buildFitnessTraces(single, hier);
+    });
+    return out;
+}
+
+std::vector<FitnessTrace>
+flattenExcept(const std::vector<WorkloadTraces> &workloads,
+              const std::string &skip)
+{
+    std::vector<FitnessTrace> out;
+    for (const auto &w : workloads) {
+        if (w.name == skip)
+            continue;
+        out.insert(out.end(), w.traces.begin(), w.traces.end());
+    }
+    return out;
+}
+
 std::vector<Ipv>
 evolveWi(const CacheConfig &llc,
          const std::vector<WorkloadTraces> &workloads, IpvFamily family,
@@ -109,7 +120,8 @@ evolveWi(const CacheConfig &llc,
 {
     if (workloads.empty())
         fatal("evolveWi: no workloads");
-    FitnessEvaluator fitness(llc, flattenExcept(workloads, ""), {});
+    FitnessEvaluator fitness(llc, flattenExcept(workloads, ""), {},
+                             params.timings);
     return evolveAndSelect(fitness, family, n_vectors, params);
 }
 
@@ -173,7 +185,8 @@ evolveWn1(const CacheConfig &llc,
             }
         }
         FitnessEvaluator fitness(
-            llc, flattenExcept(workloads, held_out.name), {});
+            llc, flattenExcept(workloads, held_out.name), {},
+            params.timings);
         GaParams fold_params = params;
         fold_params.seed = params.seed + 0x9e37 * (fold + 1);
         if (ckpt.enabled())

@@ -20,6 +20,7 @@
 
 #include "ga/fitness.hh"
 #include "ga/genetic.hh"
+#include "workloads/suite.hh"
 
 namespace gippr
 {
@@ -32,8 +33,29 @@ struct WorkloadTraces
 };
 
 /**
- * Workload-inclusive evolution: one GA over all traces, then greedy
- * selection of an @p n_vectors duel set from the final population.
+ * Training traces of the named suite workloads (every workload when
+ * @p names is empty), each materialized and filtered through @p hier's
+ * L1 and L2 by buildFitnessTraces.  The workloads build concurrently
+ * on resolveThreads(0) workers, each holding one CPU-level workload at
+ * a time, and return in input order.
+ */
+std::vector<WorkloadTraces>
+fitnessWorkloads(const SyntheticSuite &suite,
+                 const std::vector<std::string> &names,
+                 const HierarchyConfig &hier);
+
+/**
+ * Every workload's traces in order, except the workload named
+ * @p skip ("" skips none).
+ */
+std::vector<FitnessTrace>
+flattenExcept(const std::vector<WorkloadTraces> &workloads,
+              const std::string &skip);
+
+/**
+ * Workload-inclusive evolution: one GA over all traces, then the
+ * run's @p n_vectors duel set (duelSetFromRun).  The fitness evaluator
+ * records into params.timings.
  */
 std::vector<Ipv> evolveWi(const CacheConfig &llc,
                           const std::vector<WorkloadTraces> &workloads,
@@ -45,8 +67,9 @@ using Wn1Vectors = std::map<std::string, std::vector<Ipv>>;
 
 /**
  * WN1 evolution: for each workload, evolve on every other workload's
- * traces and select its duel set from that run.  The returned map has
- * one entry per workload; params.seed is perturbed per fold so folds
+ * traces and select its duel set from that run (duelSetFromRun).  The
+ * returned map has one entry per workload; fold k (0-based, in input
+ * order) runs with seed params.seed + 0x9e37 * (k + 1) so folds
  * explore independently.
  */
 Wn1Vectors evolveWn1(const CacheConfig &llc,

@@ -241,4 +241,20 @@ selectDuelSet(const FitnessEvaluator &fitness, IpvFamily family,
     return out;
 }
 
+std::vector<Ipv>
+duelSetFromRun(const FitnessEvaluator &fitness, IpvFamily family,
+               const GaResult &result, const GaParams &params, size_t n)
+{
+    if (n <= 1)
+        return {result.best};
+    constexpr size_t kPool = 24;
+    std::vector<Ipv> pool;
+    const size_t take = std::min(result.finalPopulation.size(), kPool);
+    pool.reserve(take + params.seedIpvs.size());
+    for (size_t i = 0; i < take; ++i)
+        pool.push_back(result.finalPopulation[i].ipv);
+    pool.insert(pool.end(), params.seedIpvs.begin(), params.seedIpvs.end());
+    return selectDuelSet(fitness, family, pool, n);
+}
+
 } // namespace gippr

@@ -106,6 +106,16 @@ std::vector<Ipv> selectDuelSet(const FitnessEvaluator &fitness,
                                const std::vector<Ipv> &candidates,
                                size_t n);
 
+/**
+ * The @p n-vector duel set of a finished run: selectDuelSet over the
+ * top 24 of result.finalPopulation plus params.seedIpvs, so the
+ * archetypes stay in contention even when evolution crowded them out.
+ * A one-vector set is result.best.
+ */
+std::vector<Ipv> duelSetFromRun(const FitnessEvaluator &fitness,
+                                IpvFamily family, const GaResult &result,
+                                const GaParams &params, size_t n);
+
 } // namespace gippr
 
 #endif // GIPPR_GA_GENETIC_HH_

@@ -10,7 +10,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <thread>
@@ -19,7 +18,6 @@
 #include <unistd.h>
 
 #include "robust/fault_inject.hh"
-#include "util/env.hh"
 #include "util/log.hh"
 #include "util/rng.hh"
 
@@ -220,12 +218,7 @@ retryWithBackoff(const RetryPolicy &policy,
 RetryPolicy
 defaultRetryPolicy()
 {
-    RetryPolicy policy;
-    if (const char *env = std::getenv("GIPPR_IO_RETRY_BASE_MS"))
-        policy.baseDelayMs = static_cast<unsigned>(
-            parseUnsigned("GIPPR_IO_RETRY_BASE_MS", env,
-                          std::numeric_limits<unsigned>::max()));
-    return policy;
+    return RetryPolicy{};
 }
 
 void

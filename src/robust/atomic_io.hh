@@ -69,9 +69,7 @@ bool retryWithBackoff(const RetryPolicy &policy,
 
 /**
  * The repo-wide default retry policy, used by readTrace()'s open: 3
- * attempts with a base delay from GIPPR_IO_RETRY_BASE_MS (default
- * 10 ms; a malformed value is fatal).  The env is re-read per call so
- * tests can vary it.
+ * attempts with a fixed 10 ms base delay.
  */
 RetryPolicy defaultRetryPolicy();
 

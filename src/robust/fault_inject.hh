@@ -12,10 +12,11 @@
  * degrades to a clean error with no torn files left behind.
  *
  * Configuration comes from the GIPPR_FAULT_INJECT environment
- * variable (read once, at first use) or programmatically via
- * configure().  The spec is a comma-separated list of <fault>=<N>
- * terms, each arming one fault at the Nth occurrence (1-based) of its
- * operation class:
+ * variable (read once, at first use of instance(), which
+ * examples/evolve_ipv and every bench make at start-up) or
+ * programmatically via configure().  The spec is a comma-separated
+ * list of <fault>=<N> terms, each arming one fault at the Nth
+ * occurrence (1-based) of its operation class:
  *
  *   open=N         Nth open() fails (EIO)
  *   write=N        Nth write() fails (EIO)

@@ -261,7 +261,7 @@ TEST(BatchedEquiv, DispatchedKernelIsBitIdenticalAtEveryShardCount)
 
 TEST(EnvKnob, WellFormedValuesKeepTheirMeaning)
 {
-    const char *const knob = "GIPPR_IO_RETRY_BASE_MS";
+    const char *const knob = "value";
     EXPECT_EQ(parseUnsigned(knob, "0"), 0u);
     EXPECT_EQ(parseUnsigned(knob, "32"), 32u);
     EXPECT_EQ(parseUnsigned(knob, "65536"), 65536u);

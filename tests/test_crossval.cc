@@ -137,6 +137,66 @@ TEST(CrossVal, Wn1RequiresTwoWorkloads)
         std::runtime_error);
 }
 
+// The library's concurrent trace build against the sequential
+// per-workload loop it replaced: the same workloads in input order,
+// trace for trace and record for record.
+TEST(FitnessWorkloads, MatchesSequentialPerWorkloadBuild)
+{
+    SuiteParams sp;
+    sp.llcBlocks = 256;
+    sp.accessesPerSimpoint = 2000;
+    const SyntheticSuite suite(sp);
+    HierarchyConfig hier;
+    hier.l1 = {"L1", 4 * 1024, 8, 64};
+    hier.l2 = {"L2", 8 * 1024, 8, 64};
+    hier.llc = llcCfg();
+
+    // Out of suite order, so a build that sorted would fail.
+    const std::vector<std::string> subset = {"zipf_hot", "stream_pure",
+                                             "loop_fit"};
+    for (const std::vector<std::string> &names :
+         {subset, std::vector<std::string>{}}) {
+        const std::vector<std::string> want_names =
+            names.empty() ? suite.names() : names;
+        const std::vector<WorkloadTraces> got =
+            fitnessWorkloads(suite, names, hier);
+        ASSERT_EQ(got.size(), want_names.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+            std::vector<Workload> single;
+            single.push_back(
+                SyntheticSuite::materialize(suite.spec(want_names[i])));
+            const std::vector<FitnessTrace> want =
+                buildFitnessTraces(single, hier);
+            EXPECT_EQ(got[i].name, want_names[i]);
+            ASSERT_EQ(got[i].traces.size(), want.size()) << want_names[i];
+            for (size_t t = 0; t < want.size(); ++t) {
+                EXPECT_EQ(got[i].traces[t].name, want[t].name);
+                EXPECT_EQ(got[i].traces[t].instructions,
+                          want[t].instructions);
+                EXPECT_EQ(got[i].traces[t].llcTrace->records(),
+                          want[t].llcTrace->records())
+                    << want[t].name;
+            }
+        }
+    }
+}
+
+TEST(CrossVal, FlattenExceptSkipsOnlyTheNamedWorkload)
+{
+    const std::vector<WorkloadTraces> workloads = tinyWorkloads();
+    const auto names = [](const std::vector<FitnessTrace> &traces) {
+        std::vector<std::string> out;
+        for (const FitnessTrace &ft : traces)
+            out.push_back(ft.name);
+        return out;
+    };
+    EXPECT_EQ(names(flattenExcept(workloads, "")),
+              (std::vector<std::string>{"thrash_a/0", "thrash_b/0",
+                                        "thrash_c/0"}));
+    EXPECT_EQ(names(flattenExcept(workloads, "thrash_b")),
+              (std::vector<std::string>{"thrash_a/0", "thrash_c/0"}));
+}
+
 TEST(CrossVal, WiRequiresWorkloads)
 {
     EXPECT_THROW(

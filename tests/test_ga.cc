@@ -4,6 +4,8 @@
  * algorithm, hill climbing and duel-set selection.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "ga/genetic.hh"
@@ -224,6 +226,70 @@ TEST(DuelSet, FirstPickIsBestOverall)
     ASSERT_EQ(set.size(), 2u);
     // LIP wins the thrash fitness, so it must come first.
     EXPECT_TRUE(set[0] == Ipv::lruInsertion(16));
+}
+
+TEST(DuelSet, SmallerSetsArePrefixesOfTheFourVectorSet)
+{
+    // Three traces that reward different vectors, so the greedy
+    // picks after the first are real choices.
+    std::vector<FitnessTrace> traces;
+    const std::pair<uint64_t, int> loops[] = {{640, 20}, {384, 30},
+                                              {1200, 8}};
+    for (const auto &[blocks, reps] : loops) {
+        FitnessTrace ft;
+        ft.name = "loop" + std::to_string(blocks) + "/0";
+        ft.llcTrace = std::make_shared<Trace>(
+            loopTrace(blocks, reps, blocks << 12));
+        ft.instructions = ft.llcTrace->instructions();
+        traces.push_back(std::move(ft));
+    }
+    FitnessEvaluator fe(llcCfg(), std::move(traces), {});
+    std::vector<Ipv> pool = {Ipv::lru(16), Ipv::lruInsertion(16)};
+    for (const SampledIpv &s : randomSearch(fe, IpvFamily::Gippr, 12, 11, 1))
+        pool.push_back(s.ipv);
+
+    const std::vector<Ipv> four =
+        selectDuelSet(fe, IpvFamily::Gippr, pool, 4);
+    ASSERT_EQ(four.size(), 4u);
+    for (size_t k : {1u, 2u}) {
+        const std::vector<Ipv> set =
+            selectDuelSet(fe, IpvFamily::Gippr, pool, k);
+        ASSERT_EQ(set.size(), k);
+        EXPECT_TRUE(std::equal(set.begin(), set.end(), four.begin()))
+            << k << "-vector set";
+    }
+}
+
+TEST(DuelSet, RunPoolIsTopOfPopulationPlusSeeds)
+{
+    // LIP wins the thrash fitness.  The run's population holds 24
+    // LRU vectors, then LIP in 25th place, outside the pool.
+    FitnessEvaluator fe = makeEvaluator();
+    GaResult run;
+    run.best = Ipv::lru(16);
+    run.finalPopulation.assign(24, {Ipv::lru(16), 1.0});
+    run.finalPopulation.push_back({Ipv::lruInsertion(16), 0.5});
+    GaParams params;
+
+    const std::vector<Ipv> unseeded =
+        duelSetFromRun(fe, IpvFamily::Gippr, run, params, 2);
+    ASSERT_EQ(unseeded.size(), 2u);
+    EXPECT_TRUE(unseeded[0] == Ipv::lru(16));
+    EXPECT_TRUE(unseeded[1] == Ipv::lru(16));
+
+    // A seed missing from the population is still offered.
+    params.seedIpvs = {Ipv::lruInsertion(16)};
+    const std::vector<Ipv> seeded =
+        duelSetFromRun(fe, IpvFamily::Gippr, run, params, 2);
+    ASSERT_EQ(seeded.size(), 2u);
+    EXPECT_TRUE(seeded[0] == Ipv::lruInsertion(16));
+    EXPECT_TRUE(seeded[1] == Ipv::lru(16));
+
+    // A one-vector set is the run's best, whatever the pool holds.
+    const std::vector<Ipv> one =
+        duelSetFromRun(fe, IpvFamily::Gippr, run, params, 1);
+    ASSERT_EQ(one.size(), 1u);
+    EXPECT_TRUE(one[0] == Ipv::lru(16));
 }
 
 TEST(DuelSet, PadsWhenFewCandidates)

@@ -52,12 +52,10 @@ DETERMINISM_ALLOW = {
     "src/telemetry/report.cc",  # wall-clock run timestamps
 }
 
-# getenv is legal only at these audited config-knob sites: they steer
-# I/O retry pacing and fault injection — never a seed, an ordering, or
-# a reported result.
+# getenv is legal only at this audited config-knob site: it steers
+# fault injection — never a seed, an ordering, or a reported result.
 GETENV_ALLOW = {
     "src/robust/fault_inject.cc",   # GIPPR_FAULT_INJECT test hook
-    "src/robust/atomic_io.cc",      # GIPPR_IO_RETRY_BASE_MS pacing
 }
 
 DETERMINISM_RE = re.compile(
