@@ -60,6 +60,11 @@ wn1ConfigDigest(const std::vector<WorkloadTraces> &workloads,
     d = digestMix(d, rate_bits);
     d = digestMix(d, params.elites);
     d = digestMix(d, params.tournament);
+    // The seeds join every fold's population and duel-set pool, so a
+    // completed fold's vectors depend on them.
+    for (const Ipv &seed_ipv : params.seedIpvs)
+        for (uint8_t e : seed_ipv.entries())
+            d = digestMix(d, e);
     for (const auto &w : workloads) {
         for (char c : w.name)
             d = digestMix(d, static_cast<unsigned char>(c));

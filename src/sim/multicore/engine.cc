@@ -5,6 +5,8 @@
 
 #include "sim/multicore/engine.hh"
 
+#include <optional>
+
 #include "cache/replay.hh"
 #include "sim/fastpath/scalar_model.hh"
 #include "sim/fastpath/soa_cache.hh"
@@ -74,7 +76,8 @@ runLoop(Model &model, const std::vector<CoreStream> &streams,
     std::vector<fastpath::CounterBank> warm(cores);
     Interleaver il(params.schedule, lengths, weights);
     std::vector<size_t> cursor(cores, 0);
-    uint64_t tick = 0;
+    const uint64_t every = params.partition.repartitionEvery;
+    uint64_t until_repartition = every;
     int c;
     while ((c = il.next()) >= 0) {
         const auto core = static_cast<unsigned>(c);
@@ -95,7 +98,8 @@ runLoop(Model &model, const std::vector<CoreStream> &streams,
         if (monitor != nullptr) {
             if (demand && monitor->sampled(set))
                 monitor->observe(core, set, tag);
-            if (++tick % params.partition.repartitionEvery == 0) {
+            if (--until_repartition == 0) {
+                until_repartition = every;
                 const std::vector<unsigned> counts =
                     monitor->allocate();
                 masks = masksFromCounts(counts, model.assoc());
@@ -128,9 +132,7 @@ runBackend(Model &model, const std::vector<CoreStream> &streams,
 {
     const unsigned cores = static_cast<unsigned>(streams.size());
     std::vector<uint64_t> masks(cores, lowMask(model.assoc()));
-    UtilityMonitor monitor(model.sets(), model.assoc(), cores,
-                           params.partition.sampleEvery);
-    UtilityMonitor *active = nullptr;
+    std::optional<UtilityMonitor> monitor;
     switch (params.partition.mode) {
       case PartitionMode::None:
         break;
@@ -145,13 +147,15 @@ runBackend(Model &model, const std::vector<CoreStream> &streams,
             evenSplit(cores, model.assoc());
         masks = masksFromCounts(counts, model.assoc());
         result.wayCounts = counts;
-        active = &monitor;
+        monitor.emplace(model.sets(), model.assoc(), cores,
+                        params.partition.sampleEvery);
         break;
       }
     }
 
     checkMasks(masks, params);
-    runLoop(model, streams, params, warmups, masks, active, result);
+    runLoop(model, streams, params, warmups, masks,
+            monitor ? &*monitor : nullptr, result);
 }
 
 } // namespace
@@ -212,6 +216,9 @@ runSharedLlc(const std::vector<CoreStream> &streams,
         fatal("shared LLC: warmup fraction " +
               std::to_string(params.warmupFraction) +
               " is outside [0, 1]");
+    if (params.partition.mode == PartitionMode::Utility &&
+        params.partition.repartitionEvery == 0)
+        fatal("shared LLC: utility repartition interval must be >= 1");
     for (size_t c = 0; c < streams.size(); ++c)
         if (streams[c].trace == nullptr)
             fatal("shared LLC: core " + std::to_string(c) + " (" +

@@ -120,15 +120,17 @@ evenSplit(unsigned cores, unsigned assoc)
 
 UtilityMonitor::UtilityMonitor(uint64_t sets, unsigned assoc,
                                unsigned cores, uint64_t sample_every)
-    : assoc_(assoc), sampleEvery_(sample_every)
+    : assoc_(assoc)
 {
     GIPPR_CHECK(sample_every >= 1);
     GIPPR_CHECK(cores >= 1);
     sampledSets_ = (sets + sample_every - 1) / sample_every;
-    GIPPR_CHECK(sampledSets_ >= 1);
-    shadow_.resize(cores * sampledSets_);
-    for (ShadowSet &s : shadow_)
-        s.tags.reserve(assoc);
+    GIPPR_CHECK(sampledSets_ >= 1 && sampledSets_ < kUnsampled);
+    rowOf_.assign(sets, kUnsampled);
+    for (uint64_t row = 0; row < sampledSets_; ++row)
+        rowOf_[row * sample_every] = static_cast<uint32_t>(row);
+    tags_.assign(cores * sampledSets_ * assoc, 0);
+    fill_.assign(cores * sampledSets_, 0);
     hits_.assign(cores, std::vector<uint64_t>(assoc, 0));
     misses_.assign(cores, 0);
 }
@@ -137,21 +139,24 @@ void
 UtilityMonitor::observe(unsigned core, uint64_t set, uint64_t tag)
 {
     GIPPR_DCHECK(sampled(set));
-    ShadowSet &row =
-        shadow_[core * sampledSets_ + set / sampleEvery_];
-    auto it = std::find(row.tags.begin(), row.tags.end(), tag);
-    if (it != row.tags.end()) {
-        const auto pos =
-            static_cast<unsigned>(it - row.tags.begin());
+    const uint64_t row = core * sampledSets_ + rowOf_[set];
+    uint64_t *tags = tags_.data() + row * assoc_;
+    unsigned &fill = fill_[row];
+    unsigned pos = 0;
+    while (pos < fill && tags[pos] != tag)
+        ++pos;
+    if (pos < fill) {
         ++hits_[core][pos];
-        row.tags.erase(it);
-        row.tags.insert(row.tags.begin(), tag);
-        return;
+    } else {
+        // A miss fills the next free slot, or evicts the LRU tag of a
+        // full row; either way the tags above it move down one.
+        ++misses_[core];
+        if (fill < assoc_)
+            ++fill;
+        pos = fill - 1;
     }
-    ++misses_[core];
-    if (row.tags.size() == assoc_)
-        row.tags.pop_back();
-    row.tags.insert(row.tags.begin(), tag);
+    std::copy_backward(tags, tags + pos, tags + pos + 1);
+    tags[0] = tag;
 }
 
 std::vector<unsigned>

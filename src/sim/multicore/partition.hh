@@ -84,7 +84,7 @@ class UtilityMonitor
                    uint64_t sample_every);
 
     /** True when @p set belongs to the sampled stride. */
-    bool sampled(uint64_t set) const { return set % sampleEvery_ == 0; }
+    bool sampled(uint64_t set) const { return rowOf_[set] != kUnsampled; }
 
     /**
      * Record one demand access by @p core (call only for sampled
@@ -117,18 +117,19 @@ class UtilityMonitor
     uint64_t shadowMisses(unsigned core) const { return misses_[core]; }
 
   private:
-    /** One core's shadow directory row for one sampled set: tags in
-     *  recency order (MRU first). */
-    struct ShadowSet
-    {
-        std::vector<uint64_t> tags; ///< MRU-first, size <= assoc
-    };
+    /** rowOf_ entry of a set outside the sampled stride. */
+    static constexpr uint32_t kUnsampled = UINT32_MAX;
 
     unsigned assoc_;
-    uint64_t sampleEvery_;
     uint64_t sampledSets_;
-    /** shadow_[core * sampledSets_ + sampledIndex]. */
-    std::vector<ShadowSet> shadow_;
+    /** Shadow row of each set (its index among the sampled sets), or
+     *  kUnsampled; a table, so the per-access path divides nothing. */
+    std::vector<uint32_t> rowOf_;
+    /** Shadow directory rows of assoc_ tags each, MRU first, row
+     *  (core * sampledSets_ + rowOf_[set]); fill_ holds each row's
+     *  valid-tag count. */
+    std::vector<uint64_t> tags_;
+    std::vector<unsigned> fill_;
     /** hits_[core][stack position]. */
     std::vector<std::vector<uint64_t>> hits_;
     std::vector<uint64_t> misses_;

@@ -50,13 +50,16 @@ Interleaver::next()
     const unsigned n = static_cast<unsigned>(lengths_.size());
 
     if (sched_ == Schedule::RoundRobin) {
+        // Wrap by compare: this runs once per shared-LLC access.
+        unsigned c = cursor_;
         for (unsigned k = 0; k < n; ++k) {
-            unsigned c = (cursor_ + k) % n;
             if (issued_[c] < lengths_[c]) {
-                cursor_ = (c + 1) % n;
+                cursor_ = c + 1 == n ? 0 : c + 1;
                 ++issued_[c];
                 return static_cast<int>(c);
             }
+            if (++c == n)
+                c = 0;
         }
         return -1;
     }

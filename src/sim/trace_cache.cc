@@ -28,7 +28,7 @@ namespace
 {
 
 /**
- * CPU records generated per chunk.  A chunk (64 KB) stays in the host's
+ * CPU records generated per chunk.  A chunk (48 KB) stays in the host's
  * caches between the generator writing it and the cascade reading it.
  */
 constexpr size_t kChunkRecords = 2048;

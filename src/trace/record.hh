@@ -18,15 +18,30 @@
 namespace gippr
 {
 
-/** One memory reference in a trace. */
+/**
+ * One memory reference in a trace.
+ *
+ * The fields are ordered widest first so a record is 24 bytes with 3
+ * bytes of tail padding (a gap-first order pads to 32).  Every layer
+ * that holds a trace (materialized workloads, LLC traces, the trace
+ * cache, replay, MIN, the GA's fitness traces, shared-LLC core streams)
+ * stores records by value, so this size sets their footprint.
+ * Records are built member by member (see the constructor).  The
+ * on-disk layout is trace_io's, written field by field, and does not
+ * follow this order.
+ */
 struct MemRecord
 {
-    /** Instructions retired since the previous record (>= 1). */
-    uint32_t instGap = 1;
+    /** Declared so MemRecord is no aggregate: a positional
+     *  MemRecord{gap, addr, ...} does not compile. */
+    MemRecord() = default;
+
     /** Byte address referenced. */
     uint64_t addr = 0;
     /** Address of the referencing instruction (for PC-based policies). */
     uint64_t pc = 0;
+    /** Instructions retired since the previous record (>= 1). */
+    uint32_t instGap = 1;
     /** True for stores. */
     bool isWrite = false;
 
@@ -37,6 +52,9 @@ struct MemRecord
                isWrite == o.isWrite;
     }
 };
+
+static_assert(sizeof(MemRecord) == 24,
+              "MemRecord must stay 24 bytes: every trace stores it by value");
 
 } // namespace gippr
 

@@ -21,6 +21,8 @@ namespace gippr
  * Traces are the interchange format between workload generators, the
  * hierarchy filter (which turns a CPU-level trace into an LLC-level
  * trace), the GA fitness function and the performance simulator.
+ * Records are held by value, 24 bytes each (see MemRecord), so a trace
+ * of N references holds 24N bytes plus the vector's slack.
  */
 class Trace
 {

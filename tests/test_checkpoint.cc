@@ -308,33 +308,78 @@ TEST(HillClimbCheckpoint, InterruptedResumeIsBitIdentical)
     EXPECT_EQ(resumed.steps, baseline.steps);
 }
 
-TEST(Wn1Checkpoint, InterruptedResumeIsBitIdentical)
+/** Two loop workloads for the WN1 checkpoint tests. */
+std::vector<WorkloadTraces>
+wn1Workloads()
 {
-    const auto makeWorkloads = []() {
-        std::vector<WorkloadTraces> workloads;
-        for (int w = 0; w < 2; ++w) {
-            WorkloadTraces wt;
-            wt.name = "wl" + std::to_string(w);
-            FitnessTrace ft;
-            ft.name = wt.name + "/0";
-            ft.llcTrace = std::make_shared<Trace>(
-                loopTrace(w == 0 ? 640 : 200, 12,
-                          static_cast<uint64_t>(w) * 100000));
-            ft.instructions = ft.llcTrace->instructions();
-            wt.traces.push_back(std::move(ft));
-            workloads.push_back(std::move(wt));
-        }
-        return workloads;
-    };
+    std::vector<WorkloadTraces> workloads;
+    for (int w = 0; w < 2; ++w) {
+        WorkloadTraces wt;
+        wt.name = "wl" + std::to_string(w);
+        FitnessTrace ft;
+        ft.name = wt.name + "/0";
+        ft.llcTrace = std::make_shared<Trace>(
+            loopTrace(w == 0 ? 640 : 200, 12,
+                      static_cast<uint64_t>(w) * 100000));
+        ft.instructions = ft.llcTrace->instructions();
+        wt.traces.push_back(std::move(ft));
+        workloads.push_back(std::move(wt));
+    }
+    return workloads;
+}
 
+GaParams
+smallWn1()
+{
     GaParams params;
     params.initialPopulation = 10;
     params.population = 8;
     params.generations = 3;
     params.threads = 1;
     params.seed = 5;
+    return params;
+}
+
+void
+expectSameWn1(const Wn1Vectors &a, const Wn1Vectors &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (const auto &[name, vectors] : b) {
+        const auto it = a.find(name);
+        ASSERT_NE(it, a.end());
+        ASSERT_EQ(it->second.size(), vectors.size());
+        for (size_t i = 0; i < vectors.size(); ++i)
+            EXPECT_TRUE(it->second[i] == vectors[i]);
+    }
+}
+
+/**
+ * Run @p params' WN1 search with a checkpoint at @p path and stop it
+ * at the boundary before the second fold, leaving exactly one
+ * completed fold on disk.
+ */
+void
+stopWn1AfterFirstFold(const GaParams &params, const std::string &path)
+{
+    fs::remove(path + ".fold-wl0");
+    fs::remove(path + ".fold-wl1");
+    GaParams killed = params;
+    killed.checkpoint.path = path;
+    // The fold-progress file first appears when fold 0 completes; the
+    // next poll is fold 1's boundary.
+    killed.checkpoint.stopHook = [&]() {
+        return robust::checkpointExists(path);
+    };
+    EXPECT_THROW((void)evolveWn1(llcCfg(), wn1Workloads(),
+                                 IpvFamily::Gippr, 2, killed),
+                 robust::Interrupted);
+}
+
+TEST(Wn1Checkpoint, InterruptedResumeIsBitIdentical)
+{
+    const GaParams params = smallWn1();
     const Wn1Vectors baseline = evolveWn1(
-        llcCfg(), makeWorkloads(), IpvFamily::Gippr, 2, params);
+        llcCfg(), wn1Workloads(), IpvFamily::Gippr, 2, params);
 
     const std::string path = ckptPath("wn1_resume.gpck");
     fs::remove(path + ".fold-wl0");
@@ -345,7 +390,7 @@ TEST(Wn1Checkpoint, InterruptedResumeIsBitIdentical)
     // Interrupt inside the second fold's GA (each fold polls several
     // times: once at the fold boundary, once per generation).
     killed.checkpoint.stopHook = [&]() { return ++polls > 7; };
-    EXPECT_THROW((void)evolveWn1(llcCfg(), makeWorkloads(),
+    EXPECT_THROW((void)evolveWn1(llcCfg(), wn1Workloads(),
                                  IpvFamily::Gippr, 2, killed),
                  robust::Interrupted);
 
@@ -353,15 +398,62 @@ TEST(Wn1Checkpoint, InterruptedResumeIsBitIdentical)
     resumed_params.checkpoint.path = path;
     resumed_params.checkpoint.resume = true;
     const Wn1Vectors resumed = evolveWn1(
-        llcCfg(), makeWorkloads(), IpvFamily::Gippr, 2, resumed_params);
-    ASSERT_EQ(resumed.size(), baseline.size());
-    for (const auto &[name, vectors] : baseline) {
-        const auto it = resumed.find(name);
-        ASSERT_NE(it, resumed.end());
-        ASSERT_EQ(it->second.size(), vectors.size());
-        for (size_t i = 0; i < vectors.size(); ++i)
-            EXPECT_TRUE(it->second[i] == vectors[i]);
+        llcCfg(), wn1Workloads(), IpvFamily::Gippr, 2, resumed_params);
+    expectSameWn1(resumed, baseline);
+}
+
+TEST(Wn1Checkpoint, DifferentSeedVectorsRejected)
+{
+    // The seeds shape every fold's population and duel-set pool, so a
+    // completed fold evolved from other seeds must not be reused.
+    GaParams params = smallWn1();
+    params.seedIpvs = {Ipv::lruInsertion(16)};
+    const std::string path = ckptPath("wn1_seeds.gpck");
+    stopWn1AfterFirstFold(params, path);
+    ASSERT_TRUE(robust::checkpointExists(path));
+
+    GaParams other = params;
+    other.seedIpvs = {Ipv::lru(16)};
+    other.checkpoint.path = path;
+    other.checkpoint.resume = true;
+    try {
+        (void)evolveWn1(llcCfg(), wn1Workloads(), IpvFamily::Gippr, 2,
+                        other);
+        ADD_FAILURE() << "resumed a WN1 checkpoint with other seeds";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "different configuration (digest mismatch); "
+                      "refusing to resume"),
+                  std::string::npos)
+            << e.what();
     }
+
+    GaParams none = params;
+    none.seedIpvs.clear();
+    none.checkpoint.path = path;
+    none.checkpoint.resume = true;
+    EXPECT_THROW((void)evolveWn1(llcCfg(), wn1Workloads(),
+                                 IpvFamily::Gippr, 2, none),
+                 std::runtime_error);
+}
+
+TEST(Wn1Checkpoint, SameSeedVectorsResumeBitIdentically)
+{
+    GaParams params = smallWn1();
+    params.seedIpvs = {Ipv::lruInsertion(16)};
+    const Wn1Vectors baseline = evolveWn1(
+        llcCfg(), wn1Workloads(), IpvFamily::Gippr, 2, params);
+
+    const std::string path = ckptPath("wn1_same_seeds.gpck");
+    stopWn1AfterFirstFold(params, path);
+    ASSERT_TRUE(robust::checkpointExists(path));
+
+    GaParams resumed_params = params;
+    resumed_params.checkpoint.path = path;
+    resumed_params.checkpoint.resume = true;
+    expectSameWn1(evolveWn1(llcCfg(), wn1Workloads(), IpvFamily::Gippr, 2,
+                            resumed_params),
+                  baseline);
 }
 
 } // namespace

@@ -29,6 +29,7 @@
  *     transition.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -453,6 +454,128 @@ TEST(MulticorePartition, UtilityMonitorHistogramsAndAllocation)
     EXPECT_EQ(monitor.hitHistogram(0)[1], 0u);
 }
 
+/**
+ * The vector-per-set monitor the flat one replaced, kept as the
+ * differential reference: one MRU-first std::vector of tags per core
+ * and sampled set, sampled by set % stride and indexed by set / stride.
+ */
+class VectorUtilityMonitor
+{
+  public:
+    VectorUtilityMonitor(uint64_t sets, unsigned assoc, unsigned cores,
+                         uint64_t sample_every)
+        : assoc_(assoc), sampleEvery_(sample_every),
+          sampledSets_((sets + sample_every - 1) / sample_every),
+          shadow_(cores * sampledSets_),
+          hits_(cores, std::vector<uint64_t>(assoc, 0)), misses_(cores, 0)
+    {
+    }
+
+    bool sampled(uint64_t set) const { return set % sampleEvery_ == 0; }
+
+    void
+    observe(unsigned core, uint64_t set, uint64_t tag)
+    {
+        std::vector<uint64_t> &row =
+            shadow_[core * sampledSets_ + set / sampleEvery_];
+        auto it = std::find(row.begin(), row.end(), tag);
+        if (it != row.end()) {
+            ++hits_[core][static_cast<size_t>(it - row.begin())];
+            row.erase(it);
+            row.insert(row.begin(), tag);
+            return;
+        }
+        ++misses_[core];
+        if (row.size() == assoc_)
+            row.pop_back();
+        row.insert(row.begin(), tag);
+    }
+
+    std::vector<unsigned>
+    allocate() const
+    {
+        const auto cores = static_cast<unsigned>(hits_.size());
+        std::vector<unsigned> counts(cores, 1);
+        for (unsigned given = cores; given < assoc_; ++given) {
+            unsigned best = 0;
+            uint64_t best_gain = 0;
+            bool found = false;
+            for (unsigned c = 0; c < cores; ++c) {
+                if (counts[c] >= assoc_)
+                    continue;
+                const uint64_t gain = hits_[c][counts[c]];
+                if (!found || gain > best_gain) {
+                    best = c;
+                    best_gain = gain;
+                    found = true;
+                }
+            }
+            ++counts[best];
+        }
+        return counts;
+    }
+
+    void
+    decay()
+    {
+        for (auto &h : hits_)
+            for (uint64_t &v : h)
+                v >>= 1;
+        for (uint64_t &m : misses_)
+            m >>= 1;
+    }
+
+    unsigned assoc_;
+    uint64_t sampleEvery_;
+    uint64_t sampledSets_;
+    std::vector<std::vector<uint64_t>> shadow_;
+    std::vector<std::vector<uint64_t>> hits_;
+    std::vector<uint64_t> misses_;
+};
+
+TEST(MulticorePartition, FlatMonitorMatchesVectorMonitor)
+{
+    // Strides 3 and 32 do not divide 100 sets, so the last sampled set
+    // sits less than a stride from the end.
+    constexpr uint64_t kSets = 100;
+    constexpr unsigned kAssoc = 8;
+    constexpr unsigned kCores = 3;
+    for (const uint64_t stride : {1u, 3u, 4u, 32u}) {
+        SCOPED_TRACE("stride " + std::to_string(stride));
+        UtilityMonitor flat(kSets, kAssoc, kCores, stride);
+        VectorUtilityMonitor ref(kSets, kAssoc, kCores, stride);
+        Rng rng(0xC0FFEE + stride);
+        for (int i = 0; i < 60'000; ++i) {
+            const uint64_t set = rng.nextBounded(kSets);
+            const auto core = static_cast<unsigned>(rng.nextBounded(kCores));
+            // Twelve tags per set over eight ways: hits at every stack
+            // position, plus evictions from full rows.
+            const uint64_t tag = rng.nextBounded(12);
+            ASSERT_EQ(flat.sampled(set), ref.sampled(set)) << "set " << set;
+            if (!ref.sampled(set))
+                continue;
+            flat.observe(core, set, tag);
+            ref.observe(core, set, tag);
+            if (i % 5000 == 4999) {
+                for (unsigned c = 0; c < kCores; ++c) {
+                    ASSERT_EQ(flat.hitHistogram(c), ref.hits_[c]);
+                    ASSERT_EQ(flat.shadowMisses(c), ref.misses_[c]);
+                }
+                ASSERT_EQ(flat.allocate(), ref.allocate());
+                flat.decay();
+                ref.decay();
+            }
+        }
+        for (unsigned c = 0; c < kCores; ++c) {
+            EXPECT_EQ(flat.hitHistogram(c), ref.hits_[c]);
+            EXPECT_EQ(flat.shadowMisses(c), ref.misses_[c]);
+            EXPECT_GT(ref.misses_[c], 0u);
+            EXPECT_GT(ref.hits_[c][kAssoc - 1], 0u);
+        }
+        EXPECT_EQ(flat.allocate(), ref.allocate());
+    }
+}
+
 TEST(MulticoreFairness, HandComputedMetrics)
 {
     const LatencyModel model; // 0.25 CPI, 35-cycle hit, 200-cycle miss
@@ -749,6 +872,12 @@ TEST(Multicore, BadRunInputIsFatal)
                      runSharedLlc({}, baseParams(fastpath::lruSpec()));
                  })(),
                  "shared LLC: no core streams");
+
+    RunParams never = baseParams(fastpath::lruSpec());
+    never.partition.mode = PartitionMode::Utility;
+    never.partition.repartitionEvery = 0;
+    EXPECT_DEATH(([&]() noexcept { runSharedLlc(streams, never); })(),
+                 "shared LLC: utility repartition interval must be >= 1");
 }
 
 TEST(Multicore, PartialWayMaskWithoutRecencyOrderIsFatal)

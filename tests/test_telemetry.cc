@@ -379,8 +379,12 @@ std::string
 validTraceBytes(uint64_t records)
 {
     Trace t;
-    for (uint64_t i = 0; i < records; ++i)
-        t.append({1, 0x1000 + 64 * i, 0x400000, false});
+    for (uint64_t i = 0; i < records; ++i) {
+        MemRecord r;
+        r.addr = 0x1000 + 64 * i;
+        r.pc = 0x400000;
+        t.append(r);
+    }
     // Unique per test: ctest runs each discovered test as its own
     // process in parallel, and a shared scratch name races (one
     // process removes the file while another is reading it back).

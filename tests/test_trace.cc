@@ -155,6 +155,46 @@ TEST_F(TraceIoTest, GarbageFileThrows)
     EXPECT_THROW(readTrace(tempPath()), std::runtime_error);
 }
 
+TEST_F(TraceIoTest, FileBytesArePinned)
+{
+    // The v2 format is written field by field, little-endian and
+    // unpadded, whatever MemRecord's in-memory layout: 16 header
+    // bytes, 21 per record (gap u32, addr u64, pc u64, write u8), then
+    // the CRC-32 of everything before it.
+    Trace t;
+    t.append(rec(0x1000, 3, false, 0x400100));      // load
+    t.append(rec(0x2040, 7, true, 0x400104));       // store
+    t.append(rec(0x7fffffffc0, 1, true, 0));        // writeback
+    t.append(rec(0xdeadbeef00, 0xFFFFFFFFu, false, 0x400108));
+    writeTrace(t, tempPath());
+
+    const std::string expected_hex =
+        "47505452" "02000000" "0400000000000000"
+        "03000000" "0010000000000000" "0001400000000000" "00"
+        "07000000" "4020000000000000" "0401400000000000" "01"
+        "01000000" "c0ffffff7f000000" "0000000000000000" "01"
+        "ffffffff" "00efbeadde000000" "0801400000000000" "00"
+        "ef7d9838";
+    std::ifstream in(tempPath(), std::ios::binary);
+    const std::string bytes{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>{}};
+    std::string hex;
+    for (unsigned char c : bytes) {
+        static const char kDigits[] = "0123456789abcdef";
+        hex.push_back(kDigits[c >> 4]);
+        hex.push_back(kDigits[c & 0xf]);
+    }
+    EXPECT_EQ(bytes.size(), 16u + 4 * 21u + 4u);
+    EXPECT_EQ(hex, expected_hex);
+
+    const Trace u = readTrace(tempPath());
+    ASSERT_EQ(u.size(), t.size());
+    for (size_t i = 0; i < t.size(); ++i)
+        EXPECT_TRUE(u[i] == t[i]) << i;
+    EXPECT_EQ(u.instructions(), uint64_t{3 + 7 + 1} + 0xFFFFFFFFu);
+    EXPECT_EQ(u.writes(), 2u);
+}
+
 TEST_F(TraceIoTest, ReadsLegacyV1Files)
 {
     Trace t;

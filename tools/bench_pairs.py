@@ -16,11 +16,15 @@ both sides' medians and interquartile ranges, the change/base ratio of
 the medians, how many pairs the change won (by the metric's "better"
 direction), and a verdict:
 
+  unresolved  either side's run-to-run spread (its interquartile
+              range over its median) exceeds the metric's bound, and
+              not every change run beats every base run: the runs
+              cannot tell a change inside the bound from noise;
   worse   the change's median is worse than the base's by more than
           the metric's bound;
   gain    the change won at least 9 of every 10 pairs and its median
           is better by more than the base's interquartile range;
-  flat    neither.
+  flat    none of these.
 
 It also reports each side's `correct` and failed counts.  The script
 reads only perfbench/ and BENCHMARK.json of the two checkouts.
@@ -55,6 +59,13 @@ def first_side(pair):
     return "base" if pair % 2 == 0 else "change"
 
 
+def relative_spread(q1, median, q3):
+    """Interquartile range over the median (0 when both are 0)."""
+    if median:
+        return (q3 - q1) / abs(median)
+    return 0.0 if q3 == q1 else float("inf")
+
+
 def compare(metric, base, change):
     """Summary of one metric over paired runs.
 
@@ -69,7 +80,13 @@ def compare(metric, base, change):
     ratio = c_med / b_med if b_med else float("inf")
     worse_by = (ratio - 1.0) if lower else (1.0 - ratio)
     better_by = (b_med - c_med) if lower else (c_med - b_med)
-    if worse_by > metric["bound"]:
+    spread = max(relative_spread(b_q1, b_med, b_q3),
+                 relative_spread(c_q1, c_med, c_q3))
+    separated = (max(change) < min(base) if lower
+                 else min(change) > max(base))
+    if spread > metric["bound"] and not separated:
+        verdict = "unresolved"
+    elif worse_by > metric["bound"]:
         verdict = "worse"
     elif wins * 10 >= 9 * len(base) and better_by > b_q3 - b_q1:
         verdict = "gain"
@@ -79,7 +96,8 @@ def compare(metric, base, change):
         "name": metric["name"], "unit": metric["unit"],
         "base_median": b_med, "base_iqr": b_q3 - b_q1,
         "change_median": c_med, "change_iqr": c_q3 - c_q1,
-        "ratio": ratio, "wins": wins, "pairs": len(base),
+        "ratio": ratio, "spread": spread, "wins": wins,
+        "pairs": len(base),
         "bound": metric["bound"], "verdict": verdict,
     }
 
@@ -110,11 +128,12 @@ def render(workload, summary):
                    f"{c['failed']} failed")
     out.append(f"  {'metric':12s} {'base med':>10s} {'iqr':>8s} "
                f"{'change med':>10s} {'iqr':>8s} {'ratio':>6s} "
-               f"{'wins':>6s} verdict")
+               f"{'spread':>6s} {'wins':>6s} verdict")
     for r in summary["metrics"]:
         out.append(f"  {r['name']:12s} {r['base_median']:10.4g} "
                    f"{r['base_iqr']:8.3g} {r['change_median']:10.4g} "
                    f"{r['change_iqr']:8.3g} {r['ratio']:6.3f} "
+                   f"{r['spread']:6.3f} "
                    f"{r['wins']:>2d}/{r['pairs']:<3d} {r['verdict']}")
     return "\n".join(out)
 
@@ -200,6 +219,30 @@ def self_test():
     assert noisy["metrics"][0]["wins"] == 2
     assert noisy["metrics"][0]["verdict"] == "flat"
     assert "gain" in render("w", summary)
+
+    def verdict(base_setups, change_setups):
+        row = summarize(CANNED_SPEC, {
+            "base": [parse_result(canned_line(s, 200))
+                     for s in base_setups],
+            "change": [parse_result(canned_line(s, 200))
+                       for s in change_setups]})["metrics"][0]
+        return row["verdict"], row["spread"]
+
+    # A change run spread of 1.0/1.5 = 67% exceeds the 25% bound, so
+    # a median 40% worse is unresolved, not worse ...
+    v, spread = verdict((1.0, 1.0, 1.0, 1.0), (1.0, 1.2, 1.4, 2.0, 2.5))
+    assert v == "unresolved" and spread > 0.25, (v, spread)
+    # ... and a wide base spread hides an apparent gain.
+    assert verdict((0.5, 1.0, 1.5, 2.0), (0.9, 1.0, 1.1, 1.2))[0] == \
+        "unresolved"
+    # Every change run beating every base run resolves it, however
+    # wide either side's spread.
+    assert verdict((2.0, 3.0, 4.0, 5.0), (0.5, 1.0, 1.5, 1.9))[0] == \
+        "gain"
+    # Spread exactly at the bound still resolves: 0.25 is not > 0.25.
+    assert verdict((0.75, 1.0, 1.25), (0.75, 1.0, 1.25)) == ("flat", 0.25)
+    # The spread column is printed.
+    assert "spread" in render("w", summary)
     print("bench_pairs self-test: ok")
     return 0
 
