@@ -91,7 +91,7 @@ runCacheAccess(benchmark::State &state, const PolicyDef &def)
     for (auto _ : state) {
         uint64_t addr = rng.nextBounded(blocks) * cfg.blockBytes;
         benchmark::DoNotOptimize(
-            cache.access(addr, AccessType::Load, 0x400000));
+            cache.access(addr, AccessType::Load));
     }
 }
 

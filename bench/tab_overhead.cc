@@ -6,7 +6,6 @@
  *   LRU        4 bits/block  (64 bits/set,  32 KB total)
  *   DRRIP      2 bits/block  (32 bits/set,  16 KB total) + 1 PSEL
  *   PDP        4 bits/block  (           ~  32 KB) + microcontroller
- *   SHiP       5 bits/block  + SHCT + PC transport to the LLC
  *   PLRU      15 bits/set    (< 0.94 bits/block, ~7 KB)
  *   GIPPR     15 bits/set    (same as PLRU)
  *   2-DGIPPR  15 bits/set    + one 11-bit counter
@@ -42,7 +41,6 @@ main(int argc, char **argv)
         policyByName("SRRIP"),
         policyByName("DRRIP"),
         policyByName("PDP"),
-        policyByName("SHiP"),
         gipprDef("GIPPR", local_vectors::gippr()),
         dgipprDef("2-DGIPPR", local_vectors::dgippr2()),
         dgipprDef("4-DGIPPR", local_vectors::dgippr4()),

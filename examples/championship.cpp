@@ -42,7 +42,7 @@ main(int argc, char **argv)
         policyByName("FIFO"),    policyByName("Random"),
         policyByName("DIP"),     policyByName("SRRIP"),
         policyByName("BRRIP"),   policyByName("DRRIP"),
-        policyByName("PDP"),     policyByName("SHiP"),
+        policyByName("PDP"),
         gipprDef("GIPPR", local_vectors::gippr()),
         dgipprDef("2-DGIPPR", local_vectors::dgippr2()),
         dgipprDef("4-DGIPPR", local_vectors::dgippr4()),

@@ -33,8 +33,8 @@ main(int argc, char **argv)
     for (int i = 2; i < argc; ++i)
         policy_names.push_back(argv[i]);
     if (policy_names.empty()) {
-        policy_names = {"LRU",   "PLRU",   "DIP",     "DRRIP",
-                        "PDP",   "SHiP",   "DGIPPR2", "DGIPPR4"};
+        policy_names = {"LRU", "PLRU",    "DIP",    "DRRIP",
+                        "PDP", "DGIPPR2", "DGIPPR4"};
     }
 
     SuiteParams sp;

@@ -11,16 +11,18 @@
  *
  * Usage:
  *   ./build/examples/trace_tool [workload|path.gptr] [--save out.gptr]
+ *
+ * An unknown flag, a --save with no path, or a second source is fatal.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <sstream>
 #include <string>
 
 #include "trace/analysis.hh"
 #include "trace/trace_io.hh"
+#include "util/log.hh"
 #include "util/table.hh"
 #include "workloads/suite.hh"
 
@@ -29,14 +31,42 @@ using namespace gippr;
 namespace
 {
 
+struct Options
+{
+    std::string source = "loop_thrash";
+    std::string savePath;
+};
+
+/** Parse argv in one pass: at most one source and one --save path. */
+Options
+parseArgs(int argc, char **argv)
+{
+    Options opts;
+    bool have_source = false;
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--save") {
+            if (i + 1 >= argc)
+                fatal(arg + " requires an argument");
+            opts.savePath = argv[++i];
+        } else if (arg[0] == '-') {
+            fatal("unknown argument: " + arg);
+        } else if (have_source) {
+            fatal("second source: " + arg + " (already reading " +
+                  opts.source + ")");
+        } else {
+            opts.source = arg;
+            have_source = true;
+        }
+    }
+    return opts;
+}
+
 int
 run(int argc, char **argv)
 {
-    std::string source = argc > 1 ? argv[1] : "loop_thrash";
-    std::string save_path;
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], "--save") == 0)
-            save_path = argv[i + 1];
+    const Options opts = parseArgs(argc, argv);
+    const std::string &source = opts.source;
 
     SuiteParams sp;
     sp.llcBlocks = 16384;
@@ -54,9 +84,9 @@ run(int argc, char **argv)
         Workload w = SyntheticSuite::materialize(suite.spec(source));
         trace = *w.simpoints()[0].trace;
     }
-    if (!save_path.empty()) {
-        writeTrace(trace, save_path);
-        std::printf("saved trace to %s\n", save_path.c_str());
+    if (!opts.savePath.empty()) {
+        writeTrace(trace, opts.savePath);
+        std::printf("saved trace to %s\n", opts.savePath.c_str());
     }
 
     std::printf("\naccesses:      %zu\n", trace.size());

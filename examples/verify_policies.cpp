@@ -164,12 +164,10 @@ randomStream(const CacheConfig &cfg, uint64_t accesses, double footprint,
         MemRecord rec;
         rec.addr = rng.nextBounded(blocks) * cfg.blockBytes;
         rec.instGap = 1 + static_cast<uint32_t>(rng.nextBounded(8));
-        if (rng.nextBool(0.1)) {
-            rec.isWrite = true; // writeback record (pc stays 0)
-        } else {
-            rec.isWrite = rng.nextBool(0.2);
-            rec.pc = 0x400000 + rng.nextBounded(64) * 4;
-        }
+        if (rng.nextBool(0.1))
+            rec.type = AccessType::Writeback;
+        else if (rng.nextBool(0.2))
+            rec.type = AccessType::Store;
         trace.append(rec);
     }
     return trace;
@@ -188,8 +186,8 @@ zipfStream(const CacheConfig &cfg, uint64_t accesses, uint64_t seed)
         MemRecord rec;
         rec.addr = zipf.sample(rng) * cfg.blockBytes;
         rec.instGap = 1 + static_cast<uint32_t>(rng.nextBounded(8));
-        rec.isWrite = rng.nextBool(0.2);
-        rec.pc = 0x500000 + rng.nextBounded(64) * 4;
+        if (rng.nextBool(0.2))
+            rec.type = AccessType::Store;
         trace.append(rec);
     }
     return trace;

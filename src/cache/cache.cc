@@ -83,8 +83,8 @@ SetAssocCache::maskedVictim(uint64_t set, uint64_t mask) const
 }
 
 AccessResult
-SetAssocCache::access(uint64_t byte_addr, AccessType type, uint64_t pc,
-                      unsigned domain, uint64_t way_mask)
+SetAssocCache::access(uint64_t byte_addr, AccessType type, unsigned domain,
+                      uint64_t way_mask)
 {
     const uint64_t set = decode_.setIndex(byte_addr);
     const uint64_t tag = decode_.tag(byte_addr);
@@ -93,7 +93,6 @@ SetAssocCache::access(uint64_t byte_addr, AccessType type, uint64_t pc,
     AccessInfo info;
     info.set = set;
     info.blockAddr = decode_.blockAddr(byte_addr);
-    info.pc = pc;
     info.type = type;
     info.sequence = sequence_++;
     info.domain = domain;

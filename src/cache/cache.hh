@@ -104,7 +104,6 @@ class SetAssocCache
      *
      * @param byte_addr  referenced byte address
      * @param type       access kind
-     * @param pc         referencing instruction address (0 if unknown)
      * @param domain     duel domain (AccessInfo::domain)
      * @param way_mask   ways the fill may use (AccessInfo::wayMask).
      *                   A mask covering only some of the ways fills
@@ -114,7 +113,7 @@ class SetAssocCache
      *                   outside the mask still hit.
      */
     AccessResult access(uint64_t byte_addr, AccessType type,
-                        uint64_t pc = 0, unsigned domain = 0,
+                        unsigned domain = 0,
                         uint64_t way_mask = ~uint64_t{0});
 
     /** True if the block holding @p byte_addr is present (no update). */

@@ -7,11 +7,9 @@
  * Victim selection only considers valid lines (the cache fills invalid
  * ways itself, in way order, before consulting the policy).
  *
- * The interface deliberately exposes the same information the JILP
- * Cache Replacement Championship framework gave policies: set index,
- * way, block address, requesting PC and access type — nothing more —
- * so every policy here is implementable in real hardware given the
- * same signals.
+ * The interface exposes what the paper's policies use: set index,
+ * way, block address and access type — nothing more — so every policy
+ * here is implementable in real hardware given the same signals.
  *
  * Convention (also from the championship framework): writeback hits
  * do not update replacement recency — a dirty eviction arriving from
@@ -29,17 +27,10 @@
 #include <string>
 
 #include "telemetry/metrics.hh"
+#include "trace/record.hh"
 
 namespace gippr
 {
-
-/** Kind of access presented to a cache level. */
-enum class AccessType : uint8_t
-{
-    Load,      ///< demand read
-    Store,     ///< demand write (write-allocate)
-    Writeback, ///< dirty eviction arriving from the level above
-};
 
 /** Per-access context handed to policy callbacks. */
 struct AccessInfo
@@ -48,8 +39,6 @@ struct AccessInfo
     uint64_t set = 0;
     /** Block address (byte address >> blockShift). */
     uint64_t blockAddr = 0;
-    /** Program counter of the memory instruction (0 for writebacks). */
-    uint64_t pc = 0;
     /** Access kind. */
     AccessType type = AccessType::Load;
     /** Monotonic per-cache access sequence number (for offline MIN). */

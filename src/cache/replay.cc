@@ -23,7 +23,7 @@ replayTrace(SetAssocCache &cache, const Trace &trace, size_t warmup)
         if (i == warmup)
             cache.clearStats();
         const MemRecord &r = trace[i];
-        cache.access(r.addr, recordType(r), r.pc);
+        cache.access(r.addr, r.type);
     }
     // A warmup covering the whole trace leaves nothing measured.
     if (warmup == trace.size())
@@ -39,7 +39,7 @@ demandOnlyTrace(const Trace &trace)
     for (size_t i = 0; i < trace.size(); ++i) {
         const MemRecord &r = trace[i];
         pending_gap += r.instGap;
-        if (recordType(r) == AccessType::Writeback)
+        if (r.type == AccessType::Writeback)
             continue;
         if (pending_gap > std::numeric_limits<uint32_t>::max())
             fatal("demandOnlyTrace: instruction gap " +

@@ -4,9 +4,9 @@
  *
  * Every consumer of a filtered LLC trace (policy-under-test runs, the
  * GA fitness function, Belady MIN) must interpret records identically
- * or miss counts are not comparable.  The convention: records with a
- * zero PC and the write flag are L2 writebacks (AccessType::Writeback,
- * not counted as demand); all other records are demand loads/stores.
+ * or miss counts are not comparable.  Each record's type says how:
+ * L2 writebacks (AccessType::Writeback) are not counted as demand;
+ * all other records are demand loads/stores.
  */
 
 #ifndef GIPPR_CACHE_REPLAY_HH_
@@ -18,15 +18,6 @@
 
 namespace gippr
 {
-
-/** Access type of an LLC trace record under the replay convention. */
-inline AccessType
-recordType(const MemRecord &rec)
-{
-    if (rec.isWrite && rec.pc == 0)
-        return AccessType::Writeback;
-    return rec.isWrite ? AccessType::Store : AccessType::Load;
-}
 
 /**
  * Replay @p trace against @p cache; statistics are cleared after the

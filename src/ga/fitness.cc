@@ -48,8 +48,8 @@ digestTrace(const FitnessTrace &t)
     h = foldU64(h, tr.size());
     for (const MemRecord &r : tr) {
         h = foldU64(h, r.addr);
-        h = foldU64(h, r.pc);
-        h = foldU64(h, (uint64_t{r.instGap} << 1) | r.isWrite);
+        h = foldU64(h, (uint64_t{r.instGap} << 2) |
+                           static_cast<uint64_t>(r.type));
     }
     return h;
 }

@@ -5,7 +5,6 @@
 
 #include "policies/belady.hh"
 
-#include "cache/replay.hh"
 #include "util/bitops.hh"
 #include "util/block_map.hh"
 #include "util/log.hh"
@@ -200,7 +199,7 @@ runMinMisses(const CacheConfig &config, const Trace &trace, size_t warmup)
         const bool miss = min.access(decode.setIndex(r.addr),
                                      decode.tag(r.addr), next[i]);
         misses += miss && i >= warmup &&
-                  recordType(r) != AccessType::Writeback;
+                  r.type != AccessType::Writeback;
     }
     return misses;
 }

@@ -259,7 +259,7 @@ replayBatch(std::vector<SoaCacheModel> &models, const Trace &trace,
         for (size_t j = i; j < end; ++j) {
             const MemRecord &r = trace[j];
             const uint64_t set = geo.setIndex(r.addr);
-            const AccessType type = recordType(r);
+            const AccessType type = r.type;
             demand += type != AccessType::Writeback;
             buf[n++] = {geo.tagOf(r.addr),
                         static_cast<uint32_t>(set), type};
@@ -412,7 +412,7 @@ FastReplayEngine::replay(const ReplaySpec &spec,
                 model.markWarmup();
                 snapped = true;
             }
-            model.access(set, model.tagOf(r.addr), recordType(r));
+            model.access(set, model.tagOf(r.addr), r.type);
         }
         if (!snapped)
             model.markWarmup();

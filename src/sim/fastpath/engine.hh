@@ -57,7 +57,7 @@ replayInOrder(Model &model, const Trace &trace, size_t warmup)
         if (i == warmup)
             model.markWarmup();
         const MemRecord &r = trace[i];
-        model.accessAddr(r.addr, recordType(r), r.pc);
+        model.accessAddr(r.addr, r.type);
     }
     if (warmup == trace.size())
         model.markWarmup();

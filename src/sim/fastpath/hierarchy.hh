@@ -32,7 +32,6 @@
 
 #include "cache/config.hh"
 #include "cache/replacement.hh"
-#include "cache/replay.hh"
 #include "trace/trace.hh"
 #include "util/hot.hh"
 
@@ -57,9 +56,9 @@ struct HierarchyConfig
  * gap that overflows MemRecord::instGap is fatal.
  *
  * With @p keep_writebacks false the recorder keeps only what
- * demandOnlyTrace() would keep of the full stream (records that are
- * not writebacks under recordType()'s convention) and folds a dropped
- * record's gap into the next kept one.  It is then fatal wherever
+ * demandOnlyTrace() would keep of the full stream (the records that
+ * are not writebacks) and folds a dropped record's gap into the next
+ * kept one.  It is then fatal wherever
  * recording the full stream or stripping it would be.
  */
 class LlcRecorder
@@ -81,7 +80,7 @@ class LlcRecorder
 
     /** Record one access that reaches the LLC; reports a miss. */
     bool
-    operator()(uint64_t addr, AccessType type, uint64_t pc)
+    operator()(uint64_t addr, AccessType type)
     {
         // The first access after a run of filtered references absorbs
         // their accumulated gap.
@@ -90,9 +89,8 @@ class LlcRecorder
         rec.instGap = static_cast<uint32_t>(pending_);
         pending_ = 0;
         rec.addr = addr;
-        rec.pc = pc;
-        rec.isWrite = type != AccessType::Load;
-        if (!keepWritebacks_ && recordType(rec) == AccessType::Writeback) {
+        rec.type = type;
+        if (!keepWritebacks_ && type == AccessType::Writeback) {
             dropped_ += rec.instGap;
             return false;
         }
@@ -137,9 +135,10 @@ class Hierarchy
 
     /**
      * Service one CPU reference.  Every access that reaches the LLC
-     * goes to @p llc as `bool llc(byte_addr, AccessType, pc)`, which
+     * goes to @p llc as `bool llc(byte_addr, AccessType)`, which
      * returns whether the LLC hit: first the L2's dirty victims as
-     * Writeback with pc 0, then the demand itself.
+     * Writeback, then the demand itself.  A CPU record that is not a
+     * load is a store here.
      *
      * @return the level that supplied the data
      */
@@ -150,7 +149,7 @@ class Hierarchy
      * Run a CPU-level trace through L1+L2 only and return the access
      * stream that reaches the LLC, recorded by an LlcRecorder that
      * keeps writebacks.  Demand misses become Load/Store records; L2
-     * dirty evictions become write records (pc == 0).
+     * dirty evictions become Writeback records.
      */
     static Trace filterToLlc(const Trace &cpu_trace,
                              const HierarchyConfig &config);
@@ -230,7 +229,7 @@ HitLevel
 Hierarchy::access(const MemRecord &rec, Llc &&llc)
 {
     const AccessType type =
-        rec.isWrite ? AccessType::Store : AccessType::Load;
+        rec.type == AccessType::Load ? AccessType::Load : AccessType::Store;
     const Level::Step r1 = l1_.access(rec.addr, type);
     if (r1.hit)
         return HitLevel::L1;
@@ -240,15 +239,15 @@ Hierarchy::access(const MemRecord &rec, Llc &&llc)
         const Level::Step wb =
             l2_.access(r1.evictedAddr, AccessType::Writeback);
         if (wb.evictedDirty)
-            llc(wb.evictedAddr, AccessType::Writeback, uint64_t{0});
+            llc(wb.evictedAddr, AccessType::Writeback);
     }
 
     const Level::Step r2 = l2_.access(rec.addr, type);
     if (r2.evictedDirty)
-        llc(r2.evictedAddr, AccessType::Writeback, uint64_t{0});
+        llc(r2.evictedAddr, AccessType::Writeback);
     if (r2.hit)
         return HitLevel::L2;
-    return llc(rec.addr, type, rec.pc) ? HitLevel::Llc : HitLevel::Memory;
+    return llc(rec.addr, type) ? HitLevel::Llc : HitLevel::Memory;
 }
 
 } // namespace gippr

@@ -34,13 +34,13 @@ ScalarModel::access(uint64_t set, uint64_t tag, AccessType type,
 {
     return stepOf(
         cache_.access(decode_.blockOf(set, tag) << decode_.blockShift,
-                      type, 0, domain, mask));
+                      type, domain, mask));
 }
 
 ScalarModel::Step
-ScalarModel::accessAddr(uint64_t byte_addr, AccessType type, uint64_t pc)
+ScalarModel::accessAddr(uint64_t byte_addr, AccessType type)
 {
-    return stepOf(cache_.access(byte_addr, type, pc));
+    return stepOf(cache_.access(byte_addr, type));
 }
 
 ScalarModel::Step

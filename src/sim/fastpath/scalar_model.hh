@@ -50,8 +50,8 @@ class ScalarModel
     Step access(uint64_t set, uint64_t tag, AccessType type,
                 unsigned domain, uint64_t mask);
 
-    /** Access by byte address; the policy sees @p pc. */
-    Step accessAddr(uint64_t byte_addr, AccessType type, uint64_t pc);
+    /** Access by byte address. */
+    Step accessAddr(uint64_t byte_addr, AccessType type);
 
     /** Start the measured region (SoaCacheModel::markWarmup). */
     void markWarmup();

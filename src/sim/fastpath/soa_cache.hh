@@ -276,10 +276,8 @@ class SoaCacheModel
         counters_.writebacks += writebacks;
     }
 
-    /** Access by byte address (set/tag split per the geometry).
-     *  @p pc is ScalarModel's; no packed policy reads it. */
-    GIPPR_HOT Step accessAddr(uint64_t byte_addr, AccessType type,
-                              uint64_t pc = 0);
+    /** Access by byte address (set/tag split per the geometry). */
+    GIPPR_HOT Step accessAddr(uint64_t byte_addr, AccessType type);
 
     /**
      * Snapshot the counters: stats().measured reports everything
@@ -1190,8 +1188,7 @@ SoaCacheModel::access(uint64_t set, uint64_t tag, AccessType type,
 }
 
 inline SoaCacheModel::Step
-SoaCacheModel::accessAddr(uint64_t byte_addr, AccessType type,
-                          uint64_t /*pc*/)
+SoaCacheModel::accessAddr(uint64_t byte_addr, AccessType type)
 {
     return access(setIndex(byte_addr), tagOf(byte_addr), type);
 }

@@ -7,7 +7,6 @@
 
 #include <optional>
 
-#include "cache/replay.hh"
 #include "sim/fastpath/scalar_model.hh"
 #include "sim/fastpath/soa_cache.hh"
 #include "util/bitops.hh"
@@ -85,7 +84,7 @@ runLoop(Model &model, const std::vector<CoreStream> &streams,
         if (i == warmups[core])
             warm[core] = banks[core];
         const MemRecord &r = (*streams[core].trace)[i];
-        const AccessType type = recordType(r);
+        const AccessType type = r.type;
         const bool demand = type != AccessType::Writeback;
         const uint64_t set = model.setIndex(r.addr);
         const uint64_t tag = model.tagOf(r.addr);

@@ -14,7 +14,6 @@
 #include "policies/fifo.hh"
 #include "policies/random.hh"
 #include "policies/rrip.hh"
-#include "policies/ship.hh"
 #include "sim/fastpath/scalar_model.hh"
 #include "util/log.hh"
 
@@ -139,16 +138,6 @@ pdpDef()
 }
 
 PolicyDef
-shipDef()
-{
-    return {"SHiP", [](const CacheConfig &cfg) {
-                return std::unique_ptr<ReplacementPolicy>(
-                    std::make_unique<ShipPolicy>(cfg));
-            },
-            std::nullopt};
-}
-
-PolicyDef
 giplrDef(const std::string &name, const Ipv &ipv)
 {
     return specDef(name, fastpath::giplrSpec(ipv));
@@ -211,8 +200,6 @@ policyByName(const std::string &text)
         return drripDef();
     if (text == "PDP")
         return pdpDef();
-    if (text == "SHiP")
-        return shipDef();
     if (text == "DGIPPR2")
         return dgipprDef("2-DGIPPR", local_vectors::dgippr2());
     if (text == "DGIPPR4")

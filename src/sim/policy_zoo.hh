@@ -33,7 +33,7 @@ struct PolicyDef
      * Value description for the replay engines; @c make then builds
      * this spec's scalar object.  The recency, tree and RRIP
      * families and PDP have one; policies without one (Random, FIFO,
-     * DIP, SHiP, B-GIPPR) always replay on the scalar simulator; see
+     * DIP, B-GIPPR) always replay on the scalar simulator; see
      * replayPolicies().
      */
     std::optional<fastpath::ReplaySpec> fastSpec;
@@ -50,7 +50,6 @@ PolicyDef srripDef();
 PolicyDef brripDef(uint64_t seed = 1);
 PolicyDef drripDef(uint64_t seed = 1);
 PolicyDef pdpDef();
-PolicyDef shipDef();
 
 /** IPV-driven policies.  @p name appears in result tables. */
 PolicyDef giplrDef(const std::string &name, const Ipv &ipv);
@@ -66,7 +65,7 @@ PolicyDef rripIpvDef(const std::string &name, const Ipv &ipv);
 /**
  * Parse a policy description string:
  *   "LRU", "LIP", "PLRU", "Random", "FIFO", "DIP", "SRRIP", "BRRIP",
- *   "DRRIP", "PDP", "SHiP",
+ *   "DRRIP", "PDP",
  *   "GIPLR" / "GIPPR" (locally evolved 16-way vectors),
  *   "GIPLR:<v0 v1 ... vk>", "GIPPR:<...>",
  *   "DGIPPR2", "DGIPPR4", "DGIPPR8" (local vector sets).

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 
-#include "cache/replay.hh"
 #include "policies/set_dueling.hh"
 #include "sim/fastpath/engine.hh"
 #include "sim/fastpath/scalar_model.hh"
@@ -30,7 +29,6 @@ constexpr unsigned kLeadersPerArm = 32;
 struct Rec
 {
     uint64_t addr = 0;
-    uint64_t pc = 0;
     uint64_t set = 0;
     uint64_t block = 0;
     uint32_t core = 0;
@@ -44,11 +42,10 @@ appendRecs(std::vector<Rec> &out, const MemRecord &r, uint32_t core,
 {
     Rec rec;
     rec.addr = r.addr;
-    rec.pc = r.pc;
     rec.set = llc.setIndex(r.addr);
     rec.block = llc.blockAddr(r.addr);
     rec.core = core;
-    rec.type = recordType(r);
+    rec.type = r.type;
     rec.demand = rec.type == AccessType::Writeback ? 0 : 1;
     out.push_back(rec);
 }
@@ -68,10 +65,9 @@ struct ChunkSinks
 
 /**
  * The selector's per-access hot path, over either arm model
- * (SoaCacheModel or ScalarModel, which hands spec-less arms each
- * record's pc): route each record through the chosen arm's main
- * model, mirror the sampled subset into EVERY arm's shadow model, and
- * fold outcome counters into the chunk sinks.  All arms shadow the
+ * (SoaCacheModel or ScalarModel): route each record through the
+ * chosen arm's main model, mirror the sampled subset into EVERY arm's
+ * shadow model, and fold outcome counters into the chunk sinks.  All arms shadow the
  * SAME sampled sets — identical traffic per arm — so their per-epoch
  * rewards compare policies, never the luck of which sets each arm
  * drew (disjoint per-arm samples invert rankings on skewed
@@ -94,7 +90,7 @@ replayChunk(const Rec *recs, size_t count, Model &main, Model *shadows,
         // this function's purity closure; SoaCacheModel's is checked
         // as its own GIPPR_HOT root.
         const fastpath::SoaCacheModel::Step st =
-            main.Model::accessAddr(r.addr, r.type, r.pc);
+            main.Model::accessAddr(r.addr, r.type);
         fastpath::countStep(s.coreBank[core], st, r.demand != 0);
         s.epoch->accesses += 1;
         s.epoch->demandAccesses += r.demand;
@@ -102,7 +98,7 @@ replayChunk(const Rec *recs, size_t count, Model &main, Model *shadows,
         if (owners != nullptr && owners[r.set] >= 0) {
             for (unsigned a = 0; a < shadow_arms; ++a) {
                 const fastpath::SoaCacheModel::Step ss =
-                    shadows[a].Model::accessAddr(r.addr, r.type, r.pc);
+                    shadows[a].Model::accessAddr(r.addr, r.type);
                 if (r.demand != 0) {
                     s.shadowDemand[a] += 1;
                     s.shadowMiss[a] += ss.hit ? 0 : 1;

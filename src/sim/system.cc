@@ -26,8 +26,8 @@ walk(const Trace &cpu_trace, Model &llc, const SystemParams &params)
 {
     Hierarchy hier(params.hier);
     CpuModel cpu(params.cpu);
-    auto to_llc = [&llc](uint64_t addr, AccessType type, uint64_t pc) {
-        return llc.accessAddr(addr, type, pc).hit;
+    auto to_llc = [&llc](uint64_t addr, AccessType type) {
+        return llc.accessAddr(addr, type).hit;
     };
 
     const size_t warmup = static_cast<size_t>(

@@ -6,6 +6,7 @@
 #ifndef GIPPR_SIM_SYSTEM_HH_
 #define GIPPR_SIM_SYSTEM_HH_
 
+#include "cache/cache.hh"
 #include "sim/cpu_model.hh"
 #include "sim/fastpath/hierarchy.hh"
 #include "trace/simpoint.hh"
@@ -49,9 +50,9 @@ void checkWarmupFraction(const SystemParams &params);
  * built as a fastpath::SpecFactory (every PolicyDef with a fastSpec)
  * runs its spec on the packed SoaCacheModel when the model supports
  * the LLC geometry; any other factory, and any unsupported geometry,
- * runs on its scalar twin, fastpath::ScalarModel (which hands the
- * policy each access's pc).  One CPU walk, templated over the model,
- * drives both, and they give bit-identical results.
+ * runs on its scalar twin, fastpath::ScalarModel.  One CPU walk,
+ * templated over the model, drives both, and they give bit-identical
+ * results.
  */
 SimResult simulateTrace(const Trace &cpu_trace,
                         const PolicyFactory &llc_policy,

@@ -351,9 +351,10 @@ LlcTraceCache::keyOf(const WorkloadSpec &spec, const HierarchyConfig &hier)
                       sp.weight);
         key += buf;
     }
+    // The build reads only the L1 and L2 (Hierarchy leaves the LLC to
+    // its caller), so every LLC geometry shares one entry.
     appendGeometry(key, hier.l1);
     appendGeometry(key, hier.l2);
-    appendGeometry(key, hier.llc);
     return key;
 }
 

@@ -18,9 +18,10 @@
  * over the filled chunks in order.  Each stage stays sequential, so
  * the entries do not depend on how the two overlap.
  * Keys capture every input that shapes the filtered trace — workload
- * name, per-simpoint seeds/lengths/weights and the full hierarchy
- * geometry — so benches that deliberately vary the suite (seed
- * ablations) never alias entries.
+ * name, per-simpoint seeds/lengths/weights and the L1/L2 geometry —
+ * so benches that deliberately vary the suite (seed ablations) never
+ * alias entries, and benches that vary only the LLC (associativity
+ * ablations) share one entry per workload.
  *
  * The cache is thread-compatible with the experiment harness's worker
  * pool: lookups lock a mutex, trace construction runs outside it, and

@@ -24,7 +24,7 @@ Trace::append(const MemRecord &rec)
 {
     records_.push_back(rec);
     instructions_ += rec.instGap;
-    if (rec.isWrite)
+    if (rec.type != AccessType::Load)
         ++writes_;
 }
 

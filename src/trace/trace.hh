@@ -44,7 +44,7 @@ class Trace
     /** Total instructions covered by the trace. */
     uint64_t instructions() const { return instructions_; }
 
-    /** Number of store records. */
+    /** Number of store and writeback records. */
     uint64_t writes() const { return writes_; }
 
     /** Count of distinct 64-byte blocks touched (computed on demand). */

@@ -21,10 +21,8 @@ namespace
 {
 
 constexpr char kMagic[4] = {'G', 'P', 'T', 'R'};
-/** Current write version: v2 appends a CRC-32 footer. */
-constexpr uint32_t kVersion = 2;
-/** Still readable: the pre-checksum format. */
-constexpr uint32_t kVersionNoCrc = 1;
+/** The one version read and written (trace_io.hh). */
+constexpr uint32_t kVersion = 3;
 
 struct FileCloser
 {
@@ -94,7 +92,7 @@ fiFread(void *out, size_t size, size_t count, std::FILE *f)
 
 /**
  * fread @p count bytes into @p out, folding them into @p crc.  The
- * running checksum lets the reader verify the v2 footer without
+ * running checksum lets the reader verify the footer without
  * buffering the whole file.
  */
 template <typename T>
@@ -109,10 +107,13 @@ readScalar(std::FILE *f, uint32_t &crc, const std::string &path,
     return v;
 }
 
-/** On-disk bytes of one MemRecord: instGap, addr, pc, flags
+/** On-disk bytes of one MemRecord: instGap, addr, type
  *  (fields are written unpadded). */
-constexpr uint64_t kRecordBytes = sizeof(uint32_t) + sizeof(uint64_t) +
-                                  sizeof(uint64_t) + sizeof(uint8_t);
+constexpr uint64_t kRecordBytes =
+    sizeof(uint32_t) + sizeof(uint64_t) + sizeof(uint8_t);
+
+/** CRC-32 footer bytes. */
+constexpr uint64_t kFooterBytes = sizeof(uint32_t);
 
 /** Header bytes: magic + version + record count. */
 constexpr uint64_t kHeaderBytes =
@@ -140,15 +141,14 @@ writeTrace(const Trace &trace, const std::string &path)
     // destination: a crash or ENOSPC mid-write leaves either the old
     // file or the complete new one, never a torn trace.
     std::string buf;
-    buf.reserve(kHeaderBytes + trace.size() * kRecordBytes + 4);
+    buf.reserve(kHeaderBytes + trace.size() * kRecordBytes + kFooterBytes);
     buf.append(kMagic, 4);
     appendScalar<uint32_t>(buf, kVersion);
     appendScalar<uint64_t>(buf, trace.size());
     for (const auto &r : trace.records()) {
         appendScalar<uint32_t>(buf, r.instGap);
         appendScalar<uint64_t>(buf, r.addr);
-        appendScalar<uint64_t>(buf, r.pc);
-        appendScalar<uint8_t>(buf, r.isWrite ? 1 : 0);
+        appendScalar<uint8_t>(buf, static_cast<uint8_t>(r.type));
     }
     appendScalar<uint32_t>(
         buf, robust::crc32(buf.data(), buf.size()));
@@ -170,21 +170,23 @@ readTrace(const std::string &path)
     crc = robust::crc32(magic, 4, crc);
     uint32_t version =
         readScalar<uint32_t>(f.get(), crc, path, "version");
-    if (version != kVersion && version != kVersionNoCrc)
-        fatal("unsupported trace version in " + path);
+    if (version != kVersion)
+        fatal("unsupported trace version " + std::to_string(version) +
+              " (only v" + std::to_string(kVersion) + " is read) in " +
+              path);
     uint64_t count =
         readScalar<uint64_t>(f.get(), crc, path, "record count");
-    const uint64_t footer = version == kVersion ? 4 : 0;
 
     // Validate the promised record count against the actual file size
     // before reserving or reading anything: a corrupt header must not
     // drive a multi-gigabyte allocation or a silently partial trace.
     if (count >
-        (UINT64_MAX - kHeaderBytes - footer) / kRecordBytes)
+        (UINT64_MAX - kHeaderBytes - kFooterBytes) / kRecordBytes)
         fatal("trace file header corrupt: record count " +
               std::to_string(count) + " overflows the file size: " +
               path);
-    uint64_t expected = kHeaderBytes + count * kRecordBytes + footer;
+    uint64_t expected =
+        kHeaderBytes + count * kRecordBytes + kFooterBytes;
     uint64_t actual = fileSize(f.get(), path);
     if (actual < expected)
         fatal("trace file truncated: header promises " +
@@ -205,20 +207,21 @@ readTrace(const std::string &path)
         r.instGap =
             readScalar<uint32_t>(f.get(), crc, path, "record");
         r.addr = readScalar<uint64_t>(f.get(), crc, path, "record");
-        r.pc = readScalar<uint64_t>(f.get(), crc, path, "record");
-        r.isWrite =
-            readScalar<uint8_t>(f.get(), crc, path, "record") != 0;
+        const uint8_t type =
+            readScalar<uint8_t>(f.get(), crc, path, "record");
+        if (type > static_cast<uint8_t>(AccessType::Writeback))
+            fatal("trace file corrupt: record " + std::to_string(i) +
+                  " has type byte " + std::to_string(type) +
+                  " (0 load, 1 store, 2 writeback): " + path);
+        r.type = static_cast<AccessType>(type);
         trace.append(r);
     }
-    if (version == kVersion) {
-        uint32_t body_crc = crc;
-        uint32_t stored = 0;
-        if (fiFread(&stored, sizeof(stored), 1, f.get()) != 1)
-            fatal("trace file truncated reading checksum: " + path);
-        if (stored != body_crc)
-            fatal("trace file checksum mismatch (corrupt contents): " +
-                  path);
-    }
+    const uint32_t body_crc = crc;
+    uint32_t stored = 0;
+    if (fiFread(&stored, sizeof(stored), 1, f.get()) != 1)
+        fatal("trace file truncated reading checksum: " + path);
+    if (stored != body_crc)
+        fatal("trace file checksum mismatch (corrupt contents): " + path);
     return trace;
 }
 

@@ -4,11 +4,11 @@
  *
  * Layout (little-endian):
  *   magic   "GPTR"            4 bytes
- *   version u32               currently 2 (v1 still readable)
+ *   version u32               3 (v1 and v2 files are rejected)
  *   count   u64               number of records
  *   records: per record
- *     instGap u32, addr u64, pc u64, flags u8 (bit0 = write)
- *   crc     u32               v2 only: CRC-32 of all prior bytes
+ *     instGap u32, addr u64, type u8 (0 load, 1 store, 2 writeback)
+ *   crc     u32               CRC-32 of all prior bytes
  *
  * The format exists so that expensive synthetic traces (or externally
  * collected ones) can be cached on disk between experiment runs.
@@ -42,7 +42,8 @@ void writeTrace(const Trace &trace, const std::string &path);
  * The header's record count is validated against the actual file size
  * before anything is read: truncated files, counts that overflow the
  * file, and trailing garbage are all rejected with messages naming
- * the path — a short read never yields a silently partial trace.
+ * the path — a short read never yields a silently partial trace.  A
+ * type byte outside AccessType is rejected too.
  */
 Trace readTrace(const std::string &path);
 

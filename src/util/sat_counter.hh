@@ -4,7 +4,7 @@
  *
  * Two flavours are provided:
  *  - SatCounter: unsigned, saturates at [0, 2^bits - 1]. Used for RRPVs,
- *    PDP per-line protecting distances, SHiP signature counters.
+ *    PDP per-line protecting distances.
  *  - DuelCounter: signed-style up/down counter over [0, 2^bits - 1] with
  *    a midpoint threshold, as used for set-dueling PSEL counters.
  */

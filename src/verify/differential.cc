@@ -8,7 +8,6 @@
 #include <deque>
 #include <sstream>
 
-#include "cache/replay.hh"
 #include "core/dgippr.hh"
 #include "core/giplr.hh"
 #include "core/gippr.hh"
@@ -290,14 +289,14 @@ replayDifferential(const std::string &policy, const CacheConfig &config,
     std::deque<uint64_t> recent;
     uint64_t demand_seen = 0;
     for (const MemRecord &rec : trace) {
-        cache.access(rec.addr, recordType(rec), rec.pc);
+        cache.access(rec.addr, rec.type);
         ++result.accesses;
         if (opts.invalidateEvery == 0)
             continue;
         recent.push_back(rec.addr);
         if (recent.size() > 64)
             recent.pop_front();
-        if (recordType(rec) != AccessType::Writeback &&
+        if (rec.type != AccessType::Writeback &&
             ++demand_seen % opts.invalidateEvery == 0) {
             const uint64_t addr =
                 recent[rng.nextBounded(recent.size())];

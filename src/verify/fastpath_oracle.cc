@@ -7,7 +7,6 @@
 
 #include <sstream>
 
-#include "cache/replay.hh"
 #include "core/rrip_ipv.hh"
 #include "policies/pdp.hh"
 #include "policies/rrip.hh"
@@ -157,11 +156,10 @@ FastpathOracle::run(const Trace &trace, const std::string &stream,
 
     const AddressDecode decode(config_);
     for (const MemRecord &rec : trace) {
-        const AccessType type = recordType(rec);
         const uint64_t set = decode.setIndex(rec.addr);
-        const AccessResult want = scalar_.access(rec.addr, type, rec.pc);
+        const AccessResult want = scalar_.access(rec.addr, rec.type);
         const SoaCacheModel::Step got =
-            model_.accessAddr(rec.addr, type);
+            model_.accessAddr(rec.addr, rec.type);
         const uint64_t index = accessesSoFar_++;
         ++result.accesses;
 

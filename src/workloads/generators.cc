@@ -43,14 +43,12 @@ AccessGenerator::GapSampler::sample(Rng &rng) const
 }
 
 MemRecord
-AccessGenerator::makeRecord(uint64_t block, uint64_t pc, uint32_t gap,
-                            bool write)
+AccessGenerator::makeRecord(uint64_t block, uint32_t gap, bool write)
 {
     MemRecord r;
     r.addr = block * kBlockBytes;
-    r.pc = pc;
     r.instGap = gap;
-    r.isWrite = write;
+    r.type = write ? AccessType::Store : AccessType::Load;
     return r;
 }
 
@@ -68,8 +66,7 @@ StreamGenerator::next(Rng &rng)
 {
     uint64_t block = params_.regionBase + cursor_;
     cursor_ = (cursor_ + stride_) % wrap_;
-    return makeRecord(block, params_.pcBase,
-                      gaps_.sample(rng),
+    return makeRecord(block, gaps_.sample(rng),
                       rng.nextBool(params_.writeFrac));
 }
 
@@ -84,10 +81,7 @@ LoopGenerator::next(Rng &rng)
 {
     uint64_t block = params_.regionBase + cursor_;
     cursor_ = (cursor_ + 1) % blocks_;
-    // Two PCs: one for the bulk of the loop, one for the row tail,
-    // so signature policies see a non-trivial PC distribution.
-    uint64_t pc = params_.pcBase + (cursor_ % 64 == 0 ? 8 : 0);
-    return makeRecord(block, pc, gaps_.sample(rng),
+    return makeRecord(block, gaps_.sample(rng),
                       rng.nextBool(params_.writeFrac));
 }
 
@@ -116,8 +110,7 @@ PointerChaseGenerator::next(Rng &rng)
 {
     uint64_t block = params_.regionBase + current_;
     current_ = nextNode_[current_];
-    return makeRecord(block, params_.pcBase,
-                      gaps_.sample(rng),
+    return makeRecord(block, gaps_.sample(rng),
                       rng.nextBool(params_.writeFrac));
 }
 
@@ -136,8 +129,7 @@ ZipfGenerator::next(Rng &rng)
     // physically adjacent (avoids set-index pathologies).
     uint64_t block =
         params_.regionBase + mix64(rank ^ seed_) % sampler_.n();
-    uint64_t pc = params_.pcBase + (rank % 8) * 4;
-    return makeRecord(block, pc, gaps_.sample(rng),
+    return makeRecord(block, gaps_.sample(rng),
                       rng.nextBool(params_.writeFrac));
 }
 
@@ -157,15 +149,12 @@ HotColdGenerator::next(Rng &rng)
 {
     if (rng.nextBool(hotFrac_)) {
         uint64_t block = params_.regionBase + rng.nextBounded(hotBlocks_);
-        return makeRecord(block, params_.pcBase,
-                          gaps_.sample(rng),
+        return makeRecord(block, gaps_.sample(rng),
                           rng.nextBool(params_.writeFrac));
     }
     uint64_t block = params_.regionBase + hotBlocks_ + coldCursor_;
     coldCursor_ = (coldCursor_ + 1) % coldWrap_;
-    // The cold stream has its own PC, the classic zero-reuse signature.
-    return makeRecord(block, params_.pcBase + 64,
-                      gaps_.sample(rng),
+    return makeRecord(block, gaps_.sample(rng),
                       rng.nextBool(params_.writeFrac));
 }
 
@@ -186,19 +175,15 @@ StencilGenerator::next(Rng &rng)
     uint64_t r = cursor_ / rowBlocks_;
     uint64_t c = cursor_ % rowBlocks_;
     uint64_t row;
-    uint64_t pc;
     switch (phase_) {
       case 0:
         row = (r + rows_ - 1) % rows_;
-        pc = params_.pcBase;
         break;
       case 1:
         row = r;
-        pc = params_.pcBase + 4;
         break;
       default:
         row = (r + 1) % rows_;
-        pc = params_.pcBase + 8;
         break;
     }
     if (++phase_ == 3) {
@@ -208,7 +193,7 @@ StencilGenerator::next(Rng &rng)
     uint64_t block = params_.regionBase + row * rowBlocks_ + c;
     // The center access writes (Jacobi-style update).
     bool write = phase_ == 2 && rng.nextBool(0.5);
-    return makeRecord(block, pc, gaps_.sample(rng), write);
+    return makeRecord(block, gaps_.sample(rng), write);
 }
 
 SdProfileGenerator::SdProfileGenerator(const GenParams &params,
@@ -235,15 +220,13 @@ SdProfileGenerator::next(Rng &rng)
 {
     double pick = rng.nextDouble() * totalWeight_;
     uint64_t block;
-    uint64_t pc = params_.pcBase;
     const Band *chosen = nullptr;
     double acc = newWeight_;
     if (pick >= acc) {
-        for (size_t i = 0; i < bands_.size(); ++i) {
-            acc += bands_[i].weight;
+        for (const Band &band : bands_) {
+            acc += band.weight;
             if (pick < acc) {
-                chosen = &bands_[i];
-                pc = params_.pcBase + 4 * (i + 1);
+                chosen = &band;
                 break;
             }
         }
@@ -280,7 +263,7 @@ SdProfileGenerator::next(Rng &rng)
     }
     history_[emitted_ % history_.size()] = block;
     ++emitted_;
-    return makeRecord(block, pc, gaps_.sample(rng),
+    return makeRecord(block, gaps_.sample(rng),
                       rng.nextBool(params_.writeFrac));
 }
 
@@ -344,10 +327,7 @@ KvCacheGenerator::next(Rng &rng)
         ts.base + mix64(rank ^ seed_ ^
                         (epoch * 0x9e3779b97f4a7c15ULL)) %
                       ts.sampler.n();
-    // Stable per-tenant PCs, split by hot/cold rank band so signature
-    // policies can tell tenants and popularity classes apart.
-    uint64_t pc = params_.pcBase + t * 64 + (rank % 8) * 4;
-    return makeRecord(block, pc, gaps_.sample(rng),
+    return makeRecord(block, gaps_.sample(rng),
                       rng.nextBool(ts.writeFrac));
 }
 

@@ -24,8 +24,7 @@
  *  - MixGenerator:          statistically interleaves children
  *
  * All addresses are block-granular (multiplied by the block size);
- * every generator assigns stable, distinct PCs to its logical access
- * streams so PC-based policies (SHiP) have real signatures to learn.
+ * every reference is a load or a store.
  */
 
 #ifndef GIPPR_WORKLOADS_GENERATORS_HH_
@@ -60,8 +59,7 @@ class AccessGenerator
     static constexpr uint64_t kBlockBytes = 64;
 
     /** Helper: finish a record with common fields. */
-    static MemRecord makeRecord(uint64_t block, uint64_t pc,
-                                uint32_t gap, bool write);
+    static MemRecord makeRecord(uint64_t block, uint32_t gap, bool write);
 
     /**
      * Instruction gaps with mean roughly @p mean_gap: 1 plus a
@@ -90,8 +88,6 @@ struct GenParams
     double writeFrac = 0.2;
     /** Base of the region this generator's blocks live in. */
     uint64_t regionBase = 0;
-    /** Base PC for this generator's access streams. */
-    uint64_t pcBase = 0x400000;
 };
 
 /** Sequential scan over a very large region; blocks never recur. */

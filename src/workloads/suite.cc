@@ -24,13 +24,6 @@ regionFor(unsigned workload_idx, unsigned simpoint_idx)
            << 26;
 }
 
-uint64_t
-pcFor(unsigned workload_idx, unsigned simpoint_idx)
-{
-    return 0x400000 + (static_cast<uint64_t>(workload_idx) * 8 +
-                       simpoint_idx) * 0x1000;
-}
-
 } // namespace
 
 SyntheticSuite::SyntheticSuite(SuiteParams params)
@@ -54,7 +47,6 @@ SyntheticSuite::SyntheticSuite(SuiteParams params)
         for (auto &sim : sims) {
             GenParams gp;
             gp.regionBase = regionFor(widx, sidx);
-            gp.pcBase = pcFor(widx, sidx);
             SimpointSpec sp;
             auto maker = sim.first;
             sp.make = [maker, gp]() { return maker(gp); };
@@ -255,7 +247,6 @@ SyntheticSuite::SyntheticSuite(SuiteParams params)
               GenParams gp_a = gp;
               GenParams gp_b = gp;
               gp_b.regionBase += 32 * C;
-              gp_b.pcBase += 0x100;
               phases.push_back({std::make_unique<LoopGenerator>(
                                     gp_a, (C * 7) / 10),
                                 N / 8});
@@ -271,7 +262,6 @@ SyntheticSuite::SyntheticSuite(SuiteParams params)
               GenParams gp_a = gp;
               GenParams gp_b = gp;
               gp_b.regionBase += 32 * C;
-              gp_b.pcBase += 0x100;
               phases.push_back({std::make_unique<LoopGenerator>(
                                     gp_a, (C * 3) / 2),
                                 N / 6});
@@ -289,7 +279,6 @@ SyntheticSuite::SyntheticSuite(SuiteParams params)
               GenParams gp_a = gp;
               GenParams gp_b = gp;
               gp_b.regionBase += 32 * C;
-              gp_b.pcBase += 0x100;
               comps.push_back({std::make_unique<StreamGenerator>(
                                    gp_a, 1, 64 * C),
                                0.5});
@@ -305,7 +294,6 @@ SyntheticSuite::SyntheticSuite(SuiteParams params)
               GenParams gp_a = gp;
               GenParams gp_b = gp;
               gp_b.regionBase += 32 * C;
-              gp_b.pcBase += 0x100;
               comps.push_back({std::make_unique<ZipfGenerator>(
                                    gp_a, 2 * C, 1.0, 29),
                                0.7});
@@ -394,7 +382,6 @@ kvCacheFamily(SuiteParams params)
                        GenParams, uint64_t)> maker) {
         GenParams gp;
         gp.regionBase = regionFor(widx, 0);
-        gp.pcBase = pcFor(widx, 0);
         SimpointSpec sp;
         uint64_t seed = seed0 + 0x4b00 + widx * 131;
         sp.make = [maker, gp, seed]() { return maker(gp, seed); };
@@ -461,7 +448,6 @@ phaseShiftFamily(SuiteParams params)
                        GenParams, uint64_t)> maker) {
         GenParams gp;
         gp.regionBase = regionFor(widx, 0);
-        gp.pcBase = pcFor(widx, 0);
         SimpointSpec sp;
         uint64_t seed = seed0 + 0x9500 + widx * 131;
         sp.make = [maker, gp, seed]() { return maker(gp, seed); };
@@ -476,11 +462,10 @@ phaseShiftFamily(SuiteParams params)
         ++widx;
     };
 
-    // Each phase gets its own region and PC base so a regime change is
-    // also an address-space change (the working-set trigger's food).
+    // Each phase gets its own region so a regime change is also an
+    // address-space change (the working-set trigger's food).
     auto phaseParams = [C](GenParams gp, unsigned phase) {
         gp.regionBase += static_cast<uint64_t>(phase) * 64 * C;
-        gp.pcBase += static_cast<uint64_t>(phase) * 0x100;
         return gp;
     };
 

@@ -86,13 +86,10 @@ mixedStream(uint64_t n, uint64_t seed, const CacheConfig &cfg)
         MemRecord rec;
         rec.instGap = 1;
         rec.addr = rng.nextBounded(blocks) * block;
-        if (rng.nextBool(0.1)) {
-            rec.isWrite = true;
-            rec.pc = 0; // writeback
-        } else {
-            rec.isWrite = rng.nextBool(0.25);
-            rec.pc = 0x400000 + rng.nextBounded(64) * 4;
-        }
+        if (rng.nextBool(0.1))
+            rec.type = AccessType::Writeback;
+        else if (rng.nextBool(0.25))
+            rec.type = AccessType::Store;
         trace.append(rec);
     }
     return trace;

@@ -45,7 +45,6 @@ traceOfBlocks(const std::vector<uint64_t> &blocks)
     for (uint64_t b : blocks) {
         MemRecord r;
         r.addr = b * 64;
-        r.pc = 0x400000;
         t.append(r);
     }
     return t;
@@ -181,7 +180,7 @@ TEST(Belady, SequenceContractEnforced)
 }
 
 /** Random LLC stream over @p c: hot blocks, a cold sweep, colliding
- *  tag signatures and writebacks (stores with pc 0). */
+ *  tag signatures and writebacks. */
 Trace
 mixedStream(const CacheConfig &c, uint64_t n, uint64_t seed)
 {
@@ -208,13 +207,10 @@ mixedStream(const CacheConfig &c, uint64_t n, uint64_t seed)
         }
         MemRecord r;
         r.addr = block * 64 + rng.nextBounded(64);
-        if (rng.nextBool(0.1)) {
-            r.isWrite = true; // writeback: store with pc 0
-            r.pc = 0;
-        } else {
-            r.isWrite = rng.nextBool(0.3);
-            r.pc = 0x400000;
-        }
+        if (rng.nextBool(0.1))
+            r.type = AccessType::Writeback;
+        else if (rng.nextBool(0.3))
+            r.type = AccessType::Store;
         t.append(r);
     }
     return t;

@@ -265,19 +265,28 @@ TEST(Cache, DistinctSetsDoNotInterfere)
 
 TEST(CacheReplay, RecordTypeConvention)
 {
-    MemRecord demand_load;
-    demand_load.pc = 0x400;
-    EXPECT_EQ(recordType(demand_load), AccessType::Load);
+    // Replay takes each record's type as it is: a load and a store are
+    // demand accesses, a writeback is not, and demandOnlyTrace drops
+    // only the writeback, folding its gap into the next record.
+    Trace t;
+    for (AccessType type :
+         {AccessType::Load, AccessType::Writeback, AccessType::Store}) {
+        MemRecord r;
+        r.addr = t.size() * 64;
+        r.instGap = 2;
+        r.type = type;
+        t.append(r);
+    }
+    auto cache = makeLruCache(tinyConfig(16, 2));
+    replayTrace(cache, t);
+    EXPECT_EQ(cache.stats().accesses, 3u);
+    EXPECT_EQ(cache.stats().demandAccesses, 2u);
 
-    MemRecord demand_store;
-    demand_store.pc = 0x400;
-    demand_store.isWrite = true;
-    EXPECT_EQ(recordType(demand_store), AccessType::Store);
-
-    MemRecord writeback;
-    writeback.pc = 0;
-    writeback.isWrite = true;
-    EXPECT_EQ(recordType(writeback), AccessType::Writeback);
+    const Trace demand = demandOnlyTrace(t);
+    ASSERT_EQ(demand.size(), 2u);
+    EXPECT_EQ(demand[0].type, AccessType::Load);
+    EXPECT_EQ(demand[1].type, AccessType::Store);
+    EXPECT_EQ(demand[1].instGap, 4u);
 }
 
 TEST(CacheReplay, WarmupExcludedFromStats)
@@ -286,7 +295,6 @@ TEST(CacheReplay, WarmupExcludedFromStats)
     for (int i = 0; i < 10; ++i) {
         MemRecord r;
         r.addr = static_cast<uint64_t>(i) * 64;
-        r.pc = 0x400;
         t.append(r);
     }
     auto cache = makeLruCache(tinyConfig(16, 2));
@@ -300,12 +308,11 @@ TEST(CacheReplay, InstructionGapOverflowIsFatal)
     // 32-bit instGap cannot carry 2^32 - 1 + 1 instructions.
     Trace t;
     MemRecord writeback;
-    writeback.isWrite = true;
+    writeback.type = AccessType::Writeback;
     writeback.instGap = 0xFFFFFFFFu;
     t.append(writeback);
     MemRecord demand;
     demand.addr = 0x40;
-    demand.pc = 0x400;
     t.append(demand);
     EXPECT_DEATH(([&]() noexcept { demandOnlyTrace(t); })(),
                  "instruction gap 4294967296 at LLC record 1 overflows");
@@ -317,18 +324,18 @@ TEST(Cache, WayMaskConfinesFills)
     SetAssocCache cache = makeLruCache(cfg);
     const uint64_t low = 0b0011;
     // Fills take the mask's invalid ways, then evict within it.
-    EXPECT_EQ(cache.access(0 * 64, AccessType::Load, 0, 0, low).way, 0u);
-    EXPECT_EQ(cache.access(1 * 64, AccessType::Load, 0, 0, low).way, 1u);
-    AccessResult r = cache.access(2 * 64, AccessType::Load, 0, 0, low);
+    EXPECT_EQ(cache.access(0 * 64, AccessType::Load, 0, low).way, 0u);
+    EXPECT_EQ(cache.access(1 * 64, AccessType::Load, 0, low).way, 1u);
+    AccessResult r = cache.access(2 * 64, AccessType::Load, 0, low);
     EXPECT_EQ(r.way, 0u);
     ASSERT_TRUE(r.evictedBlock.has_value());
     EXPECT_EQ(*r.evictedBlock, 0u);
     EXPECT_EQ(cache.validCount(0), 2u);
     // The other ways fill under their own mask; every line still
     // hits whatever mask the hit carries.
-    EXPECT_EQ(cache.access(3 * 64, AccessType::Load, 0, 0, 0b1100).way,
+    EXPECT_EQ(cache.access(3 * 64, AccessType::Load, 0, 0b1100).way,
               2u);
-    EXPECT_TRUE(cache.access(3 * 64, AccessType::Load, 0, 0, low).hit);
+    EXPECT_TRUE(cache.access(3 * 64, AccessType::Load, 0, low).hit);
 }
 
 TEST(Cache, MaskedVictimIsTheOldestWayOfTheMask)
@@ -340,11 +347,11 @@ TEST(Cache, MaskedVictimIsTheOldestWayOfTheMask)
     cache.access(0 * 64, AccessType::Load); // LRU order now 1,2,3,0
     // The full set would evict way 1; the mask {2, 0} evicts way 2.
     const AccessResult r =
-        cache.access(9 * 64, AccessType::Load, 0, 0, 0b0101);
+        cache.access(9 * 64, AccessType::Load, 0, 0b0101);
     EXPECT_EQ(r.way, 2u);
     EXPECT_EQ(*r.evictedBlock, 2u);
     // A full mask is the unmasked victim again: way 1.
-    EXPECT_EQ(cache.access(10 * 64, AccessType::Load, 0, 0, 0b1111).way,
+    EXPECT_EQ(cache.access(10 * 64, AccessType::Load, 0, 0b1111).way,
               1u);
 }
 
@@ -355,7 +362,7 @@ TEST(Cache, MaskedAccessWithoutRecencyOrderIsFatal)
                                  cfg, RripPolicy::Mode::Dynamic));
     cache.access(0, AccessType::Load); // a full mask is fine
     EXPECT_DEATH(([&]() noexcept {
-                     cache.access(64, AccessType::Load, 0, 0, 0b0011);
+                     cache.access(64, AccessType::Load, 0, 0b0011);
                  })(),
                  "DRRIP keeps no recency order, so it cannot fill "
                  "within a way mask");
@@ -365,7 +372,7 @@ TEST(Cache, EmptyWayMaskIsFatal)
 {
     SetAssocCache cache = makeLruCache(tinyConfig(1, 4));
     EXPECT_DEATH(([&]() noexcept {
-                     cache.access(0, AccessType::Load, 0, 0, 0);
+                     cache.access(0, AccessType::Load, 0, 0);
                  })(),
                  "tiny: access with an empty way mask");
 }

@@ -44,7 +44,6 @@ loopTrace(uint64_t blocks, int reps, uint64_t base = 0)
         for (uint64_t b = 0; b < blocks; ++b) {
             MemRecord r;
             r.addr = (base + b) * 64;
-            r.pc = 0x400000;
             r.instGap = 10;
             t.append(r);
         }

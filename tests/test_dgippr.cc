@@ -231,7 +231,7 @@ TEST(Dgippr, DomainsDuelIndependently)
     SetAssocCache cache(c, std::move(p));
     for (int rep = 0; rep < 40; ++rep)
         for (uint64_t b = 0; b < 1280; ++b)
-            cache.access(b * 64, AccessType::Load, 0, 0);
+            cache.access(b * 64, AccessType::Load, 0);
     EXPECT_EQ(raw->currentWinner(0), 1u);
     EXPECT_EQ(raw->selector(1).counterValues(),
               TournamentSelector(2).counterValues());
@@ -242,8 +242,8 @@ TEST(Dgippr, DomainsDuelIndependently)
     uint64_t next_block = 1 << 20;
     for (int i = 0; i < 200000; ++i) {
         const uint64_t b = next_block++;
-        cache.access(b * 64, AccessType::Load, 0, 1);
-        cache.access((b - 128) * 64, AccessType::Load, 0, 1);
+        cache.access(b * 64, AccessType::Load, 1);
+        cache.access((b - 128) * 64, AccessType::Load, 1);
     }
     EXPECT_EQ(raw->currentWinner(1), 0u);
     EXPECT_EQ(raw->currentWinner(0), 1u);

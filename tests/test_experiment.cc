@@ -236,7 +236,7 @@ TEST(MissExperiment, PackedReplayMirrorsScalarTelemetry)
 }
 
 /**
- * A mixed column list at @p assoc ways: five packed specs and four
+ * A mixed column list at @p assoc ways: six packed specs and three
  * spec-less policies, interleaved.  16 ways take the shipped vectors;
  * other widths take vectors of their own arity.
  */
@@ -253,7 +253,7 @@ mixedColumns(unsigned assoc)
     return {lruDef(),
             randomDef(),
             plruDef(),
-            shipDef(),
+            dipDef(),
             gipprDef("GIPPR", gippr),
             dgipprDef("4-DGIPPR", four),
             drripDef(),

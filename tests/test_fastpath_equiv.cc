@@ -163,7 +163,7 @@ oneSetSpecs()
 
 /**
  * Mixed-phase randomized stream: a hot working set (hits), streaming
- * sweeps (evictions), and occasional writebacks (pc == 0 stores), so
+ * sweeps (evictions), and occasional writebacks, so
  * every transition in the access path is exercised.
  */
 Trace
@@ -188,13 +188,10 @@ randomStream(uint64_t n, uint64_t seed, const CacheConfig &cfg)
             rec.addr = rng.nextBounded(cold_blocks) * block;
         }
         rec.addr += rng.nextBounded(block); // sub-block offsets
-        if (rng.nextBool(0.08)) {
-            rec.isWrite = true; // writeback convention: store, pc 0
-            rec.pc = 0;
-        } else {
-            rec.isWrite = rng.nextBool(0.3);
-            rec.pc = 0x400000 + rng.nextBounded(512) * 4;
-        }
+        if (rng.nextBool(0.08))
+            rec.type = AccessType::Writeback;
+        else if (rng.nextBool(0.3))
+            rec.type = AccessType::Store;
         trace.append(rec);
     }
     return trace;
@@ -219,13 +216,10 @@ signatureCollisionStream(uint64_t n, uint64_t seed, const CacheConfig &cfg)
         MemRecord rec;
         rec.instGap = 1;
         rec.addr = decode.blockOf(set, tag) << decode.blockShift;
-        if (rng.nextBool(0.08)) {
-            rec.isWrite = true; // writeback convention: store, pc 0
-            rec.pc = 0;
-        } else {
-            rec.isWrite = rng.nextBool(0.3);
-            rec.pc = 0x400000;
-        }
+        if (rng.nextBool(0.08))
+            rec.type = AccessType::Writeback;
+        else if (rng.nextBool(0.3))
+            rec.type = AccessType::Store;
         trace.append(rec);
     }
     return trace;

@@ -35,7 +35,6 @@ thrashTrace(uint64_t blocks, int reps)
         for (uint64_t b = 0; b < blocks; ++b) {
             MemRecord r;
             r.addr = b * 64;
-            r.pc = 0x400000;
             r.instGap = 10;
             t.append(r);
         }

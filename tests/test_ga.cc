@@ -36,7 +36,6 @@ loopTrace(uint64_t blocks, int reps, uint64_t base = 0)
         for (uint64_t b = 0; b < blocks; ++b) {
             MemRecord r;
             r.addr = (base + b) * 64;
-            r.pc = 0x400000;
             r.instGap = 10;
             t.append(r);
         }
@@ -89,13 +88,11 @@ TEST(RandomSearch, MostRandomVectorsLoseToLru)
         for (uint64_t b = 0; b < 384; ++b) {
             MemRecord r;
             r.addr = b * 64;
-            r.pc = 0x400000;
             r.instGap = 10;
             t.append(r);
             if (gen.nextBool(0.25)) {
                 MemRecord cr;
                 cr.addr = (cold++) * 64;
-                cr.pc = 0x400400;
                 cr.instGap = 10;
                 t.append(cr);
             }

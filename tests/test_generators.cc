@@ -23,7 +23,6 @@ gp()
     p.meanGap = 4;
     p.writeFrac = 0.25;
     p.regionBase = 1000;
-    p.pcBase = 0x400000;
     return p;
 }
 
@@ -267,7 +266,7 @@ TEST(Generators, WriteFractionRoughlyHonored)
     int writes = 0;
     const int n = 20000;
     for (int i = 0; i < n; ++i)
-        if (g.next(rng).isWrite)
+        if (g.next(rng).type == AccessType::Store)
             ++writes;
     EXPECT_NEAR(static_cast<double>(writes) / n, 0.4, 0.02);
 }

@@ -38,7 +38,6 @@ struct LlcCall
 {
     uint64_t addr;
     AccessType type;
-    uint64_t pc;
 
     bool operator==(const LlcCall &o) const = default;
 };
@@ -51,19 +50,16 @@ class Cascade
 
     /** Service one reference; the LLC callback reports @p llc_hit. */
     HitLevel
-    access(uint64_t addr, bool is_write, uint64_t pc = 0x400000,
-           bool llc_hit = false)
+    access(uint64_t addr, AccessType type, bool llc_hit = false)
     {
         MemRecord rec;
         rec.addr = addr;
-        rec.isWrite = is_write;
-        rec.pc = pc;
+        rec.type = type;
         calls.clear();
-        return hier_.access(
-            rec, [&](uint64_t a, AccessType type, uint64_t p) {
-                calls.push_back({a, type, p});
-                return llc_hit;
-            });
+        return hier_.access(rec, [&](uint64_t a, AccessType t) {
+            calls.push_back({a, t});
+            return llc_hit;
+        });
     }
 
     /** The LLC calls of the last access, in order. */
@@ -76,20 +72,19 @@ class Cascade
 TEST(Hierarchy, FirstAccessMissesEverywhere)
 {
     Cascade c;
-    EXPECT_EQ(c.access(0x1000, false, 0x400123), HitLevel::Memory);
+    EXPECT_EQ(c.access(0x1000, AccessType::Load), HitLevel::Memory);
     ASSERT_EQ(c.calls.size(), 1u);
     EXPECT_EQ(c.calls[0].addr, 0x1000u);
     EXPECT_EQ(c.calls[0].type, AccessType::Load);
-    EXPECT_EQ(c.calls[0].pc, 0x400123u);
     // The level beyond the L2 is whatever the LLC callback reports.
-    EXPECT_EQ(c.access(0x2000, false, 0x400123, true), HitLevel::Llc);
+    EXPECT_EQ(c.access(0x2000, AccessType::Load, true), HitLevel::Llc);
 }
 
 TEST(Hierarchy, SecondAccessHitsL1)
 {
     Cascade c;
-    c.access(0x1000, false);
-    EXPECT_EQ(c.access(0x1000, false), HitLevel::L1);
+    c.access(0x1000, AccessType::Load);
+    EXPECT_EQ(c.access(0x1000, AccessType::Load), HitLevel::L1);
     EXPECT_TRUE(c.calls.empty());
 }
 
@@ -98,10 +93,10 @@ TEST(Hierarchy, L1EvictionFallsBackToL2)
     Cascade c;
     // Three blocks mapping to L1 set 0 (L1 has 4 sets): strides of
     // 4*64 = 256 bytes.
-    c.access(0x0000, false);
-    c.access(0x0100, false);
-    c.access(0x0200, false); // evicts 0x0000 from L1
-    EXPECT_EQ(c.access(0x0000, false), HitLevel::L2);
+    c.access(0x0000, AccessType::Load);
+    c.access(0x0100, AccessType::Load);
+    c.access(0x0200, AccessType::Load); // evicts 0x0000 from L1
+    EXPECT_EQ(c.access(0x0000, AccessType::Load), HitLevel::L2);
     EXPECT_TRUE(c.calls.empty());
 }
 
@@ -112,36 +107,37 @@ TEST(Hierarchy, DirtyL1VictimWritesBackToL2)
     // 16 * 64 bytes) evict it from the L1, whose writeback dirties the
     // L2 copy, and then from the L2, which writes it back to the LLC.
     Cascade c;
-    c.access(0, false);
-    EXPECT_EQ(c.access(0, true), HitLevel::L1);
+    c.access(0, AccessType::Load);
+    EXPECT_EQ(c.access(0, AccessType::Store), HitLevel::L1);
     std::vector<LlcCall> evicting;
     uint64_t demand = 0;
     for (uint64_t b = 1; b <= 8 && evicting.empty(); ++b) {
         demand = b * 16 * 64;
-        c.access(demand, false, 0x400000 + b);
+        c.access(demand, AccessType::Load);
         for (const LlcCall &call : c.calls)
             if (call.type == AccessType::Writeback)
                 evicting = c.calls;
     }
-    // The dirty victim reaches the LLC as a pc-0 writeback, before
-    // the demand that evicted it.
+    // The dirty victim reaches the LLC as a writeback, before the
+    // demand that evicted it.
     ASSERT_EQ(evicting.size(), 2u);
     EXPECT_EQ(evicting[0].addr, 0u);
     EXPECT_EQ(evicting[0].type, AccessType::Writeback);
-    EXPECT_EQ(evicting[0].pc, 0u);
     EXPECT_EQ(evicting[1].addr, demand);
     EXPECT_EQ(evicting[1].type, AccessType::Load);
 }
 
-TEST(Hierarchy, PcZeroDemandStoreReachesLlcAsStore)
+TEST(Hierarchy, CpuWritebackRecordReachesLlcAsStore)
 {
-    // The callback takes the access type, not a MemRecord, so a demand
-    // store without a pc is not mistaken for a writeback.
+    // Only the L2's dirty victims reach the LLC as writebacks: a CPU
+    // record typed Writeback is a store to the caches above it.
     Cascade c;
-    EXPECT_EQ(c.access(0x1000, true, 0), HitLevel::Memory);
+    EXPECT_EQ(c.access(0x1000, AccessType::Writeback), HitLevel::Memory);
     ASSERT_EQ(c.calls.size(), 1u);
     EXPECT_EQ(c.calls[0].type, AccessType::Store);
-    EXPECT_EQ(c.calls[0].pc, 0u);
+    EXPECT_EQ(c.access(0x2000, AccessType::Store), HitLevel::Memory);
+    ASSERT_EQ(c.calls.size(), 1u);
+    EXPECT_EQ(c.calls[0].type, AccessType::Store);
 }
 
 /**
@@ -163,28 +159,29 @@ class ScalarCascade
     access(const MemRecord &rec, std::vector<LlcCall> &calls,
            bool (*llc_hit)(uint64_t))
     {
-        const AccessType type =
-            rec.isWrite ? AccessType::Store : AccessType::Load;
-        const AccessResult r1 = l1_.access(rec.addr, type, rec.pc);
+        const AccessType type = rec.type == AccessType::Load
+                                    ? AccessType::Load
+                                    : AccessType::Store;
+        const AccessResult r1 = l1_.access(rec.addr, type);
         if (r1.hit)
             return HitLevel::L1;
         if (r1.evictedBlock && r1.evictedDirty) {
             const AccessResult wb = l2_.access(
                 *r1.evictedBlock << l1_.config().blockShift(),
-                AccessType::Writeback, 0);
+                AccessType::Writeback);
             ++(wb.hit ? dirtyVictimL2Hits : dirtyVictimL2Misses);
             if (wb.evictedBlock && wb.evictedDirty)
                 calls.push_back(
                     {*wb.evictedBlock << l2_.config().blockShift(),
-                     AccessType::Writeback, 0});
+                     AccessType::Writeback});
         }
-        const AccessResult r2 = l2_.access(rec.addr, type, rec.pc);
+        const AccessResult r2 = l2_.access(rec.addr, type);
         if (r2.evictedBlock && r2.evictedDirty)
             calls.push_back({*r2.evictedBlock << l2_.config().blockShift(),
-                             AccessType::Writeback, 0});
+                             AccessType::Writeback});
         if (r2.hit)
             return HitLevel::L2;
-        calls.push_back({rec.addr, type, rec.pc});
+        calls.push_back({rec.addr, type});
         return llc_hit(rec.addr) ? HitLevel::Llc : HitLevel::Memory;
     }
 
@@ -206,7 +203,7 @@ stubLlcHit(uint64_t addr)
 /**
  * Randomized Load/Store stream over @p config: half the references
  * reuse a hot group a quarter the size of the L1, the rest draw from
- * four times the L2's blocks, at any byte offset, from one of 16 PCs.
+ * four times the L2's blocks, at any byte offset.
  * The hot blocks live in the L1 long enough for the pool to push their
  * L2 copies out, so some dirty L1 victims miss in the L2.
  */
@@ -222,8 +219,8 @@ randomStream(const HierarchyConfig &config, size_t n, uint64_t seed)
         const uint64_t b = rng.nextBool(0.5) ? rng.nextBounded(hot)
                                              : rng.nextBounded(pool);
         r.addr = 0x7f3a00000000ULL + b * block + rng.nextBounded(block);
-        r.isWrite = rng.nextBool(0.3);
-        r.pc = 0x400000 + 4 * rng.nextBounded(16);
+        if (rng.nextBool(0.3))
+            r.type = AccessType::Store;
     }
     return out;
 }
@@ -272,8 +269,8 @@ TEST(Hierarchy, PackedCascadeMatchesScalarCascade)
             got.clear();
             want.clear();
             const HitLevel level = packed.access(
-                stream[i], [&](uint64_t a, AccessType type, uint64_t pc) {
-                    got.push_back({a, type, pc});
+                stream[i], [&](uint64_t a, AccessType type) {
+                    got.push_back({a, type});
                     return stubLlcHit(a);
                 });
             ASSERT_EQ(level, scalar.access(stream[i], want, stubLlcHit))
@@ -298,7 +295,6 @@ sequentialTrace(size_t blocks, uint32_t gap = 10)
     for (size_t i = 0; i < blocks; ++i) {
         MemRecord r;
         r.addr = i * 64;
-        r.pc = 0x400000 + i % 4;
         r.instGap = gap;
         t.append(r);
     }
@@ -320,7 +316,6 @@ TEST(HierarchyFilter, L1HitsAreFiltered)
     for (int i = 0; i < 50; ++i) {
         MemRecord r;
         r.addr = 0x1000;
-        r.pc = 0x400000;
         r.instGap = 2;
         cpu.append(r);
     }
@@ -346,13 +341,11 @@ TEST(HierarchyFilter, InstructionGapOverflowIsFatal)
     for (uint32_t gap : {1u, 0xFFFFFFFFu, 0xFFFFFFFFu}) {
         MemRecord r;
         r.addr = 0x1000;
-        r.pc = 0x400000;
         r.instGap = gap;
         cpu.append(r);
     }
     MemRecord cold;
     cold.addr = 0x2000;
-    cold.pc = 0x400000;
     cpu.append(cold);
     EXPECT_DEATH(([&]() noexcept {
                      Hierarchy::filterToLlc(cpu, tinyHier());
@@ -390,8 +383,7 @@ TEST(HierarchyFilter, SmallLoopGeneratesNoSteadyLlcTraffic)
         for (int b = 0; b < 4; ++b) {
             MemRecord r;
             r.addr = static_cast<uint64_t>(b) * 64 * 4; // 4 L1 sets
-            r.pc = 0x400000;
-            r.instGap = 1;
+                r.instGap = 1;
             cpu.append(r);
         }
     }
@@ -399,7 +391,7 @@ TEST(HierarchyFilter, SmallLoopGeneratesNoSteadyLlcTraffic)
     EXPECT_EQ(llc.size(), 4u);
 }
 
-TEST(HierarchyFilter, WritebacksAppearAsPcZeroWrites)
+TEST(HierarchyFilter, WritebacksAppearAsWritebackRecords)
 {
     HierarchyConfig cfg = tinyHier();
     // Dirty a lot of distinct blocks so L2 eventually evicts dirty
@@ -408,15 +400,14 @@ TEST(HierarchyFilter, WritebacksAppearAsPcZeroWrites)
     for (int i = 0; i < 200; ++i) {
         MemRecord r;
         r.addr = static_cast<uint64_t>(i) * 64;
-        r.pc = 0x400000;
-        r.isWrite = true;
+        r.type = AccessType::Store;
         r.instGap = 1;
         cpu.append(r);
     }
     Trace llc = Hierarchy::filterToLlc(cpu, cfg);
     bool saw_writeback = false;
     for (const auto &r : llc)
-        if (r.pc == 0 && r.isWrite)
+        if (r.type == AccessType::Writeback)
             saw_writeback = true;
     EXPECT_TRUE(saw_writeback);
 }
@@ -437,7 +428,6 @@ struct GapCall
     uint32_t gap;
     uint64_t addr;
     AccessType type;
-    uint64_t pc;
 };
 
 /** Replay @p calls into a recorder; returns what it recorded. */
@@ -448,15 +438,14 @@ recordCalls(const std::vector<GapCall> &calls, bool keep_writebacks)
     LlcRecorder record(out, keep_writebacks);
     for (const GapCall &c : calls) {
         record.addGap(c.gap);
-        record(c.addr, c.type, c.pc);
+        record(c.addr, c.type);
     }
     return out;
 }
 
 TEST(LlcRecorder, DroppingWritebacksMatchesDemandOnlyTrace)
 {
-    // Random streams of demands, pc-0 writebacks and pc-0 demand
-    // stores (which the replay convention also counts as writebacks).
+    // Random streams of demand loads, demand stores and writebacks.
     Rng rng(71);
     for (int round = 0; round < 50; ++round) {
         std::vector<GapCall> calls;
@@ -465,10 +454,8 @@ TEST(LlcRecorder, DroppingWritebacksMatchesDemandOnlyTrace)
             const AccessType type = pick == 0   ? AccessType::Writeback
                                     : pick == 1 ? AccessType::Store
                                                 : AccessType::Load;
-            const uint64_t pc =
-                pick == 0 || rng.nextBool(0.05) ? 0 : 0x400000 + pick;
             calls.push_back({static_cast<uint32_t>(rng.nextBounded(50)),
-                             rng.nextBounded(1 << 20) * 64, type, pc});
+                             rng.nextBounded(1 << 20) * 64, type});
         }
         const Trace full = recordCalls(calls, true);
         const Trace streamed = recordCalls(calls, false);
@@ -482,8 +469,8 @@ TEST(LlcRecorder, DroppingWritebacksMatchesDemandOnlyTrace)
 TEST(LlcRecorder, DroppingWritebacksIsFatalWhereStrippingIs)
 {
     constexpr uint32_t kMax = 0xFFFFFFFFu;
-    const GapCall wb{kMax, 0x40, AccessType::Writeback, 0};
-    const GapCall load{kMax, 0x80, AccessType::Load, 0x400000};
+    const GapCall wb{kMax, 0x40, AccessType::Writeback};
+    const GapCall load{kMax, 0x80, AccessType::Load};
 
     // Each gap fits, but the dropped writeback's gap carried into the
     // next demand does not: only stripping the full stream overflows.
@@ -502,7 +489,7 @@ TEST(LlcRecorder, DroppingWritebacksIsFatalWhereStrippingIs)
                          LlcRecorder record(out, keep);
                          record.addGap(kMax); // an L1 hit
                          record.addGap(1);
-                         record(0x40, AccessType::Writeback, 0);
+                         record(0x40, AccessType::Writeback);
                      })(),
                      "instruction gap 4294967296 at CPU record 1 "
                      "overflows");

@@ -58,8 +58,8 @@ digestOf(const Workload &w)
         for (const MemRecord &rec : sp.trace->records()) {
             h = foldU64(h, rec.instGap);
             h = foldU64(h, rec.addr);
-            h = foldU64(h, rec.pc);
-            h = foldU64(h, rec.isWrite ? 1 : 0);
+            h = foldU64(h, static_cast<uint64_t>(rec.type));
+            h = foldU64(h, rec.type != AccessType::Load ? 1 : 0);
         }
     }
     return h;
@@ -126,10 +126,10 @@ TEST(KvWorkload, GoldenDigests)
         uint64_t digest;
     };
     const std::vector<Golden> goldens = {
-        {"kv_zipf_4t", 0xbc21808842c75647ull},
-        {"kv_hot_tenant", 0x73e22990492836c6ull},
-        {"kv_churn", 0x19e30d38e5c845cfull},
-        {"kv_scan_victim", 0xa024f750ff3dcf55ull},
+        {"kv_zipf_4t", 0xbb5318eeed94fbceull},
+        {"kv_hot_tenant", 0xd6083544ea0fdf63ull},
+        {"kv_churn", 0x05297d9ffbadbb17ull},
+        {"kv_scan_victim", 0x8ab5a6904432d398ull},
     };
     const std::vector<WorkloadSpec> family = kvCacheFamily(pinnedParams());
     for (const Golden &g : goldens) {
@@ -164,7 +164,7 @@ TEST(KvWorkload, MixesReadsAndWrites)
     uint64_t writes = 0;
     for (const Simpoint &sp : w.simpoints())
         for (const MemRecord &rec : sp.trace->records())
-            (rec.isWrite ? writes : reads) += 1;
+            (rec.type == AccessType::Load ? reads : writes) += 1;
     EXPECT_GT(reads, 0u);
     EXPECT_GT(writes, 0u);
     EXPECT_GT(reads, writes); // GETs dominate a serving mix
@@ -213,7 +213,7 @@ TEST(KvWorkload, ChurnRotatesKeys)
         const MemRecord a = stable.next(ra);
         const MemRecord b = churning.next(rb);
         EXPECT_EQ(a.addr, b.addr) << "record " << i;
-        EXPECT_EQ(a.isWrite, b.isWrite);
+        EXPECT_EQ(a.type, b.type);
     }
     // Later epochs remap ranks to fresh blocks.
     uint64_t diverged = 0;

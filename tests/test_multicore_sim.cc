@@ -828,7 +828,6 @@ loopStream(uint64_t blocks, uint64_t base, size_t accesses)
     for (size_t i = 0; i < accesses; ++i) {
         MemRecord r;
         r.addr = (base + i % blocks) * 64;
-        r.pc = 0x400000 + base;
         r.instGap = 6;
         trace->append(r);
     }

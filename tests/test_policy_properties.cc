@@ -50,11 +50,9 @@ TEST_P(PolicyProperty, SurvivesRandomizedMixedTraffic)
     for (int i = 0; i < 60000; ++i) {
         uint64_t block = rng.nextBounded(4096);
         AccessType type;
-        uint64_t pc = 0x400000 + (block % 13) * 4;
         switch (rng.nextBounded(10)) {
           case 0:
             type = AccessType::Writeback;
-            pc = 0;
             break;
           case 1:
           case 2:
@@ -63,7 +61,7 @@ TEST_P(PolicyProperty, SurvivesRandomizedMixedTraffic)
           default:
             type = AccessType::Load;
         }
-        AccessResult r = cache.access(block * 64, type, pc);
+        AccessResult r = cache.access(block * 64, type);
         // Contract: way in range unless bypassed.
         if (!r.bypassed) {
             ASSERT_LT(r.way, c.assoc);
@@ -80,8 +78,7 @@ TEST_P(PolicyProperty, DeterministicReplay)
         uint64_t signature = 0;
         for (int i = 0; i < 30000; ++i) {
             uint64_t block = rng.nextBounded(2048);
-            AccessResult r = cache.access(block * 64, AccessType::Load,
-                                          0x400000);
+            AccessResult r = cache.access(block * 64, AccessType::Load);
             signature = signature * 31 + (r.hit ? 1 : 0);
         }
         return std::make_pair(signature, cache.stats().misses);
@@ -101,12 +98,10 @@ TEST_P(PolicyProperty, ResidentBlockHitsUntilEvicted)
     Rng rng(303);
     for (int i = 0; i < 20000; ++i) {
         uint64_t block = rng.nextBounded(4096);
-        AccessResult first =
-            cache.access(block * 64, AccessType::Load, 0x400400);
+        AccessResult first = cache.access(block * 64, AccessType::Load);
         if (first.bypassed)
             continue;
-        AccessResult again =
-            cache.access(block * 64, AccessType::Load, 0x400400);
+        AccessResult again = cache.access(block * 64, AccessType::Load);
         ASSERT_TRUE(again.hit) << "iteration " << i;
     }
 }
@@ -118,7 +113,7 @@ TEST_P(PolicyProperty, InvalidateThenRefill)
     CacheConfig c = testConfig();
     for (uint64_t t = 0; t < c.assoc; ++t)
         cache.access(((t << c.setShift()) | 3) << c.blockShift(),
-                     AccessType::Load, 0x400000);
+                     AccessType::Load);
     // Invalidate two lines and re-access: must refill without
     // evicting valid lines.
     cache.invalidate(((2ull << c.setShift()) | 3) << c.blockShift());
@@ -126,7 +121,7 @@ TEST_P(PolicyProperty, InvalidateThenRefill)
     EXPECT_EQ(cache.validCount(3), c.assoc - 2);
     AccessResult r = cache.access(
         ((20ull << c.setShift()) | 3) << c.blockShift(),
-        AccessType::Load, 0x400000);
+        AccessType::Load);
     if (!r.bypassed) {
         EXPECT_FALSE(r.evictedBlock.has_value());
     }
@@ -144,8 +139,7 @@ TEST_P(PolicyProperty, StorageAccountingIsStable)
     size_t before = cache.policy().stateBitsPerSet();
     Rng rng(404);
     for (int i = 0; i < 5000; ++i)
-        cache.access(rng.nextBounded(4096) * 64, AccessType::Load,
-                     0x400000);
+        cache.access(rng.nextBounded(4096) * 64, AccessType::Load);
     EXPECT_EQ(cache.policy().stateBitsPerSet(), before);
 }
 
@@ -158,11 +152,11 @@ TEST_P(PolicyProperty, HitRateSaneOnResidentWorkingSet)
     const uint64_t blocks = c.sets() * c.assoc / 2;
     for (int rep = 0; rep < 4; ++rep)
         for (uint64_t b = 0; b < blocks; ++b)
-            cache.access(b * 64, AccessType::Load, 0x400000);
+            cache.access(b * 64, AccessType::Load);
     cache.clearStats();
     for (int rep = 0; rep < 4; ++rep)
         for (uint64_t b = 0; b < blocks; ++b)
-            cache.access(b * 64, AccessType::Load, 0x400000);
+            cache.access(b * 64, AccessType::Load);
     double hit_rate = static_cast<double>(cache.stats().hits) /
                       static_cast<double>(cache.stats().accesses);
     // 0.85, not ~1.0: dueling policies dedicate leader sets to their
@@ -174,7 +168,7 @@ TEST_P(PolicyProperty, HitRateSaneOnResidentWorkingSet)
 INSTANTIATE_TEST_SUITE_P(
     Zoo, PolicyProperty,
     ::testing::Values("LRU", "PLRU", "Random", "FIFO", "DIP", "SRRIP",
-                      "BRRIP", "DRRIP", "PDP", "SHiP", "DGIPPR2",
+                      "BRRIP", "DRRIP", "PDP", "DGIPPR2",
                       "DGIPPR4", "DGIPPR8", "BGIPPR", "RRIPIPV",
                       "GIPPR:0 0 1 0 3 0 1 2 1 0 5 1 0 0 1 11 13",
                       "GIPLR:0 0 1 0 3 0 1 2 1 0 5 1 0 0 1 11 13"),

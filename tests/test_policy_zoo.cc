@@ -18,7 +18,7 @@ namespace
 TEST(PolicyZoo, BaselineNamesRoundTrip)
 {
     const char *names[] = {"LRU",   "PLRU",  "Random", "FIFO", "DIP",
-                           "SRRIP", "BRRIP", "DRRIP",  "PDP",  "SHiP"};
+                           "SRRIP", "BRRIP", "DRRIP",  "PDP"};
     CacheConfig cfg = CacheConfig::benchLlc();
     for (const char *n : names) {
         PolicyDef def = policyByName(n);
@@ -83,9 +83,9 @@ TEST(PolicyZoo, SpecOfMatchesFastSpec)
     // carries one, and it is the same spec.
     const char *vec = "0 0 1 0 3 0 1 2 1 0 5 1 0 0 1 11 13";
     std::vector<std::string> names = {
-        "LRU",   "LIP",     "PLRU",    "GIPLR",   "GIPPR",  "Random",
-        "FIFO",  "DIP",     "SRRIP",   "BRRIP",   "DRRIP",  "PDP",
-        "SHiP",  "DGIPPR2", "DGIPPR4", "DGIPPR8", "BGIPPR", "RRIPIPV"};
+        "LRU",     "LIP",     "PLRU",    "GIPLR",  "GIPPR",  "Random",
+        "FIFO",    "DIP",     "SRRIP",   "BRRIP",  "DRRIP",  "PDP",
+        "DGIPPR2", "DGIPPR4", "DGIPPR8", "BGIPPR", "RRIPIPV"};
     for (const char *kind : {"GIPLR:", "GIPPR:", "BGIPPR:", "RRIPIPV:"})
         names.push_back(std::string(kind) + vec);
     for (const std::string &name : names) {
@@ -108,7 +108,7 @@ TEST(PolicyZoo, SpecOfMatchesFastSpec)
     // The RRIP family and PDP carry specs; the rest stay scalar.
     for (const char *name : {"SRRIP", "BRRIP", "DRRIP", "PDP", "RRIPIPV"})
         EXPECT_TRUE(policyByName(name).fastSpec.has_value()) << name;
-    for (const char *name : {"Random", "FIFO", "DIP", "SHiP", "BGIPPR"})
+    for (const char *name : {"Random", "FIFO", "DIP", "BGIPPR"})
         EXPECT_FALSE(policyByName(name).fastSpec.has_value()) << name;
     // A lambda around a spec's factory hides the spec.
     const PolicyFactory make = policyByName("LRU").make;

@@ -157,19 +157,18 @@ TEST(Select, SingleArmBitIdenticalToStaticReplay)
     EXPECT_EQ(fast.total, replay.total);
 }
 
-TEST(Select, SpecLessArmRunsScalarAndSeesPcs)
+TEST(Select, SpecLessArmRunsScalar)
 {
-    // SHiP has no fast spec, so any library holding it serves on the
+    // FIFO has no fast spec, so any library holding it serves on the
     // scalar backend; a single-arm run must still equal its static
-    // replay, which it only does if every record's pc reaches SHiP's
-    // signature table.
+    // replay.
     const auto trace = rawTrace("ps_quad");
     const size_t warmup = warmupOf(*trace);
     const CacheConfig llc = llcCfg();
-    EXPECT_EQ(select::resolveBackend(select::parseLibrary("LRU,SHiP"),
+    EXPECT_EQ(select::resolveBackend(select::parseLibrary("LRU,FIFO"),
                                      llc, Backend::Fast),
               Backend::Scalar);
-    const std::vector<PolicyDef> lib = {shipDef()};
+    const std::vector<PolicyDef> lib = {fifoDef()};
     const SelectResult res = select::runSelect(lib, testConfig(), llc,
                                                *trace, warmup);
     const fastpath::ReplayEngine &engine = fastpath::defaultReplayEngine();
@@ -188,7 +187,7 @@ TEST(Select, StaticOracleMixedLibraryMatchesPerArmReplay)
     const size_t warmup = warmupOf(*trace);
     const CacheConfig llc = llcCfg();
     const std::vector<PolicyDef> lib =
-        select::parseLibrary("LRU,SHiP,GIPPR,Random,DGIPPR4,PLRU,DRRIP,"
+        select::parseLibrary("LRU,FIFO,GIPPR,Random,DGIPPR4,PLRU,DRRIP,"
                              "BGIPPR,PDP");
     const fastpath::ScalarReplayEngine scalar;
     for (Backend backend : {Backend::Fast, Backend::Scalar}) {
@@ -516,12 +515,12 @@ TEST(PhaseShiftSuiteDigest, GoldenDigestPinned)
             for (const MemRecord &rec : sp.trace->records()) {
                 h = foldU64(h, rec.instGap);
                 h = foldU64(h, rec.addr);
-                h = foldU64(h, rec.pc);
-                h = foldU64(h, rec.isWrite ? 1 : 0);
+                h = foldU64(h, static_cast<uint64_t>(rec.type));
+                h = foldU64(h, rec.type != AccessType::Load ? 1 : 0);
             }
         }
     }
-    constexpr uint64_t kGolden = 0xf760937e939d4f6aull;
+    constexpr uint64_t kGolden = 0x90dca30046e8a1d9ull;
     EXPECT_EQ(h, kGolden);
 }
 

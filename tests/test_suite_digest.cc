@@ -78,8 +78,8 @@ digestOf(const Workload &w, uint64_t h)
         for (const MemRecord &rec : sp.trace->records()) {
             h = foldU64(h, rec.instGap);
             h = foldU64(h, rec.addr);
-            h = foldU64(h, rec.pc);
-            h = foldU64(h, rec.isWrite ? 1 : 0);
+            h = foldU64(h, static_cast<uint64_t>(rec.type));
+            h = foldU64(h, rec.type != AccessType::Load ? 1 : 0);
         }
     }
     return h;
@@ -247,7 +247,7 @@ class ThrowingGenerator : public AccessGenerator
         if (i == throwAt_)
             throw std::runtime_error("generator failed at reference " +
                                      std::to_string(i));
-        return makeRecord(i % 4096, 0x400000, 3, i % 5 == 0);
+        return makeRecord(i % 4096, 3, i % 5 == 0);
     }
     std::string name() const override { return "throwing"; }
 
@@ -338,7 +338,7 @@ TEST(SuiteDigest, GoldenDigestPinned)
     // If a generator change is INTENTIONAL, rerun this test and update
     // the constant; an unexpected mismatch means every published table
     // silently changed.
-    constexpr uint64_t kGolden = 0x9358339984f6f65full;
+    constexpr uint64_t kGolden = 0x5d276d5c7b893d65ull;
     EXPECT_EQ(suiteDigest(pinnedParams()), kGolden);
 }
 
@@ -359,14 +359,14 @@ TEST(SuiteDigest, LongStreamDigestPinned)
         h = fnv1a(h, spec.name.data(), spec.name.size());
         h = digestOf(SyntheticSuite::materialize(spec), h);
     }
-    constexpr uint64_t kGolden = 0x75e18b73c5a48908ull;
+    constexpr uint64_t kGolden = 0x604036a0967c7d09ull;
     EXPECT_EQ(h, kGolden) << std::hex << h;
 }
 
 TEST(SuiteDigest, FilteredLlcStreamPinned)
 {
     // Golden digest of every record the L1/L2 filter emits (demands
-    // and pc-0 writebacks, in stream order) over the pinned suite.
+    // and writebacks, in stream order) over the pinned suite.
     // Any change to the L1/L2 cascade or its writeback order moves it.
     const SyntheticSuite suite(pinnedParams());
     uint64_t h = kFnvOffset;
@@ -378,12 +378,12 @@ TEST(SuiteDigest, FilteredLlcStreamPinned)
             for (const MemRecord &rec : llc.records()) {
                 h = foldU64(h, rec.instGap);
                 h = foldU64(h, rec.addr);
-                h = foldU64(h, rec.pc);
-                h = foldU64(h, rec.isWrite ? 1 : 0);
+                h = foldU64(h, static_cast<uint64_t>(rec.type));
+                h = foldU64(h, rec.type != AccessType::Load ? 1 : 0);
             }
         }
     }
-    constexpr uint64_t kGolden = 0xa72fb40d0c9433d7ull;
+    constexpr uint64_t kGolden = 0x063256ef4e58152dull;
     EXPECT_EQ(h, kGolden) << std::hex << h;
 }
 
@@ -478,13 +478,35 @@ TEST(SuiteDigest, TraceCacheKeysOnCapacityAndGeometry)
     EXPECT_NE(ea.get(), eb.get());
     EXPECT_EQ(cache.misses(), 2u);
 
-    // Same spec through a different hierarchy is a distinct entry too.
+    // Same spec through a different L2 is a distinct entry too.
     HierarchyConfig wider = hier;
-    wider.llc.sizeBytes = 64 * 1024;
+    wider.l2.sizeBytes = 16 * 1024;
     const auto ec = cache.get(a.spec("stream_pure"), wider, nullptr);
     EXPECT_NE(ea.get(), ec.get());
     EXPECT_EQ(cache.misses(), 3u);
     EXPECT_EQ(cache.hits(), 0u);
+
+    // The build never reads the LLC, so another LLC size or
+    // associativity is a hit on the same entry, equal to a fresh build.
+    HierarchyConfig bigger_llc = hier;
+    bigger_llc.llc.sizeBytes = 64 * 1024;
+    HierarchyConfig wider_llc = hier;
+    wider_llc.llc.assoc = 8;
+    for (const HierarchyConfig &llc : {bigger_llc, wider_llc}) {
+        const auto ed = cache.get(a.spec("stream_pure"), llc, nullptr);
+        EXPECT_EQ(ea.get(), ed.get());
+        LlcTraceCache fresh;
+        const auto ef = fresh.get(a.spec("stream_pure"), llc, nullptr);
+        ASSERT_EQ(ef->size(), ed->size());
+        for (size_t i = 0; i < ef->size(); ++i) {
+            EXPECT_EQ((*ef)[i].demandTrace->records(),
+                      (*ed)[i].demandTrace->records());
+            EXPECT_EQ((*ef)[i].instructions, (*ed)[i].instructions);
+            EXPECT_EQ((*ef)[i].weight, (*ed)[i].weight);
+        }
+    }
+    EXPECT_EQ(cache.misses(), 3u);
+    EXPECT_EQ(cache.hits(), 2u);
 }
 
 TEST(SuiteDigest, SharedCacheLeavesExperimentRowsUnchanged)
@@ -586,10 +608,9 @@ class MaxGapGenerator : public AccessGenerator
     {
         const uint64_t i = emitted_++;
         if (i < warmup_)
-            return makeRecord(1, 0x400000, 1, false);
+            return makeRecord(1, 1, false);
         const bool cold = i - warmup_ == 3;
-        return makeRecord(cold ? 2 : 1, 0x400000,
-                          cold ? 1 : 0xFFFFFFFFu, false);
+        return makeRecord(cold ? 2 : 1, cold ? 1 : 0xFFFFFFFFu, false);
     }
     std::string name() const override { return "max_gap"; }
 

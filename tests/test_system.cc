@@ -154,7 +154,7 @@ TEST(System, SpecLessLlcResultsPinned)
     uint64_t bypasses = 0;
     for (const char *name : {"loop_thrash", "zipf_hot", "hotcold_scan"}) {
         const Workload w = SyntheticSuite::materialize(suite.spec(name));
-        for (const char *policy : {"Random", "SHiP", "BGIPPR"}) {
+        for (const char *policy : {"Random", "DIP", "BGIPPR"}) {
             const PolicyDef def = policyByName(policy);
             ASSERT_FALSE(def.fastSpec.has_value()) << policy;
             for (const Simpoint &sp : w.simpoints()) {
@@ -173,7 +173,7 @@ TEST(System, SpecLessLlcResultsPinned)
         }
     }
     EXPECT_GT(bypasses, 0u);
-    constexpr uint64_t kGolden = 0x1e595053cdf74a21ull;
+    constexpr uint64_t kGolden = 0x0baf4db7d3e338a3ull;
     EXPECT_EQ(h, kGolden) << std::hex << h;
 }
 

@@ -382,7 +382,6 @@ validTraceBytes(uint64_t records)
     for (uint64_t i = 0; i < records; ++i) {
         MemRecord r;
         r.addr = 0x1000 + 64 * i;
-        r.pc = 0x400000;
         t.append(r);
     }
     // Unique per test: ctest runs each discovered test as its own

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "robust/atomic_io.hh"
 #include "trace/simpoint.hh"
 #include "trace/trace.hh"
 #include "trace/trace_io.hh"
@@ -20,14 +22,12 @@ namespace
 {
 
 MemRecord
-rec(uint64_t addr, uint32_t gap = 1, bool write = false,
-    uint64_t pc = 0x400000)
+rec(uint64_t addr, uint32_t gap = 1, AccessType type = AccessType::Load)
 {
     MemRecord r;
     r.addr = addr;
     r.instGap = gap;
-    r.isWrite = write;
-    r.pc = pc;
+    r.type = type;
     return r;
 }
 
@@ -35,7 +35,7 @@ TEST(Trace, AppendTracksTotals)
 {
     Trace t;
     t.append(rec(0x100, 5));
-    t.append(rec(0x200, 3, true));
+    t.append(rec(0x200, 3, AccessType::Store));
     EXPECT_EQ(t.size(), 2u);
     EXPECT_EQ(t.instructions(), 8u);
     EXPECT_EQ(t.writes(), 1u);
@@ -43,7 +43,8 @@ TEST(Trace, AppendTracksTotals)
 
 TEST(Trace, ConstructFromVector)
 {
-    std::vector<MemRecord> recs{rec(0x100, 2), rec(0x140, 4, true)};
+    std::vector<MemRecord> recs{rec(0x100, 2),
+                                rec(0x140, 4, AccessType::Writeback)};
     Trace t(recs);
     EXPECT_EQ(t.size(), 2u);
     EXPECT_EQ(t.instructions(), 6u);
@@ -114,15 +115,42 @@ class TraceIoTest : public ::testing::Test
     }
 
     void TearDown() override { std::remove(tempPath().c_str()); }
+
+    std::vector<char>
+    fileBytes()
+    {
+        std::ifstream in(tempPath(), std::ios::binary);
+        return {std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>{}};
+    }
+
+    void
+    writeBytes(const std::vector<char> &bytes)
+    {
+        std::ofstream out(tempPath(), std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+
+    /** readTrace's error message for the file, or "" if it reads. */
+    std::string
+    readError()
+    {
+        try {
+            readTrace(tempPath());
+        } catch (const std::runtime_error &e) {
+            return e.what();
+        }
+        return "";
+    }
 };
 
 TEST_F(TraceIoTest, RoundTrip)
 {
     Trace t;
-    t.append(rec(0x1000, 3, false, 0x400100));
-    t.append(rec(0x2040, 7, true, 0x400104));
-    t.append(rec(0xdeadbeef00, 1, false, 0));
-    t.append(rec(UINT64_MAX, 2, true, UINT64_MAX));
+    t.append(rec(0x1000, 3));
+    t.append(rec(0x2040, 7, AccessType::Store));
+    t.append(rec(0xdeadbeef00, 1, AccessType::Writeback));
+    t.append(rec(UINT64_MAX, 2, AccessType::Store));
     writeTrace(t, tempPath());
     Trace u = readTrace(tempPath());
     ASSERT_EQ(u.size(), t.size());
@@ -157,24 +185,24 @@ TEST_F(TraceIoTest, GarbageFileThrows)
 
 TEST_F(TraceIoTest, FileBytesArePinned)
 {
-    // The v2 format is written field by field, little-endian and
+    // The v3 format is written field by field, little-endian and
     // unpadded, whatever MemRecord's in-memory layout: 16 header
-    // bytes, 21 per record (gap u32, addr u64, pc u64, write u8), then
-    // the CRC-32 of everything before it.
+    // bytes, 13 per record (gap u32, addr u64, type u8), then the
+    // CRC-32 of everything before it.
     Trace t;
-    t.append(rec(0x1000, 3, false, 0x400100));      // load
-    t.append(rec(0x2040, 7, true, 0x400104));       // store
-    t.append(rec(0x7fffffffc0, 1, true, 0));        // writeback
-    t.append(rec(0xdeadbeef00, 0xFFFFFFFFu, false, 0x400108));
+    t.append(rec(0x1000, 3));                              // load
+    t.append(rec(0x2040, 7, AccessType::Store));           // store
+    t.append(rec(0x7fffffffc0, 1, AccessType::Writeback)); // writeback
+    t.append(rec(0xdeadbeef00, 0xFFFFFFFFu));
     writeTrace(t, tempPath());
 
     const std::string expected_hex =
-        "47505452" "02000000" "0400000000000000"
-        "03000000" "0010000000000000" "0001400000000000" "00"
-        "07000000" "4020000000000000" "0401400000000000" "01"
-        "01000000" "c0ffffff7f000000" "0000000000000000" "01"
-        "ffffffff" "00efbeadde000000" "0801400000000000" "00"
-        "ef7d9838";
+        "47505452" "03000000" "0400000000000000"
+        "03000000" "0010000000000000" "00"
+        "07000000" "4020000000000000" "01"
+        "01000000" "c0ffffff7f000000" "02"
+        "ffffffff" "00efbeadde000000" "00"
+        "1d96cc1e";
     std::ifstream in(tempPath(), std::ios::binary);
     const std::string bytes{std::istreambuf_iterator<char>(in),
                             std::istreambuf_iterator<char>{}};
@@ -184,7 +212,7 @@ TEST_F(TraceIoTest, FileBytesArePinned)
         hex.push_back(kDigits[c >> 4]);
         hex.push_back(kDigits[c & 0xf]);
     }
-    EXPECT_EQ(bytes.size(), 16u + 4 * 21u + 4u);
+    EXPECT_EQ(bytes.size(), 16u + 4 * 13u + 4u);
     EXPECT_EQ(hex, expected_hex);
 
     const Trace u = readTrace(tempPath());
@@ -195,32 +223,49 @@ TEST_F(TraceIoTest, FileBytesArePinned)
     EXPECT_EQ(u.writes(), 2u);
 }
 
-TEST_F(TraceIoTest, ReadsLegacyV1Files)
+TEST_F(TraceIoTest, LegacyV1AndV2FilesAreFatal)
 {
+    // v1 (no CRC) and v2 (a PC and a write flag per record) files are
+    // not read: the version check fires before any record, and the
+    // message names the version found.
     Trace t;
     t.append(rec(0x100, 2));
-    t.append(rec(0x940, 5, true, 0x400200));
+    t.append(rec(0x940, 5, AccessType::Store));
     writeTrace(t, tempPath());
+    std::vector<char> bytes = fileBytes();
+    for (const char version : {1, 2}) {
+        bytes[4] = version;
+        writeBytes(bytes);
+        const std::string want = "unsupported trace version " +
+                                 std::to_string(version) +
+                                 " (only v3 is read)";
+        EXPECT_EQ(readError(), want + " in " + tempPath());
+    }
+}
 
-    // Rewrite the v2 file as its v1 equivalent: version byte 1, no
-    // CRC footer.  The reader must still accept it.
-    std::ifstream in(tempPath(), std::ios::binary);
-    std::vector<char> bytes(std::istreambuf_iterator<char>(in),
-                            std::istreambuf_iterator<char>{});
-    in.close();
-    ASSERT_GE(bytes.size(), 20u);
-    bytes[4] = 1;
-    bytes.resize(bytes.size() - 4);
-    std::ofstream out(tempPath(),
-                      std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size()));
-    out.close();
-
-    const Trace u = readTrace(tempPath());
-    ASSERT_EQ(u.size(), t.size());
-    for (size_t i = 0; i < t.size(); ++i)
-        EXPECT_TRUE(u[i] == t[i]) << i;
+TEST_F(TraceIoTest, OutOfRangeTypeByteIsFatal)
+{
+    // A type byte past Writeback is corruption, not a Load, even when
+    // the CRC footer is made to match it.
+    Trace t;
+    t.append(rec(0x100, 2));
+    t.append(rec(0x940, 5, AccessType::Store));
+    writeTrace(t, tempPath());
+    std::vector<char> bytes = fileBytes();
+    const size_t type_at = 16 + 13 + 12; // record 1's type byte
+    ASSERT_EQ(bytes.size(), 16u + 2 * 13u + 4u);
+    ASSERT_EQ(bytes[type_at], 1);
+    for (const unsigned char type : {3, 255}) {
+        bytes[type_at] = static_cast<char>(type);
+        const uint32_t crc =
+            robust::crc32(bytes.data(), bytes.size() - 4);
+        std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof crc);
+        writeBytes(bytes);
+        EXPECT_EQ(readError(),
+                  "trace file corrupt: record 1 has type byte " +
+                      std::to_string(type) +
+                      " (0 load, 1 store, 2 writeback): " + tempPath());
+    }
 }
 
 TEST(Workload, AddAndCombine)

@@ -5,8 +5,9 @@
  *
  * The reader's contract: malformed files — truncated at ANY byte
  * offset, wrong magic, unknown version, record counts that overflow
- * the file, trailing garbage — raise std::runtime_error naming the
- * path, and never crash or return a silently partial trace.  The
+ * the file, trailing garbage, a type byte outside AccessType — raise
+ * std::runtime_error naming the path, and never crash or return a
+ * silently partial trace.  The
  * engines' contract: degenerate traces (empty, duplicate-heavy,
  * max-address records) replay cleanly and identically on both
  * backends.
@@ -68,8 +69,8 @@ sampleTrace(size_t n)
         MemRecord rec;
         rec.instGap = 1 + static_cast<uint32_t>(rng.nextBounded(3));
         rec.addr = rng.nextBounded(1 << 20) * 64;
-        rec.pc = 0x400000 + rng.nextBounded(32) * 4;
-        rec.isWrite = rng.nextBool(0.3);
+        if (rng.nextBool(0.3))
+            rec.type = AccessType::Store;
         trace.append(rec);
     }
     return trace;
@@ -145,12 +146,33 @@ TEST(TraceFuzz, BadMagicVersionAndOverflowingCountRejected)
         bad_count[i] = static_cast<char>(0xff);
     writeAll(path, bad_count);
     EXPECT_THROW(readTrace(path), std::runtime_error);
+
+    // A type byte past Writeback in any record (13-byte records after
+    // the 16-byte header, type last) is rejected as that record's.
+    for (size_t record = 0; record < 3; ++record) {
+        for (const unsigned char type : {3, 0x80, 0xff}) {
+            std::vector<char> bad_type = good;
+            bad_type[16 + 13 * record + 12] = static_cast<char>(type);
+            writeAll(path, bad_type);
+            try {
+                readTrace(path);
+                ADD_FAILURE() << "type " << unsigned{type} << " in record "
+                              << record << " was accepted";
+            } catch (const std::runtime_error &e) {
+                EXPECT_NE(std::string(e.what()).find(
+                              "record " + std::to_string(record) +
+                              " has type byte " + std::to_string(type)),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
     std::remove(path.c_str());
 }
 
 TEST(TraceFuzz, PayloadBitFlipCaughtByChecksum)
 {
-    // The v2 footer CRC must catch single-byte corruption anywhere in
+    // The footer CRC must catch single-byte corruption anywhere in
     // the record payload — damage the reader's size checks alone
     // cannot see.
     const std::string path = tempPath("bitflip.gptr");
@@ -235,33 +257,28 @@ TEST(TraceFuzz, ZeroLengthSimpointMaterializesAndReplays)
 TEST(TraceFuzz, DuplicateAndMaxAddressRecordsReplayIdentically)
 {
     Trace trace;
-    // Degenerate stream: one duplicated block, UINT64_MAX addresses
-    // and pcs, zero pc demand records, interleaved writebacks.
+    // Degenerate stream: one duplicated block, UINT64_MAX addresses,
+    // interleaved writebacks.
     for (int i = 0; i < 2000; ++i) {
         MemRecord rec;
         rec.instGap = 1;
         switch (i % 5) {
           case 0:
             rec.addr = 0x1000;
-            rec.pc = 0x400000;
             break;
           case 1:
             rec.addr = UINT64_MAX;
-            rec.pc = UINT64_MAX;
             break;
           case 2:
             rec.addr = UINT64_MAX - 64;
-            rec.isWrite = true;
-            rec.pc = 0; // writeback of the max-address region
+            rec.type = AccessType::Writeback; // of the max-address region
             break;
           case 3:
             rec.addr = 0x1000;
-            rec.isWrite = true;
-            rec.pc = 0x400004;
+            rec.type = AccessType::Store;
             break;
           default:
             rec.addr = static_cast<uint64_t>(i) * 64;
-            rec.pc = 0x400008;
             break;
         }
         trace.append(rec);

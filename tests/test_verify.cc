@@ -46,10 +46,10 @@ randomTrace(const CacheConfig &cfg, uint64_t n, uint64_t blocks,
     for (uint64_t i = 0; i < n; ++i) {
         MemRecord rec;
         rec.addr = rng.nextBounded(blocks) * cfg.blockBytes;
-        rec.isWrite = rng.nextBool(0.25);
-        // Mix writeback records (pc == 0 stores) with demand traffic.
-        if (!rec.isWrite || rng.nextBool(0.5))
-            rec.pc = 0x1000 + rng.nextBounded(16) * 4;
+        // Mix writeback records with demand traffic.
+        if (rng.nextBool(0.25))
+            rec.type = rng.nextBool(0.5) ? AccessType::Store
+                                         : AccessType::Writeback;
         t.append(rec);
     }
     return t;
